@@ -49,6 +49,13 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="dismantle", description="Fragment sparse random graphs.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -84,7 +91,7 @@ def build_parser() -> _Parser:
     curve.add_argument("--method", default="greedy",
                        choices=["exact", "greedy", "forest-pipeline"])
     curve.add_argument("--out", required=True)
-    curve.add_argument("--jobs", type=int, default=1)
+    curve.add_argument("--jobs", type=positive_int, default=1)
 
     claim = sub.add_parser("verify-claim", help="scan for overly dense connected sets")
     claim.add_argument("--in", dest="infile", required=True)
@@ -101,7 +108,7 @@ def build_parser() -> _Parser:
     demo.add_argument("--n", required=True, type=int)
     demo.add_argument("--reps", required=True, type=int)
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--jobs", type=int, default=1)
+    demo.add_argument("--jobs", type=positive_int, default=1)
 
     return p
 

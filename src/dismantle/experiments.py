@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -148,28 +149,44 @@ def _generate(cfg: ExperimentConfig, r: int) -> Graph:
     return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)  # type: ignore[arg-type]
 
 
-def _apply_method(g: Graph, cap: int, method: str, oracle_limit: int) -> FragmentationResult:
+def _method_results(g: Graph, caps: Sequence[int], method: str,
+                    oracle_limit: int) -> list[FragmentationResult]:
+    """One witness per cap for replicate graph ``g``.
+
+    ``forest-pipeline`` decycles ``g`` at most once, and only when some
+    cap is below the largest component, then cuts the forest per cap.
+    """
     if method == "exact":
-        return exact_max_induced(g, cap, limit=oracle_limit)
+        return [exact_max_induced(g, cap, limit=oracle_limit) for cap in caps]
     if method == "greedy":
-        return greedy_fragment(g, cap)
-    if method == "forest-pipeline":
-        if components(g).largest <= cap:
-            return _make_result(g, range(g.n), "forest-pipeline")
-        dec = decycle_heuristic(g)
+        return [greedy_fragment(g, cap) for cap in caps]
+    if method != "forest-pipeline":
+        raise ValueError(f"unknown method {method!r}")
+    largest = components(g).largest
+    dec = None
+    out = []
+    for cap in caps:
+        if largest <= cap:
+            out.append(_make_result(g, range(g.n), "forest-pipeline"))
+            continue
+        if dec is None:
+            dec = decycle_heuristic(g)
         gone = set(_fragment_forest_removals(g, dec.kept, cap))
-        kept = [v for v in dec.kept if v not in gone]
-        res = _make_result(g, kept, "forest-pipeline")
-        return res
-    raise ValueError(f"unknown method {method!r}")
+        out.append(_make_result(g, [v for v in dec.kept if v not in gone], "forest-pipeline"))
+    return out
 
 
 def _replicate_rows(cfg: ExperimentConfig, caps: Sequence[int], r: int):
     g = _generate(cfg, r)
     return [
         (res.nu, res.max_component)
-        for res in (_apply_method(g, cap, cfg.method, cfg.oracle_limit) for cap in caps)
+        for res in _method_results(g, caps, cfg.method, cfg.oracle_limit)
     ]
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks: at most one per task and core."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _estimate(
@@ -180,8 +197,9 @@ def _estimate(
     jobs: int,
 ) -> CurveEstimate:
     reps = cfg.replicates
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {r: pool.submit(_replicate_rows, cfg, list(caps), r) for r in range(reps)}
             rows = [futures[r].result() for r in range(reps)]
     else:
@@ -229,7 +247,7 @@ def estimate_curve_x(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
 
 
 def verify_estimate(est: CurveEstimate) -> bool:
-    """Regenerate every replicate and re-check its recorded row.
+    """Regenerate every replicate's graph once and re-check its recorded rows.
 
     Confirms that the stored kept fraction is reproduced bit-for-bit and
     that the witness respects its cap. Requires the in-memory metadata
@@ -246,15 +264,19 @@ def verify_estimate(est: CurveEstimate) -> bool:
         d=int(est.param) if est.model == "regular" else None,
         method=est.method,
     )
-    for p in est.points:
-        cap = int(p.grid_value) if est.grid_kind == "k" else _ceil_guarded(p.grid_value * est.n)
-        for i, stream in enumerate(p.streams):
-            g = _generate(cfg, stream)
-            res = _apply_method(g, cap, est.method, max(20, est.n))
-            if res.max_component > cap:
-                return False
-            if abs(res.nu - p.values[i]) > 1e-12 or res.max_component != p.max_components[i]:
-                return False
+    caps = [
+        int(p.grid_value) if est.grid_kind == "k" else _ceil_guarded(p.grid_value * est.n)
+        for p in est.points
+    ]
+    for stream in sorted({s for p in est.points for s in p.streams}):
+        g = _generate(cfg, stream)
+        results = _method_results(g, caps, est.method, max(20, est.n))
+        for p, cap, res in zip(est.points, caps, results):
+            for nu, mc, s in zip(p.values, p.max_components, p.streams):
+                if s != stream:
+                    continue
+                if res.max_component > cap or res.max_component != mc or abs(res.nu - nu) > 1e-12:
+                    return False
     return True
 
 
@@ -324,8 +346,9 @@ def gap_demo(
     delta = admissible_delta(c, eps)
     cap_initial = max(1, math.floor(delta * n))
     cap_pipeline = component_cap(eps)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 r: pool.submit(_gap_demo_row, c, eps, n, seed, cap_initial, r)
                 for r in range(replicates)

@@ -107,133 +107,56 @@ def component_cap(eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tree_orientation_sink(current: list[int], parent: dict, order: list[int],
-                           sz: dict) -> int:
-    """Sink of the orientation 'edge points at its larger side'.
-
-    Ties are oriented toward the endpoint with the smaller id. A sink
-    (all incident edges pointing at it) exists for any orientation of a
-    tree; removing it leaves only the strictly-smaller far sides.
-    """
-    nt = len(current)
-    outdeg = dict.fromkeys(current, 0)
-    for c in order[1:]:
-        p = parent[c]
-        a = sz[c]
-        b = nt - a
-        if a > b:
-            outdeg[p] += 1
-        elif b > a:
-            outdeg[c] += 1
-        elif p < c:
-            outdeg[c] += 1
-        else:
-            outdeg[p] += 1
-    return min(v for v in current if outdeg[v] == 0)
-
-
 def _fragment_forest_removals(g: Graph, verts: Iterable[int], k: int) -> list[int]:
     """Removals making every component of the induced forest have <= k vertices.
 
-    The region induced by ``verts`` must be acyclic. Per tree of size
-    above ``k``: compute both side sizes of every edge in one subtree
-    pass; edges whose two sides both exceed ``k`` are 'heavy'. With no
-    heavy edge, one sink removal finishes the tree. Otherwise the heavy
-    edges form a subtree; removing a leaf of that subtree detaches only
-    components of size <= k plus one surviving tree of size <= n-k-1,
-    which bounds total removals per tree by floor(n / (k+1)).
+    The region induced by ``verts`` must be acyclic. Each tree is rooted
+    at its smallest id and cut in one post-order pass: a vertex whose
+    uncut subtree (itself plus the uncut subtrees of its children) holds
+    more than ``k`` vertices is removed, leaving each child subtree, of
+    at most ``k`` vertices, as a component. Some vertex of that subtree
+    has to go, and the subtree's root separates the most, so the cut is
+    optimal on trees. Every removal takes its at least ``k + 1`` subtree
+    vertices with it, so a tree on ``t`` vertices loses at most
+    ``floor(t / (k+1))`` of them.
     """
     adj = g.adj
-    alive = bytearray(g.n)
-    verts = list(verts)
+    state = bytearray(g.n)  # 1 in the region, 2 visited
+    verts = sorted(verts)
     for v in verts:
-        alive[v] = 1
-
+        state[v] = 1
+    size = [1] * g.n
+    parent = [-1] * g.n
     removed: list[int] = []
-    seen = bytearray(g.n)
-    trees: list[list[int]] = []
-    for s in verts:
-        if seen[s]:
+    for root in verts:
+        if state[root] != 1:
             continue
-        seen[s] = 1
-        comp = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
+        state[root] = 2
+        order = [root]
+        for v in order:  # breadth-first: parents precede their children
             for u in adj[v]:
-                if alive[u] and not seen[u]:
-                    seen[u] = 1
-                    comp.append(u)
-                    stack.append(u)
-        if len(comp) > k:
-            trees.append(comp)
-
-    for tree in trees:
-        current = tree
-        while len(current) > k:
-            root = min(current)
-            parent: dict[int, int] = {root: -1}
-            order = [root]
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if alive[u] and u not in parent:
-                        parent[u] = v
-                        order.append(u)
-                        stack.append(u)
-            sz = dict.fromkeys(order, 1)
-            for v in reversed(order[1:]):
-                sz[parent[v]] += sz[v]
-
-            nt = len(current)
-            heavy_deg = dict.fromkeys(current, 0)
-            heavy_nbr: dict[int, int] = {}
-            heavy = False
-            for c in order[1:]:
-                a = sz[c]
-                if a > k and nt - a > k:
-                    heavy = True
-                    p = parent[c]
-                    heavy_deg[p] += 1
-                    heavy_deg[c] += 1
-                    heavy_nbr[p] = c
-                    heavy_nbr[c] = p
-
-            if not heavy:
-                sink = _tree_orientation_sink(current, parent, order, sz)
-                alive[sink] = 0
-                removed.append(sink)
-                break  # every detached side has <= k vertices
-
-            leaf = min(v for v in current if heavy_deg[v] == 1)
-            far = heavy_nbr[leaf]
-            alive[leaf] = 0
-            removed.append(leaf)
-            # Continue with the far side of the leaf's heavy edge; every
-            # other detached component has <= k vertices already.
-            comp = [far]
-            stack = [far]
-            local_seen = {far}
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if alive[u] and u not in local_seen and u in sz:
-                        local_seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
-            current = comp
+                if state[u] == 1:
+                    state[u] = 2
+                    parent[u] = v
+                    order.append(u)
+        for v in reversed(order):
+            if size[v] > k:
+                removed.append(v)
+            elif v != root:
+                size[parent[v]] += size[v]
     return removed
 
 
 def fragment_forest(f: Graph, k: int) -> FragmentationResult:
     """Fragment a forest into components of at most ``k`` vertices.
 
-    Guarantees at most ``floor(n / (k+1))`` removals in total, which is
-    tight on paths whose length is a multiple of ``k+1``. Trees with at
-    most ``k`` vertices are left untouched; a tree with exactly ``k+1``
-    vertices costs one removal (its own component would otherwise exceed
-    the cap).
+    Each tree is cut bottom-up from its smallest id: a vertex goes as
+    soon as its uncut subtree exceeds ``k`` vertices. The cut removes the
+    fewest vertices possible, and at most ``floor(n / (k+1))`` in total,
+    which is tight on paths whose length is a multiple of ``k+1``. Trees
+    with at most ``k`` vertices are left untouched; a tree with exactly
+    ``k+1`` vertices costs one removal (its own component would otherwise
+    exceed the cap).
     """
     if k < 1:
         raise ValueError(f"component cap must be >= 1, got {k}")
@@ -395,64 +318,53 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _peel(core: set[int], coredeg: dict[int, int], adj, seeds: Iterable[int]) -> None:
+def _peel(incore: bytearray, coredeg: list[int], adj, seeds: Iterable[int]) -> None:
     """Strip vertices of core-degree <= 1 starting from ``seeds`` (cascading)."""
     queue = list(seeds)
     while queue:
         v = queue.pop()
-        if v not in core or coredeg[v] > 1:
+        if not incore[v] or coredeg[v] > 1:
             continue
-        core.discard(v)
+        incore[v] = 0
         for u in adj[v]:
-            if u in core:
+            if incore[u]:
                 coredeg[u] -= 1
                 if coredeg[u] <= 1:
                     queue.append(u)
 
 
-def _cycle_vertices(core: set[int], adj) -> set[int]:
-    """Vertices of ``core`` incident to a non-bridge edge, i.e. on some cycle.
+def _on_cycle(v: int, incore: bytearray, adj) -> bool:
+    """Whether two core neighbours of ``v`` are joined in the core without ``v``.
 
-    Only edges with both endpoints in ``core`` count; in a 2-core that
-    covers every cycle of the original region.
+    Runs one breadth-first search per core neighbour in round-robin, one
+    vertex per turn. The first contact between two searches closes a
+    cycle through ``v``. Once at most one search is still active, every
+    other one has exhausted a component holding no other neighbour, so
+    ``v`` lies on no cycle.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on: set[int] = set()
-    timer = 0
-    for root in core:
-        if root in disc:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, par, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == par or u not in core:
-                    continue
-                if u not in disc:
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, iter(adj[u])))
-                    advanced = True
-                    break
-                if disc[u] < disc[v]:  # back edge: lies on a cycle
-                    on.add(u)
-                    on.add(v)
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] <= disc[pv]:  # tree edge on a cycle
-                        on.add(pv)
-                        on.add(v)
-    return on
+    owner = {v: -1}
+    queues = []
+    for u in adj[v]:
+        if incore[u]:
+            owner[u] = len(queues)
+            queues.append(deque([u]))
+    active = list(range(len(queues)))
+    while len(active) > 1:
+        still = []
+        for i in active:
+            q = queues[i]
+            for w in adj[q.popleft()]:
+                if incore[w]:
+                    o = owner.get(w)
+                    if o is None:
+                        owner[w] = i
+                        q.append(w)
+                    elif o != i and o >= 0:
+                        return True
+            if q:
+                still.append(i)
+        active = still
+    return False
 
 
 def _decycle_removals(g: Graph, verts: Iterable[int]) -> list[int]:
@@ -463,33 +375,45 @@ def _decycle_removals(g: Graph, verts: Iterable[int]) -> list[int]:
     never interact, so this global greedy equals independent
     per-component processing. Each removal lowers the excess of its
     component by at least one, so a component loses at most ``excess``
-    vertices. Candidates are tracked through the 2-core, which is peeled
-    incrementally instead of being recomputed per removal.
+    vertices.
+
+    Candidates are the vertices of the 2-core, which is peeled
+    incrementally, in one lazy max-heap keyed by (degree in the region,
+    smallest id). A popped vertex is tested by :func:`_on_cycle`. It is
+    removed if the test succeeds; otherwise it leaves the core for good,
+    because deletions never create cycles. Either way the core is peeled
+    from it.
     """
     adj = g.adj
     alive = bytearray(g.n)
     verts = list(verts)
     for v in verts:
         alive[v] = 1
+    deg = [0] * g.n
+    for v in verts:
+        deg[v] = sum(alive[u] for u in adj[v])
 
-    coredeg = {v: sum(alive[u] for u in adj[v]) for v in verts}
-    core = set(verts)
-    _peel(core, coredeg, adj, [v for v in verts if coredeg[v] <= 1])
+    incore = bytearray(alive)
+    coredeg = deg[:]
+    _peel(incore, coredeg, adj, [v for v in verts if deg[v] <= 1])
+    heap = [(-deg[v], v) for v in verts if incore[v]]
+    heapq.heapify(heap)
 
     removed: list[int] = []
-    while core:
-        cyc = _cycle_vertices(core, adj)
-        victim = max(cyc, key=lambda v: (sum(alive[u] for u in adj[v]), -v))
-        alive[victim] = 0
-        removed.append(victim)
-        core.discard(victim)
-        seeds = []
-        for u in adj[victim]:
-            if u in core:
-                coredeg[u] -= 1
-                if coredeg[u] <= 1:
-                    seeds.append(u)
-        _peel(core, coredeg, adj, seeds)
+    while heap:
+        dneg, v = heapq.heappop(heap)
+        if not incore[v] or deg[v] != -dneg:
+            continue
+        if _on_cycle(v, incore, adj):
+            alive[v] = 0
+            removed.append(v)
+            for u in adj[v]:
+                if alive[u]:
+                    deg[u] -= 1
+                    if incore[u]:
+                        heapq.heappush(heap, (-deg[u], u))
+        coredeg[v] = 0
+        _peel(incore, coredeg, adj, [v])
     return removed
 
 

@@ -180,6 +180,18 @@ def test_curve_bad_grid_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "50",
+                       "--grid", "2", "--reps", "2", "--jobs", jobs,
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and "--jobs" in err
+    assert not (tmp_path / "x.csv").exists()
+    code, _, err = run(capsys, "demo", "--c", "2", "--eps", "0.5", "--n", "50",
+                       "--reps", "2", "--jobs", jobs)
+    assert code == 1 and "--jobs" in err
+
+
 def test_verify_claim_k4(tmp_path, capsys):
     k4 = tmp_path / "k4.el"
     k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,9 +10,12 @@ from dismantle import (
     ResultsFormatError,
     components,
     concentration_report,
+    decycle_heuristic,
     empirical_slopes,
     estimate_curve_k,
     estimate_curve_x,
+    experiments,
+    fragment_forest,
     gap_demo,
     gnp,
     greedy_fragment,
@@ -151,8 +155,46 @@ def test_forest_pipeline_method_feasible():
 
 
 def test_verify_estimate_roundtrip():
-    est = estimate_curve_k(cfg_small(method="greedy", n=150, replicates=4))
-    assert verify_estimate(est)
+    for method in ("greedy", "forest-pipeline"):
+        est = estimate_curve_k(cfg_small(method=method, n=150, replicates=4))
+        assert verify_estimate(est)
+        last = est.points[-1]
+        wrong = dataclasses.replace(last, values=last.values[:-1] + (last.values[-1] / 2,))
+        assert not verify_estimate(dataclasses.replace(est, points=est.points[:-1] + (wrong,)))
+
+
+def test_forest_pipeline_rows_match_public_api():
+    # the row of every cap is the witness of decycle_heuristic followed by
+    # fragment_forest on the surviving forest, or all of g if no cut is due
+    cfg = cfg_small(method="forest-pipeline", n=400, replicates=3, k_grid=(2, 4, 8, 400))
+    est = estimate_curve_k(cfg)
+    for r in range(cfg.replicates):
+        g = gnp(cfg.n, cfg.c, cfg.base_seed, stream=r)
+        dec = decycle_heuristic(g)
+        forest, _ = induced_subgraph(g, dec.kept)
+        for p in est.points:
+            if components(g).largest <= p.grid_value:
+                kept = tuple(range(g.n))
+            else:
+                kept = tuple(dec.kept[v] for v in fragment_forest(forest, p.grid_value).kept)
+            assert p.values[r] == len(kept) / g.n
+            assert p.max_components[r] == max_component_size(g, kept)
+
+
+def test_forest_pipeline_decycles_once_per_replicate(monkeypatch):
+    calls = []
+    real = experiments.decycle_heuristic
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(experiments, "decycle_heuristic", counted)
+    estimate_curve_k(cfg_small(method="forest-pipeline", n=300, replicates=3, k_grid=(2, 4, 8)))
+    assert len(calls) == 3
+    calls.clear()
+    estimate_curve_k(cfg_small(method="forest-pipeline", n=300, replicates=3, k_grid=(300,)))
+    assert calls == []
 
 
 def test_verify_requires_metadata():
@@ -168,6 +210,16 @@ def test_verify_requires_metadata():
 def test_jobs_parallel_matches_serial():
     cfg = cfg_small(method="greedy", n=200, replicates=4)
     assert estimate_curve_k(cfg, jobs=2) == estimate_curve_k(cfg, jobs=1)
+
+
+def test_pool_size_clamps_to_tasks_and_cores(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    assert experiments._pool_size(8, 3) == 3
+    assert experiments._pool_size(8, 100) == 4
+    assert experiments._pool_size(2, 100) == 2
+    assert experiments._pool_size(1, 100) == 1
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._pool_size(8, 100) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismantle import (
     PipelineBudgetError,
@@ -22,6 +24,7 @@ from dismantle import (
     max_component_size,
     path,
     pipeline_fragment,
+    random_regular,
     random_tree,
     strip_short_cycles,
     trim_components,
@@ -145,6 +148,29 @@ def test_forest_matches_exact_on_exact_paths():
             n = m * (k + 1)
             res = fragment_forest(path(n), k)
             assert len(res.kept) == len(exact_max_induced(path(n), k).kept)
+
+
+@st.composite
+def small_forests(draw):
+    """Random labelled forest on at most 16 vertices: each vertex joins an
+    earlier one or starts a new tree, then the ids are shuffled."""
+    n = draw(st.integers(1, 16))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        p = draw(st.integers(-1, v - 1))
+        if p >= 0:
+            edges.append((label[p], label[v]))
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_forests(), st.integers(1, 5))
+def test_forest_cut_is_optimal_on_small_forests(f, k):
+    res = fragment_forest(f, k)
+    check_result(f, res, cap=k)
+    assert len(res.kept) == len(exact_max_induced(f, k).kept)
+    assert len(res.removed) <= f.n // (k + 1)
 
 
 def test_forest_handles_multi_tree_forests():
@@ -284,11 +310,46 @@ def test_decycle_output_is_forest():
         check_result(g, res, forest=True)
 
 
-def test_decycle_matches_reference():
+def triangles_joined_by_path(length):
+    """Two triangles joined by a path of ``length`` edges.
+
+    Every inner path vertex carries two pendant leaves, so it has the top
+    degree and is tested first, yet lies in the 2-core on no cycle.
+    """
+    edges = [(0, 1), (1, 2), (2, 0)]
+    n = 3
+    prev = 2
+    for _ in range(length - 1):
+        v = n
+        edges += [(prev, v), (v, v + 1), (v, v + 2)]
+        n += 3
+        prev = v
+    edges += [(prev, n), (n, n + 1), (n + 1, n + 2), (n + 2, n)]
+    return build_graph(n + 3, edges)
+
+
+def decycle_cases():
     rng = random.Random(31337)
     for _ in range(40):
         n = rng.randint(3, 35)
-        g = random_graph(n, rng.randint(0, 2 * n), rng)
+        yield random_graph(n, rng.randint(0, 2 * n), rng)
+    for d in (3, 4):
+        for seed in range(8):
+            yield random_regular(2 * (4 + seed), d, seed=seed)
+    for length in (1, 2, 5):
+        yield triangles_joined_by_path(length)
+    # a hub of high degree on no cycle, between a 4-cycle and K4
+    yield build_graph(12, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6),
+                           (4, 7), (4, 8), (8, 9), (8, 10), (8, 11), (9, 10),
+                           (9, 11), (10, 11)])
+    # cycles hanging off both ends of a path, each with a pendant tree
+    yield build_graph(13, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6),
+                           (6, 7), (7, 8), (8, 6), (8, 9), (0, 10), (10, 11),
+                           (10, 12)])
+
+
+def test_decycle_matches_reference():
+    for g in decycle_cases():
         assert sorted(decycle_heuristic(g).removed) == decycle_reference(g)
 
 
