@@ -153,13 +153,18 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
                     oracle_limit: int) -> list[FragmentationResult]:
     """One witness per cap for replicate graph ``g``.
 
+    ``greedy`` runs once, at the smallest cap; the removals at cap ``k``
+    are the vertices whose recorded cut size exceeds ``k``.
     ``forest-pipeline`` decycles ``g`` at most once, and only when some
     cap is below the largest component, then cuts the forest per cap.
     """
     if method == "exact":
         return [exact_max_induced(g, cap, limit=oracle_limit) for cap in caps]
     if method == "greedy":
-        return [greedy_fragment(g, cap) for cap in caps]
+        run = greedy_fragment(g, min(caps))
+        cut = dict(zip(run.removed, run.cut_sizes))
+        return [_make_result(g, (v for v in range(g.n) if cut.get(v, 0) <= cap), "greedy")
+                for cap in caps]
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Tuple
 
 from .analysis import components_pass_density
@@ -33,6 +33,11 @@ class FragmentationResult:
     the largest component of the subgraph induced by ``kept``; ``nu`` is
     the kept fraction ``len(kept) / n``. ``component_count`` is carried
     as a descriptive statistic of the surviving subgraph.
+
+    ``cut_sizes``, aligned with ``removed``, holds the size of the
+    component each vertex was removed from; only :func:`greedy_fragment`
+    fills it, and greedy at any larger cap ``k`` removes exactly the
+    vertices whose cut size exceeds ``k``.
     """
 
     kept: Tuple[int, ...]
@@ -41,30 +46,7 @@ class FragmentationResult:
     method: str
     nu: float
     component_count: int = 0
-
-
-def max_component_size(g: Graph, kept: Iterable[int]) -> int:
-    """Largest connected component of the subgraph induced by ``kept``."""
-    member = set(kept)
-    best = 0
-    seen: set[int] = set()
-    adj = g.adj
-    for s in member:
-        if s in seen:
-            continue
-        size = 1
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in member and u not in seen:
-                    seen.add(u)
-                    size += 1
-                    stack.append(u)
-        if size > best:
-            best = size
-    return best
+    cut_sizes: Tuple[int, ...] = ()
 
 
 def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationResult:
@@ -93,6 +75,11 @@ def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationRes
         if size > largest:
             largest = size
     return FragmentationResult(kept_t, removed, largest, method, nu, count)
+
+
+def max_component_size(g: Graph, kept: Iterable[int]) -> int:
+    """Largest connected component of the subgraph induced by ``kept``."""
+    return _make_result(g, kept, "induced").max_component
 
 
 def component_cap(eps: float) -> int:
@@ -241,6 +228,12 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     component bookkeeping is lazy (per-component heaps with stale-entry
     skipping) and split detection explores little beyond the detached
     parts.
+
+    A vertex is picked from its component alone, never by the cap, so
+    the removals at cap ``k`` are those made from components of more
+    than ``k`` vertices, and removal sets shrink as the cap grows: the
+    removals at cap ``k >= cap`` are the vertices whose ``cut_sizes``
+    entry exceeds ``k``.
     """
     if cap < 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
@@ -274,7 +267,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
             comps[token] = [len(members), heap]
             token += 1
 
-    removed = []
+    cut: dict[int, int] = {}  # removed vertex -> size of the component it left
     work = list(range(token))
     while work:
         t = work.pop()
@@ -287,7 +280,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
                     break
             alive[v] = 0
             label[v] = -2
-            removed.append(v)
+            cut[v] = size
             size -= 1
             nbrs = [u for u in adj[v] if alive[u]]
             for u in nbrs:
@@ -310,7 +303,8 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
                 if label[u] == t:
                     heapq.heappush(heap, (-deg[u], u))
 
-    return _make_result(g, (v for v in range(n) if alive[v]), "greedy")
+    res = _make_result(g, (v for v in range(n) if alive[v]), "greedy")
+    return replace(res, cut_sizes=tuple(cut[v] for v in res.removed))
 
 
 # ---------------------------------------------------------------------------
@@ -519,36 +513,11 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
     decycling removes at most one vertex per such cycle.
     """
     s_t = as_vertex_tuple(g, s)
-    sizes = _component_sizes_within(g, s_t)
-    if sizes and max(sizes) > k:
-        raise ValueError(
-            f"component of size {max(sizes)} exceeds the cap {k}"
-        )
+    largest = max_component_size(g, s_t)
+    if largest > k:
+        raise ValueError(f"component of size {largest} exceeds the cap {k}")
     removed = set(_decycle_removals(g, s_t))
     return _make_result(g, (v for v in s_t if v not in removed), "strip")
-
-
-def _component_sizes_within(g: Graph, verts: Tuple[int, ...]) -> list[int]:
-    alive = bytearray(g.n)
-    for v in verts:
-        alive[v] = 1
-    seen = bytearray(g.n)
-    sizes = []
-    for s in verts:
-        if seen[s]:
-            continue
-        seen[s] = 1
-        size = 1
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if alive[u] and not seen[u]:
-                    seen[u] = 1
-                    size += 1
-                    stack.append(u)
-        sizes.append(size)
-    return sizes
 
 
 def edge_decycling_count(g: Graph) -> int:

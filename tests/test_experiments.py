@@ -24,6 +24,7 @@ from dismantle import (
     max_component_size,
     monotone_inverse,
     pool_adjacent_violators,
+    random_regular,
     save_results,
     verify_estimate,
 )
@@ -161,6 +162,75 @@ def test_verify_estimate_roundtrip():
         last = est.points[-1]
         wrong = dataclasses.replace(last, values=last.values[:-1] + (last.values[-1] / 2,))
         assert not verify_estimate(dataclasses.replace(est, points=est.points[:-1] + (wrong,)))
+    # every greedy row comes from one run at the smallest cap: a tampered
+    # row at a cap that is neither the first nor the smallest is caught too
+    est = estimate_curve_k(cfg_small(method="greedy", n=150, replicates=4, k_grid=(4, 1, 16, 2)))
+    assert verify_estimate(est)
+    mid = est.points[2]
+    for wrong in (
+        dataclasses.replace(mid, values=(mid.values[0] - 1 / 150,) + mid.values[1:]),
+        dataclasses.replace(mid, max_components=(mid.max_components[0] + 1,) + mid.max_components[1:]),
+    ):
+        points = est.points[:2] + (wrong,) + est.points[3:]
+        assert not verify_estimate(dataclasses.replace(est, points=points))
+
+
+def replicate_graph(cfg, r):
+    if cfg.model == "gnp":
+        return gnp(cfg.n, cfg.c, cfg.base_seed, stream=r)
+    return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(k_grid=(8, 2, 5, 2, 1, 300, 500)),
+        dict(k_grid=None, x_grid=(0.2, 0.01, 1.0, 0.05, 0.01)),
+        dict(model="regular", c=None, d=3, k_grid=(3, 300, 1, 3, 12)),
+        dict(model="regular", c=None, d=4, k_grid=None, x_grid=(0.5, 0.02, 0.1)),
+    ],
+)
+def test_greedy_rows_match_separate_runs(overrides):
+    # one greedy run per replicate serves the whole grid: unsorted grids,
+    # repeated caps and caps >= n give the rows of separate runs per cap
+    cfg = cfg_small(method="greedy", n=300, replicates=3, **overrides)
+    if cfg.k_grid:
+        est, caps = estimate_curve_k(cfg), list(cfg.k_grid)
+    else:
+        est, caps = estimate_curve_x(cfg), [math.ceil(round(x * cfg.n, 9)) for x in cfg.x_grid]
+    for r in range(cfg.replicates):
+        g = replicate_graph(cfg, r)
+        for p, cap in zip(est.points, caps):
+            res = greedy_fragment(g, cap)
+            assert p.values[r] == res.nu
+            assert p.max_components[r] == res.max_component <= cap
+        by_cap = sorted(zip(caps, (p.values[r] for p in est.points)))
+        assert [nu for _, nu in by_cap] == sorted(nu for _, nu in by_cap)
+
+
+def count_greedy_calls(monkeypatch):
+    calls = []
+    real = experiments.greedy_fragment
+
+    def counted(g, cap):
+        calls.append(cap)
+        return real(g, cap)
+
+    monkeypatch.setattr(experiments, "greedy_fragment", counted)
+    return calls
+
+
+def test_greedy_runs_once_per_replicate(monkeypatch):
+    calls = count_greedy_calls(monkeypatch)
+    est = estimate_curve_k(cfg_small(method="greedy", n=300, replicates=3, k_grid=(8, 2, 32, 4)))
+    assert calls == [2, 2, 2]
+    calls.clear()
+    estimate_curve_x(cfg_small(method="greedy", n=300, replicates=4, k_grid=None,
+                               x_grid=(0.5, 0.05, 1.0)))
+    assert calls == [15] * 4
+    calls.clear()
+    assert verify_estimate(est)
+    assert calls == [2, 2, 2]
 
 
 def test_forest_pipeline_rows_match_public_api():

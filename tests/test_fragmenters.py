@@ -55,7 +55,7 @@ def random_graph(n, m, rng):
 
 def check_result(g, res, cap=None, forest=False):
     assert sorted(res.kept + res.removed) == list(range(g.n))
-    assert res.max_component == max_component_size(g, res.kept)
+    assert res.max_component == components(induced_subgraph(g, res.kept)[0]).largest
     assert 0.0 <= res.nu <= 1.0
     if cap is not None:
         assert res.max_component <= cap
@@ -182,6 +182,14 @@ def test_forest_handles_multi_tree_forests():
     assert len(res.removed) <= 14 // 3
 
 
+def test_max_component_size_matches_induced_components():
+    rng = random.Random(31)
+    g = gnp(300, 2.0, seed=31)
+    for _ in range(20):
+        kept = rng.sample(range(g.n), rng.randint(0, g.n))
+        assert max_component_size(g, kept) == components(induced_subgraph(g, kept)[0]).largest
+
+
 # ---------------------------------------------------------------------------
 # greedy_fragment
 # ---------------------------------------------------------------------------
@@ -255,6 +263,61 @@ def test_greedy_matches_reference():
 def test_greedy_deterministic():
     g = gnp(400, 2.0, seed=3)
     assert greedy_fragment(g, 4) == greedy_fragment(g, 4)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.sets(st.integers(1, 16), min_size=1, max_size=5))
+def test_greedy_cut_sizes_give_every_larger_cap(g, caps):
+    run = greedy_fragment(g, min(caps))
+    for cap in caps:
+        above = [v for v, size in zip(run.removed, run.cut_sizes) if size > cap]
+        assert above == greedy_reference(g, cap)
+
+
+def test_greedy_removals_nested_and_cut_sizes_bounded():
+    rng = random.Random(808)
+    graphs = [gnp(n, c, seed=s) for s, (n, c) in enumerate([(60, 1.0), (300, 2.0), (500, 3.5)])]
+    graphs += [random_regular(200, 3, seed=4), random_regular(120, 4, seed=5)]
+    graphs += [random_graph(40, 70, rng) for _ in range(5)]
+    for g in graphs:
+        comps = components(g)
+        for low in (1, 3, 8):
+            run = greedy_fragment(g, low)
+            assert len(run.cut_sizes) == len(run.removed)
+            for v, size in zip(run.removed, run.cut_sizes):
+                assert low < size <= comps.sizes[comps.labels[v]]
+        caps = [1, 2, 3, 5, 8, 13, 40, g.n]
+        sets = [set(greedy_fragment(g, cap).removed) for cap in caps]
+        for small, large in zip(sets, sets[1:]):
+            assert large <= small
+        nus = [greedy_fragment(g, cap).nu for cap in caps]
+        assert nus == sorted(nus)
+
+
+def test_cut_sizes_empty_outside_greedy():
+    g = gnp(60, 2.0, seed=21)
+    tiny = gnp(12, 2.5, seed=22)
+    forest, _ = induced_subgraph(g, decycle_heuristic(g).kept)
+    results = [
+        fragment_forest(forest, 3),
+        decycle_heuristic(g),
+        pipeline_fragment(g, range(g.n), 0.5),
+        trim_components(g, range(g.n), 3),
+        strip_short_cycles(g, greedy_fragment(g, 4).kept, 4),
+        exact_max_induced(tiny, 2),
+        exact_max_forest(tiny),
+    ]
+    for res in results:
+        assert res.removed, res.method
+        assert res.cut_sizes == (), res.method
 
 
 # ---------------------------------------------------------------------------
