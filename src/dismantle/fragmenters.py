@@ -34,8 +34,9 @@ class FragmentationResult:
     the kept fraction ``len(kept) / n``. ``component_count`` is carried
     as a descriptive statistic of the surviving subgraph.
 
-    ``cut_sizes``, aligned with ``removed``, holds the size of the
-    component each vertex was removed from; only :func:`greedy_fragment`
+    ``cut_sizes``, aligned with ``removed``, holds the exact size of the
+    component each vertex was removed from, read off a union-find that
+    adds the removals back in reverse order; only :func:`greedy_fragment`
     fills it, and greedy at any larger cap ``k`` removes exactly the
     vertices whose cut size exceeds ``k``.
     """
@@ -159,151 +160,68 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _split_regions(v: int, nbrs: list[int], alive: bytearray, label: list[int],
-                   token: int, adj) -> list[list[int]]:
-    """Confirmed components created by deleting ``v`` from its component.
-
-    Runs one breadth-first search per neighbor of ``v`` in round-robin,
-    merging searches on contact. All searches that exhaust are complete
-    components and are returned; the last still-active search is the
-    (usually largest) remainder and is left unexplored, so the common
-    no-split case costs only the few steps until the searches meet.
-    """
-    kgroups = len(nbrs)
-    parent = list(range(kgroups))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    queues = [deque([u]) for u in nbrs]
-    members: list[list[int] | None] = [[u] for u in nbrs]
-    owner = {u: i for i, u in enumerate(nbrs)}
-    active = set(range(kgroups))
-    exhausted: list[int] = []
-
-    while len(active) > 1:
-        for r in sorted(active):
-            if r not in active:
-                continue
-            q = queues[r]
-            if not q:
-                active.discard(r)
-                exhausted.append(r)
-            else:
-                x = q.popleft()
-                for w in adj[x]:
-                    if not alive[w] or label[w] != token:
-                        continue
-                    o = owner.get(w)
-                    if o is None:
-                        owner[w] = r
-                        members[r].append(w)  # type: ignore[union-attr]
-                        q.append(w)
-                    else:
-                        ro = find(o)
-                        if ro != r:
-                            parent[ro] = r
-                            queues[r].extend(queues[ro])
-                            queues[ro] = deque()
-                            members[r].extend(members[ro])  # type: ignore[arg-type]
-                            members[ro] = None
-                            active.discard(ro)
-                if not q:
-                    active.discard(r)
-                    exhausted.append(r)
-            if len(active) <= 1:
-                break
-    return [members[r] for r in exhausted]  # type: ignore[misc]
-
-
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     """Cap component sizes by repeated maximum-degree removals.
 
     While some component exceeds ``cap``, its highest-degree vertex
-    (smallest id on ties) is removed. Components never interact, so the
-    result equals the naive global iteration at a fraction of the cost:
-    component bookkeeping is lazy (per-component heaps with stale-entry
-    skipping) and split detection explores little beyond the detached
-    parts.
+    (smallest id on ties) is removed. A vertex is picked from its
+    component alone, never by the cap, so the removals at cap ``k`` are
+    the cap-1 removals made from components of more than ``k`` vertices,
+    and removal sets shrink as the cap grows. The work is two passes,
+    O(m log n) whatever the cap:
 
-    A vertex is picked from its component alone, never by the cap, so
-    the removals at cap ``k`` are those made from components of more
-    than ``k`` vertices, and removal sets shrink as the cap grows: the
-    removals at cap ``k >= cap`` are the vertices whose ``cut_sizes``
-    entry exceeds ``k``.
+    1. Cap-1 elimination: while some vertex has a neighbour left, remove
+       the one of highest remaining degree, smallest id on ties, from one
+       lazy global max-heap.
+    2. Reverse union-find: the removed vertices go back in reverse order,
+       each joining the sets of its present neighbours; the size of its
+       set then is the size of the component it was removed from.
+
+    The result removes the vertices whose cut size exceeds ``cap``;
+    ``cut_sizes`` holds those exact sizes, so the removals at any cap
+    ``k >= cap`` are the vertices whose entry exceeds ``k``.
     """
     if cap < 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
     n = g.n
     adj = g.adj
-    alive = bytearray([1]) * n
     deg = [len(a) for a in adj]
-    label = [-1] * n  # -1 settled kept, -2 removed, else component token
-    comps: dict[int, list] = {}  # token -> [size, heap]
-    token = 0
-
-    seen = bytearray(n)
-    for s in range(n):
-        if seen[s]:
+    heap = [(-d, v) for v, d in enumerate(deg) if d]
+    heapq.heapify(heap)
+    present = bytearray([1]) * n
+    order: list[int] = []
+    while heap:
+        dneg, v = heapq.heappop(heap)
+        if not present[v] or deg[v] != -dneg:
             continue
-        seen[s] = 1
-        members = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    members.append(u)
-                    stack.append(u)
-        if len(members) > cap:
-            for v in members:
-                label[v] = token
-            heap = [(-deg[v], v) for v in members]
-            heapq.heapify(heap)
-            comps[token] = [len(members), heap]
-            token += 1
-
-    cut: dict[int, int] = {}  # removed vertex -> size of the component it left
-    work = list(range(token))
-    while work:
-        t = work.pop()
-        entry = comps.pop(t)
-        size, heap = entry
-        while size > cap:
-            while True:
-                dneg, v = heapq.heappop(heap)
-                if alive[v] and label[v] == t and deg[v] == -dneg:
-                    break
-            alive[v] = 0
-            label[v] = -2
-            cut[v] = size
-            size -= 1
-            nbrs = [u for u in adj[v] if alive[u]]
-            for u in nbrs:
+        present[v] = 0
+        order.append(v)
+        for u in adj[v]:
+            if present[u]:
                 deg[u] -= 1
-            if len(nbrs) >= 2:
-                for region in _split_regions(v, nbrs, alive, label, t, adj):
-                    size -= len(region)
-                    if len(region) > cap:
-                        for u in region:
-                            label[u] = token
-                        h2 = [(-deg[u], u) for u in region]
-                        heapq.heapify(h2)
-                        comps[token] = [len(region), h2]
-                        work.append(token)
-                        token += 1
-                    else:
-                        for u in region:
-                            label[u] = -1
-            for u in nbrs:
-                if label[u] == t:
+                if deg[u]:
                     heapq.heappush(heap, (-deg[u], u))
 
-    res = _make_result(g, (v for v in range(n) if alive[v]), "greedy")
+    parent = list(range(n))
+    size = [1] * n
+    cut = [0] * n  # 0 for vertices never removed
+    for v in reversed(order):
+        present[v] = 1
+        root = v
+        for u in adj[v]:
+            if not present[u]:
+                continue
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            if u != root:
+                if size[u] > size[root]:
+                    u, root = root, u
+                parent[u] = root
+                size[root] += size[u]
+        cut[v] = size[root]
+
+    res = _make_result(g, (v for v in range(n) if cut[v] <= cap), "greedy")
     return replace(res, cut_sizes=tuple(cut[v] for v in res.removed))
 
 

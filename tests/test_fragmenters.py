@@ -226,8 +226,11 @@ def greedy_reference(g, cap):
 
 
 def test_greedy_cap_at_least_n_is_noop():
-    g = gnp(100, 2.0, seed=8)
-    assert greedy_fragment(g, 100).removed == ()
+    for g in (gnp(100, 2.0, seed=8), c6(), k4()):
+        for cap in (g.n, g.n + 1, 10 * g.n):
+            res = greedy_fragment(g, cap)
+            assert res.removed == () and res.cut_sizes == ()
+            assert res.nu == 1.0
 
 
 def test_greedy_cap1_gives_independent_set():
@@ -258,6 +261,62 @@ def test_greedy_matches_reference():
         res = greedy_fragment(g, cap)
         assert sorted(res.removed) == greedy_reference(g, cap)
         check_result(g, res, cap=cap)
+    for seed, (n, d) in enumerate([(20, 3), (36, 3), (15, 4), (30, 4)]):
+        g = random_regular(n, d, seed=seed)
+        for cap in (1, 2, 3, 4, 5, n):
+            res = greedy_fragment(g, cap)
+            assert list(res.removed) == greedy_reference(g, cap)
+            check_result(g, res, cap=cap)
+
+
+def test_greedy_without_edges_removes_nothing():
+    for n in (0, 1, 7):
+        g = build_graph(n, [])
+        for cap in (1, 3):
+            res = greedy_fragment(g, cap)
+            assert res.removed == () and res.cut_sizes == ()
+            assert res.kept == tuple(range(n))
+
+
+def test_greedy_star_removes_centre():
+    star = build_graph(7, [(4, i) for i in range(7) if i != 4])
+    for cap in range(1, 7):
+        res = greedy_fragment(star, cap)
+        assert res.removed == (4,) and res.cut_sizes == (7,)
+        assert res.max_component == 1
+    assert greedy_fragment(star, 7).removed == ()
+
+
+def test_greedy_complete_graph_cut_sizes():
+    # n = 2 is a single edge: vertex 0 goes, with cut size 2
+    for n in (2, 3, 6):
+        kn = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        res = greedy_fragment(kn, 1)
+        assert res.removed == tuple(range(n - 1)) and res.kept == (n - 1,)
+        assert res.cut_sizes == tuple(range(n, 1, -1))
+
+
+def test_greedy_ties_go_to_smallest_id():
+    # every vertex of a cycle ties on degree: 0 goes first (cut 6), then
+    # 2 from the path 1..5 (cut 5), then 4 from the path 3-4-5 (cut 3)
+    res = greedy_fragment(c6(), 1)
+    assert res.removed == (0, 2, 4) and res.cut_sizes == (6, 5, 3)
+    # 3x3 grid, id 3*row + col: the centre goes first, then the 8-cycle
+    # around it is cut from its smallest ids down
+    grid = build_graph(9, [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+                       + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)])
+    res = greedy_fragment(grid, 1)
+    assert res.removed == (0, 2, 4, 6, 8) and res.cut_sizes == (8, 7, 9, 5, 3)
+    # 4x4 torus: every vertex ties on degree 4
+    torus = build_graph(16, sorted({tuple(sorted((4 * r + c, 4 * r + (c + 1) % 4)))
+                                    for r in range(4) for c in range(4)}
+                                   | {tuple(sorted((4 * r + c, 4 * ((r + 1) % 4) + c)))
+                                      for r in range(4) for c in range(4)}))
+    run = greedy_fragment(torus, 1)
+    assert run.removed[0] == 0 and run.cut_sizes[0] == 16
+    for g in (c6(), grid, torus):
+        for cap in range(1, g.n + 1):
+            assert list(greedy_fragment(g, cap).removed) == greedy_reference(g, cap)
 
 
 def test_greedy_deterministic():
@@ -280,6 +339,15 @@ def test_greedy_cut_sizes_give_every_larger_cap(g, caps):
     for cap in caps:
         above = [v for v, size in zip(run.removed, run.cut_sizes) if size > cap]
         assert above == greedy_reference(g, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_greedy_cut_sizes_are_exact(g):
+    run = greedy_fragment(g, 1)
+    for v, size in zip(run.removed, run.cut_sizes):
+        assert v in greedy_reference(g, size - 1)
+        assert v not in greedy_reference(g, size)
 
 
 def test_greedy_removals_nested_and_cut_sizes_bounded():
