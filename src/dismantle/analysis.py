@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
-from .graph import Graph, as_vertex_tuple, components
+from .graph import Graph, components
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -272,6 +272,11 @@ def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...
     return iter(out)
 
 
+def _too_dense(edges: int, size: int, eps: float) -> bool:
+    """Whether ``edges`` exceeds ``(1+eps/3)`` times ``size``, beyond float noise."""
+    return edges > (1.0 + eps / 3.0) * size + 1e-12
+
+
 def density_scan(
     g: Graph, t_max: int, eps: float, budget: int = 10_000_000
 ) -> DensityReport:
@@ -287,7 +292,6 @@ def density_scan(
         raise ValueError(f"size cap must be >= 1, got {t_max}")
     if eps < 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
-    factor = 1.0 + eps / 3.0
     adj = g.adj
     adj_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
     violations: list[Tuple[Tuple[int, ...], int]] = []
@@ -300,45 +304,25 @@ def density_scan(
             raise EnumerationBudgetError(
                 f"examined more than {budget} connected sets"
             )
-        if e_count > factor * len(s_list):
+        # e(T) <= |T| is never too dense; the integer test skips the call
+        if e_count > len(s_list) and _too_dense(e_count, len(s_list), eps):
             violations.append((tuple(sorted(s_list)), e_count))
 
-    for comp in components(g).members():
-        twice_edges = sum(len(adj[v]) for v in comp)
-        if twice_edges // 2 - len(comp) + 1 <= 1:
+    comp = components(g)
+    for members, size, edges in zip(comp.members(), comp.sizes, comp.edge_counts(g)):
+        if edges <= size:
             continue  # excess <= 1: every connected subset has e(T) <= |T|
-        _enumerate_connected(comp, adj, adj_mask, t_max, visit)
+        _enumerate_connected(members, adj, adj_mask, t_max, visit)
 
     return DensityReport(eps, t_max, tuple(violations), examined)
 
 
 def components_pass_density(g: Graph, s: Iterable[int], eps: float) -> bool:
     """Whether every component of ``G[S]`` spans at most ``(1+eps/3)`` times its size."""
-    s_t = as_vertex_tuple(g, s)
-    alive = bytearray(g.n)
-    for v in s_t:
-        alive[v] = 1
-    seen = bytearray(g.n)
-    factor = 1.0 + eps / 3.0
-    for root in s_t:
-        if seen[root]:
-            continue
-        seen[root] = 1
-        size = 1
-        twice_edges = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if alive[u]:
-                    twice_edges += 1
-                    if not seen[u]:
-                        seen[u] = 1
-                        size += 1
-                        stack.append(u)
-        if twice_edges // 2 > factor * size + 1e-12:
-            return False
-    return True
+    comp = components(g, s)
+    return not any(
+        _too_dense(edges, size, eps) for edges, size in zip(comp.edge_counts(g), comp.sizes)
+    )
 
 
 def giant_component_fraction(g: Graph) -> float:

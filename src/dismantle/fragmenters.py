@@ -52,35 +52,15 @@ class FragmentationResult:
 
 def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationResult:
     kept_t = as_vertex_tuple(g, kept)
-    member = set(kept_t)
-    removed = tuple(v for v in range(g.n) if v not in member)
+    comp = components(g, kept_t)
+    removed = tuple(v for v, c in enumerate(comp.labels) if c < 0)
     nu = 1.0 if g.n == 0 else len(kept_t) / g.n
-    largest = 0
-    count = 0
-    seen: set[int] = set()
-    adj = g.adj
-    for s in member:
-        if s in seen:
-            continue
-        count += 1
-        size = 1
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u in member and u not in seen:
-                    seen.add(u)
-                    size += 1
-                    stack.append(u)
-        if size > largest:
-            largest = size
-    return FragmentationResult(kept_t, removed, largest, method, nu, count)
+    return FragmentationResult(kept_t, removed, comp.largest, method, nu, comp.count)
 
 
 def max_component_size(g: Graph, kept: Iterable[int]) -> int:
     """Largest connected component of the subgraph induced by ``kept``."""
-    return _make_result(g, kept, "induced").max_component
+    return components(g, kept).largest
 
 
 def component_cap(eps: float) -> int:
@@ -382,41 +362,24 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
         raise ValueError(f"target size must be >= 1, got {target}")
     s_t = as_vertex_tuple(g, s)
     adj = g.adj
-    alive = bytearray(g.n)
-    for v in s_t:
-        alive[v] = 1
-
-    seen = bytearray(g.n)
     removed: list[int] = []
-    for root in s_t:
-        if seen[root]:
-            continue
-        seen[root] = 1
-        comp = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if alive[u] and not seen[u]:
-                    seen[u] = 1
-                    comp.append(u)
-                    stack.append(u)
+    for comp in components(g, s_t).members():
         if len(comp) <= target:
             continue
-        deg = {v: sum(alive[u] for u in adj[v]) for v in comp}
+        deg = dict.fromkeys(comp, 0)  # degree in the component; removed vertices leave it
+        for v in comp:
+            deg[v] = sum(u in deg for u in adj[v])
         heap = [(-d, v) for v, d in deg.items()]
         heapq.heapify(heap)
-        dead: set[int] = set()
         for _ in range(len(comp) - target):
             while True:
                 dneg, v = heapq.heappop(heap)
-                if v not in dead and deg[v] == -dneg:
+                if deg.get(v) == -dneg:
                     break
-            dead.add(v)
-            alive[v] = 0
+            del deg[v]
             removed.append(v)
             for u in adj[v]:
-                if alive[u] and u in deg and u not in dead:
+                if u in deg:
                     deg[u] -= 1
                     heapq.heappush(heap, (-deg[u], u))
 
@@ -440,4 +403,4 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
 
 def edge_decycling_count(g: Graph) -> int:
     """Minimum number of edge deletions leaving a spanning forest."""
-    return g.m - (g.n - components(g).count)
+    return excess(g)

@@ -8,7 +8,7 @@ auditable and graphs can be shared freely across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 
 class EdgeListFormatError(ValueError):
@@ -75,11 +75,12 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """Connected components of a graph.
+    """Connected components of a graph, or of the subgraph induced by a vertex set.
 
-    ``labels[v]`` is the component id of vertex ``v``; ids are assigned
-    in order of each component's smallest vertex. ``sizes[i]`` is the
-    size of component ``i``.
+    ``labels[v]`` is the component id of vertex ``v``, or -1 when ``v``
+    lies outside the decomposed set; ids are assigned in order of each
+    component's smallest vertex. ``sizes[i]`` is the size of component
+    ``i``; :meth:`edge_counts` gives its induced edge count.
     """
 
     labels: Tuple[int, ...]
@@ -94,20 +95,44 @@ class ComponentDecomposition:
         return max(self.sizes, default=0)
 
     def members(self) -> list[list[int]]:
-        """Vertex lists per component, each ascending."""
+        """Vertex lists per component, each ascending; outside vertices are skipped."""
         out: list[list[int]] = [[] for _ in self.sizes]
         for v, c in enumerate(self.labels):
-            out[c].append(v)
+            if c >= 0:
+                out[c].append(v)
         return out
 
+    def edge_counts(self, g: Graph) -> list[int]:
+        """Edges of ``g`` inside each component, in one pass over ``g.edges``."""
+        labels = self.labels
+        counts = [0] * len(self.sizes)
+        for u, v in g.edges:
+            c = labels[u]
+            if c >= 0 and labels[v] == c:
+                counts[c] += 1
+        return counts
 
-def components(g: Graph) -> ComponentDecomposition:
-    """Decompose ``g`` into connected components (iterative DFS)."""
-    labels = [-1] * g.n
+
+def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDecomposition:
+    """Decompose ``g``, or ``G[verts]`` when ``verts`` is given (iterative DFS).
+
+    Component ids follow each component's smallest vertex; vertices
+    outside ``verts`` get label -1. Ids in ``verts`` are validated by
+    :func:`as_vertex_tuple`. Induced edge counts come from
+    :meth:`ComponentDecomposition.edge_counts`, a separate pass.
+    """
+    if verts is None:
+        roots: Iterable[int] = range(g.n)
+        labels = [-2] * g.n
+    else:
+        roots = as_vertex_tuple(g, verts)
+        labels = [-1] * g.n
+        for v in roots:
+            labels[v] = -2  # in the set, not reached yet
     sizes: list[int] = []
     adj = g.adj
-    for s in range(g.n):
-        if labels[s] >= 0:
+    for s in roots:
+        if labels[s] != -2:
             continue
         cid = len(sizes)
         labels[s] = cid
@@ -116,7 +141,7 @@ def components(g: Graph) -> ComponentDecomposition:
         while stack:
             v = stack.pop()
             for u in adj[v]:
-                if labels[u] < 0:
+                if labels[u] == -2:
                     labels[u] = cid
                     count += 1
                     stack.append(u)

@@ -263,6 +263,9 @@ def test_scan_k4_flags_whole_graph():
     rep = density_scan(k4(), 4, 0.3)
     assert rep.violations == (((0, 1, 2, 3), 6),)
     assert rep.sets_examined > 0
+    # K4 less an edge has excess 2, the least a component holding a violator has
+    diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert density_scan(diamond, 4, 0.3).violations == (((0, 1, 2, 3), 5),)
 
 
 def test_scan_whole_graph_violation_iff_total_density():
@@ -335,6 +338,18 @@ def test_components_pass_density_cases():
     # a five-cycle spans exactly its size in edges: passes for any eps > 0
     c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert components_pass_density(c5, range(5), 0.01)
+
+
+def test_density_checks_agree_at_the_boundary():
+    # 29 edges on 25 vertices at eps = 0.48: the limit (1 + eps/3) * 25 is
+    # 29 exactly, but 28.999999999999996 in floats, so it is not exceeded.
+    edges = [(v, v + 1) for v in range(24)] + [(0, 24), (0, 12), (3, 20), (6, 18), (9, 15)]
+    g = build_graph(25, edges)
+    assert g.m == 29 and (1.0 + 0.48 / 3.0) * 25 < 29
+    assert components_pass_density(g, range(25), 0.48)
+    rep = density_scan(g, 25, 0.48)
+    assert rep.violations == ()
+    assert rep.sets_examined == 132_002
 
 
 def test_giant_fraction_edgeless():

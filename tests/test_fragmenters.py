@@ -555,6 +555,9 @@ def test_trim_exact_removal_count():
     res = trim_components(g, range(10), 4)
     assert len(res.removed) == 6
     check_result(g, res, cap=4)
+    # path 1-2-3-0: once 2 goes, 0 and 3 both have degree 1 and 0 goes first
+    g = build_graph(4, [(0, 3), (1, 2), (2, 3)])
+    assert trim_components(g, range(4), 1).removed == (0, 1, 2)
 
 
 def test_trim_counting_identity():
@@ -628,6 +631,10 @@ def test_edge_decycling_examples():
     assert edge_decycling_count(k4()) == 3
     g = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4)])
     assert edge_decycling_count(g) == 1
+    rng = random.Random(23)
+    for _ in range(20):
+        g = random_graph(30, rng.randint(0, 60), rng)
+        assert edge_decycling_count(g) == excess(g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismantle import (
     EdgeListFormatError,
@@ -72,6 +74,7 @@ def test_build_k4():
 def test_build_zero_vertices():
     g = build_graph(0, [])
     assert g.n == 0 and g.m == 0 and components(g).count == 0
+    assert components(g, ()) == components(g)
 
 
 def test_build_rejections_are_distinct():
@@ -137,6 +140,37 @@ def test_components_members_are_maximal_and_connected():
         assert seen == member
         # maximal: no edge leaves the component
         assert all(u in member for v in comp for u in g.adj[v])
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """Random graph on at most 14 vertices plus a random vertex subset."""
+    n = draw(st.integers(1, 14))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    return g, draw(st.sets(vertex))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_subsets())
+def test_masked_components_match_induced_subgraph(case):
+    g, verts = case
+    dec = components(g, verts)
+    sub, index = induced_subgraph(g, verts)
+    ref = components(sub)
+    assert dec.sizes == ref.sizes
+    for v in range(g.n):
+        assert dec.labels[v] == (ref.labels[index[v]] if v in verts else -1)
+    members = dec.members()
+    assert [[index[v] for v in comp] for comp in members] == ref.members()
+    assert sorted(v for comp in members for v in comp) == sorted(verts)
+    assert dec.edge_counts(g) == [induced_subgraph(g, comp)[0].m for comp in members]
+    assert components(g, range(g.n)) == components(g)
+    with pytest.raises(ValueError, match="invalid vertex id"):
+        components(g, verts | {g.n})
+    with pytest.raises(ValueError, match="invalid vertex id"):
+        components(g, verts | {-1})
 
 
 def test_induced_k4_pair():
