@@ -74,4 +74,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

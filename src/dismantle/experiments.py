@@ -17,6 +17,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -194,6 +195,15 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+def _replicate_map(fn: Callable[[int], object], replicates: int, jobs: int) -> list:
+    """``[fn(r) for r in range(replicates)]``, over a process pool when ``jobs`` allows one."""
+    workers = _pool_size(jobs, replicates)
+    if workers <= 1:
+        return [fn(r) for r in range(replicates)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(replicates)))
+
+
 def _estimate(
     cfg: ExperimentConfig,
     grid_values: Sequence[float],
@@ -202,13 +212,7 @@ def _estimate(
     jobs: int,
 ) -> CurveEstimate:
     reps = cfg.replicates
-    workers = _pool_size(jobs, reps)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(_replicate_rows, cfg, list(caps), r) for r in range(reps)}
-            rows = [futures[r].result() for r in range(reps)]
-    else:
-        rows = [_replicate_rows(cfg, caps, r) for r in range(reps)]
+    rows = _replicate_map(partial(_replicate_rows, cfg, list(caps)), reps, jobs)
     points = tuple(
         CurvePoint(
             grid_value=grid_values[j],
@@ -351,18 +355,8 @@ def gap_demo(
     delta = admissible_delta(c, eps)
     cap_initial = max(1, math.floor(delta * n))
     cap_pipeline = component_cap(eps)
-    workers = _pool_size(jobs, replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                r: pool.submit(_gap_demo_row, c, eps, n, seed, cap_initial, r)
-                for r in range(replicates)
-            }
-            rows = tuple(futures[r].result() for r in range(replicates))
-    else:
-        rows = tuple(
-            _gap_demo_row(c, eps, n, seed, cap_initial, r) for r in range(replicates)
-        )
+    rows = tuple(_replicate_map(partial(_gap_demo_row, c, eps, n, seed, cap_initial),
+                                replicates, jobs))
     passed = sum(1 for row in rows if row.gap <= eps + 1e-12)
     return GapDemoReport(
         c=c,

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Tuple
 
 from .analysis import components_pass_density
 from .graph import Graph, as_vertex_tuple, components, excess
@@ -136,6 +135,49 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 
 
 # ---------------------------------------------------------------------------
+# Reverse add-back
+# ---------------------------------------------------------------------------
+
+
+def _add_back(adj, present: bytearray, order: Iterable[int],
+              accept: Callable[[list[int]], bool]) -> list[int]:
+    """Add the vertices of ``order`` to the edgeless set ``present``, through a union-find.
+
+    A vertex with two or more present neighbours joins only if
+    ``accept`` returns true on the roots of their trees, one per
+    neighbour; any other vertex always joins. A joining vertex merges
+    the trees of its present neighbours and is marked in ``present``.
+    Returns, for every vertex, the size of its tree right after it
+    joined, or 0 if it never joined.
+    """
+    parent = list(range(len(adj)))
+    size = [1] * len(adj)
+    joined = [0] * len(adj)
+    for v in order:
+        roots = []
+        for u in adj[v]:
+            if present[u]:
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                roots.append(u)
+        if len(roots) > 1 and not accept(roots):
+            continue
+        present[v] = 1
+        root = v
+        for u in roots:
+            while parent[u] != u:  # an earlier merge of this vertex may have moved it
+                u = parent[u]
+            if u != root:
+                if size[u] > size[root]:
+                    u, root = root, u
+                parent[u] = root
+                size[root] += size[u]
+        joined[v] = size[root]
+    return joined
+
+
+# ---------------------------------------------------------------------------
 # Greedy component-capping
 # ---------------------------------------------------------------------------
 
@@ -182,25 +224,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
                 if deg[u]:
                     heapq.heappush(heap, (-deg[u], u))
 
-    parent = list(range(n))
-    size = [1] * n
-    cut = [0] * n  # 0 for vertices never removed
-    for v in reversed(order):
-        present[v] = 1
-        root = v
-        for u in adj[v]:
-            if not present[u]:
-                continue
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            if u != root:
-                if size[u] > size[root]:
-                    u, root = root, u
-                parent[u] = root
-                size[root] += size[u]
-        cut[v] = size[root]
-
+    cut = _add_back(adj, present, reversed(order), lambda roots: True)
     res = _make_result(g, (v for v in range(n) if cut[v] <= cap), "greedy")
     return replace(res, cut_sizes=tuple(cut[v] for v in res.removed))
 
@@ -225,56 +249,23 @@ def _peel(incore: bytearray, coredeg: list[int], adj, seeds: Iterable[int]) -> N
                     queue.append(u)
 
 
-def _on_cycle(v: int, incore: bytearray, adj) -> bool:
-    """Whether two core neighbours of ``v`` are joined in the core without ``v``.
+def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
+    """A maximal induced forest of the region induced by ``verts``.
 
-    Runs one breadth-first search per core neighbour in round-robin, one
-    vertex per turn. The first contact between two searches closes a
-    cycle through ``v``. Once at most one search is still active, every
-    other one has exhausted a component holding no other neighbour, so
-    ``v`` lies on no cycle.
-    """
-    owner = {v: -1}
-    queues = []
-    for u in adj[v]:
-        if incore[u]:
-            owner[u] = len(queues)
-            queues.append(deque([u]))
-    active = list(range(len(queues)))
-    while len(active) > 1:
-        still = []
-        for i in active:
-            q = queues[i]
-            for w in adj[q.popleft()]:
-                if incore[w]:
-                    o = owner.get(w)
-                    if o is None:
-                        owner[w] = i
-                        q.append(w)
-                    elif o != i and o >= 0:
-                        return True
-            if q:
-                still.append(i)
-        active = still
-    return False
+    Two passes, O(m log n):
 
+    1. Elimination: while the region has a 2-core, remove its vertex of
+       highest degree in the region (smallest id on ties), then peel the
+       core again. One lazy max-heap holds the core. A removal needs no
+       cycle test: the next pass restores every one that closes no cycle.
+    2. Add-back: starting from the surviving forest, the removals go back
+       in reverse order, each only when its present neighbours lie in
+       distinct trees.
 
-def _decycle_removals(g: Graph, verts: Iterable[int]) -> list[int]:
-    """Greedy removals making the region induced by ``verts`` acyclic.
-
-    While some component still has a cycle, the maximum-degree vertex
-    lying on a cycle (smallest id on ties) loses its place; components
-    never interact, so this global greedy equals independent
-    per-component processing. Each removal lowers the excess of its
-    component by at least one, so a component loses at most ``excess``
-    vertices.
-
-    Candidates are the vertices of the 2-core, which is peeled
-    incrementally, in one lazy max-heap keyed by (degree in the region,
-    smallest id). A popped vertex is tested by :func:`_on_cycle`. It is
-    removed if the test succeeds; otherwise it leaves the core for good,
-    because deletions never create cycles. Either way the core is peeled
-    from it.
+    Every vertex left out has two neighbours in one tree of the final
+    forest, so no removal can come back without closing a cycle, and
+    adding the removals back to the forest raises its excess by at least
+    one each: a component loses at most ``excess`` vertices.
     """
     adj = g.adj
     alive = bytearray(g.n)
@@ -296,23 +287,30 @@ def _decycle_removals(g: Graph, verts: Iterable[int]) -> list[int]:
         dneg, v = heapq.heappop(heap)
         if not incore[v] or deg[v] != -dneg:
             continue
-        if _on_cycle(v, incore, adj):
-            alive[v] = 0
-            removed.append(v)
-            for u in adj[v]:
-                if alive[u]:
-                    deg[u] -= 1
-                    if incore[u]:
-                        heapq.heappush(heap, (-deg[u], u))
+        alive[v] = 0
+        removed.append(v)
+        for u in adj[v]:
+            if alive[u]:
+                deg[u] -= 1
+                if incore[u]:
+                    heapq.heappush(heap, (-deg[u], u))
         coredeg[v] = 0
         _peel(incore, coredeg, adj, [v])
-    return removed
+
+    order = [v for v in verts if alive[v]] + removed[::-1]
+    joined = _add_back(adj, bytearray(g.n), order, lambda roots: len(set(roots)) == len(roots))
+    return [v for v in verts if joined[v]]
 
 
 def decycle_heuristic(g: Graph) -> FragmentationResult:
-    """Remove cycle vertices greedily until the whole graph is a forest."""
-    removed = set(_decycle_removals(g, range(g.n)))
-    return _make_result(g, (v for v in range(g.n) if v not in removed), "decycle")
+    """Remove vertices until the whole graph is a forest.
+
+    The max-degree vertex of the 2-core goes until no core is left, then
+    every removal that closes no cycle comes back (see
+    :func:`_decycled_forest`). The forest is maximal, and each component
+    loses at most its ``excess``.
+    """
+    return _make_result(g, _decycled_forest(g, range(g.n)), "decycle")
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +321,18 @@ def decycle_heuristic(g: Graph) -> FragmentationResult:
 def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationResult:
     """Two-stage fragmentation of ``G[S]`` at component cap ``ceil(3/eps)``.
 
-    Stage one removes cycle vertices until every component of ``G[S]``
-    is acyclic (at most ``excess`` removals per component); stage two
-    applies :func:`fragment_forest` to the surviving forest. When every
+    Stage one keeps a maximal induced forest of ``G[S]`` (see
+    :func:`_decycled_forest`; at most ``excess`` removals per component);
+    stage two applies :func:`fragment_forest` to that forest. When every
     component of ``G[S]`` spans at most ``(1 + eps/3)`` times its size in
     edges, the total number of removals is certified to stay within
     ``eps * n`` and a violation raises :class:`PipelineBudgetError`.
     """
     cap = component_cap(eps)
     s_t = as_vertex_tuple(g, s)
-    decycled = _decycle_removals(g, s_t)
-    gone = set(decycled)
-    survivors = [v for v in s_t if v not in gone]
-    gone.update(_fragment_forest_removals(g, survivors, cap))
-    kept = [v for v in s_t if v not in gone]
+    forest = _decycled_forest(g, s_t)
+    gone = set(_fragment_forest_removals(g, forest, cap))
+    kept = [v for v in forest if v not in gone]
     result = _make_result(g, kept, "pipeline")
     if result.max_component > cap:
         raise RuntimeError(
@@ -390,15 +386,16 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
 def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResult:
     """Make ``G[S]`` acyclic when all its components have at most ``k`` vertices.
 
-    Every cycle of ``G[S]`` then has length at most ``k``, and the greedy
-    decycling removes at most one vertex per such cycle.
+    Every cycle of ``G[S]`` then has length at most ``k``. The decycling
+    (see :func:`_decycled_forest`) removes at most ``excess`` vertices per
+    component, and the excess of a graph never exceeds its number of
+    cycles, so removals stay at most the number of these short cycles.
     """
     s_t = as_vertex_tuple(g, s)
     largest = max_component_size(g, s_t)
     if largest > k:
         raise ValueError(f"component of size {largest} exceeds the cap {k}")
-    removed = set(_decycle_removals(g, s_t))
-    return _make_result(g, (v for v in s_t if v not in removed), "strip")
+    return _make_result(g, _decycled_forest(g, s_t), "strip")
 
 
 def edge_decycling_count(g: Graph) -> int:

@@ -393,34 +393,29 @@ def test_cut_sizes_empty_outside_greedy():
 # ---------------------------------------------------------------------------
 
 
-def on_cycle_naive(g, alive, v):
-    for u in (x for x in g.adj[v] if alive[x]):
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in g.adj[x]:
-                if not alive[w] or w in seen:
-                    continue
-                if x == v and w == u:
-                    continue  # skip the direct edge
-                if w == u:
-                    return True
-                seen.add(w)
-                stack.append(w)
-    return False
+def two_core(g, alive):
+    """Vertices of the 2-core of the alive region, peeled from scratch."""
+    core = {v for v in range(g.n) if alive[v]}
+    while True:
+        low = {v for v in core if sum(u in core for u in g.adj[v]) <= 1}
+        if not low:
+            return core
+        core -= low
 
 
 def decycle_reference(g):
+    """Removed vertices, sorted: max-degree 2-core removals, then a reverse add-back."""
     alive = bytearray([1]) * g.n
     removed = []
-    while True:
-        cand = [v for v in range(g.n) if alive[v] and on_cycle_naive(g, alive, v)]
-        if not cand:
-            return sorted(removed)
-        v = max(cand, key=lambda v: (sum(alive[u] for u in g.adj[v]), -v))
+    while core := two_core(g, alive):
+        v = max(core, key=lambda v: (sum(alive[u] for u in g.adj[v]), -v))
         alive[v] = 0
         removed.append(v)
+    kept = [v for v in range(g.n) if alive[v]]
+    for v in reversed(removed):
+        if excess(induced_subgraph(g, kept + [v])[0]) == 0:
+            kept.append(v)
+    return sorted(set(range(g.n)) - set(kept))
 
 
 def test_decycle_forest_noop():
@@ -445,7 +440,8 @@ def triangles_joined_by_path(length):
     """Two triangles joined by a path of ``length`` edges.
 
     Every inner path vertex carries two pendant leaves, so it has the top
-    degree and is tested first, yet lies in the 2-core on no cycle.
+    degree and is removed first, yet lies in the 2-core on no cycle and
+    has to come back in the add-back pass.
     """
     edges = [(0, 1), (1, 2), (2, 0)]
     n = 3
@@ -482,6 +478,19 @@ def decycle_cases():
 def test_decycle_matches_reference():
     for g in decycle_cases():
         assert sorted(decycle_heuristic(g).removed) == decycle_reference(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_decycle_bounds_and_maximality(g):
+    res = decycle_heuristic(g)
+    check_result(g, res, forest=True)
+    assert len(res.removed) >= g.n - len(exact_max_forest(g).kept)
+    for members in components(g).members():
+        lost = len(set(members) & set(res.removed))
+        assert lost <= excess(induced_subgraph(g, members)[0])
+    for v in res.removed:  # no removal comes back without closing a cycle
+        assert excess(induced_subgraph(g, res.kept + (v,))[0]) > 0
 
 
 # ---------------------------------------------------------------------------
