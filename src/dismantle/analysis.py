@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .graph import Graph, components
 
@@ -123,17 +123,21 @@ def dense_set_probability_bound(t: int, n: int, c: float, eps: float) -> TailBou
     else:
         bound = math.exp(log_bound)
     simplified = None
-    if _exponent_inequality_holds(c, eps, log_tau):
+    if _exponent_inequality(c, eps, log_tau)[2]:
         simplified = -eps * t * log_tau / 8.0
     return TailBound(t, tau, mean, threshold, rate, bound, log_bound, simplified)
 
 
-def _exponent_inequality_holds(c: float, eps: float, log_tau: float) -> bool:
-    """Whether the per-vertex exponent collapses to ``-eps*log(tau)/8``."""
+def _exponent_inequality(c: float, eps: float, log_tau: float) -> Tuple[float, float, bool]:
+    """Per-vertex exponent ``lhs``, its target ``rhs = -eps*log(tau)/8``, and admissibility.
+
+    Admissible means the Chernoff rate margin ``log(tau) - 1 - log(c)``
+    is positive and ``lhs <= rhs``, so the exponent collapses to ``rhs``.
+    """
     a = log_tau - 1.0 - math.log(c)
-    if a <= 0:
-        return False
-    return (1.0 + log_tau) - (1.0 + eps / 4.0) * a <= -eps * log_tau / 8.0
+    lhs = (1.0 + log_tau) - (1.0 + eps / 4.0) * a
+    rhs = -eps * log_tau / 8.0
+    return lhs, rhs, a > 0 and lhs <= rhs
 
 
 @dataclass(frozen=True)
@@ -161,14 +165,10 @@ def delta_sweep(c: float, eps: float, max_steps: int = 200_000) -> list[DeltaSwe
         raise ValueError(f"tolerance must lie strictly in (0, 1), got {eps}")
     log_anchor = math.log(min(2.0 / c, eps / 3.0))
     ln2 = math.log(2.0)
-    log_c = math.log(c)
     rows = []
     for j in range(1, max_steps + 1):
         log_tau = j * ln2 - log_anchor  # candidate delta = anchor / 2**j
-        a = log_tau - 1.0 - log_c
-        lhs = (1.0 + log_tau) - (1.0 + eps / 4.0) * a
-        rhs = -eps * log_tau / 8.0
-        ok = a > 0 and lhs <= rhs
+        lhs, rhs, ok = _exponent_inequality(c, eps, log_tau)
         rows.append(DeltaSweepRow(j, math.exp(-log_tau), log_tau, lhs, rhs, ok))
         if ok:
             return rows
@@ -213,63 +213,58 @@ class DensityReport:
     sets_examined: int
 
 
-def _enumerate_connected(
-    vertices: Iterable[int],
-    adj,
-    adj_mask: list[int],
-    t_max: int,
-    visit: Callable[[list[int], int], None],
-) -> None:
-    """Visit every connected set within ``vertices`` exactly once.
+def _connected_sets(adj, roots, t_max: int) -> Iterator[Tuple[list[int], int]]:
+    """Yield each connected set of at most ``t_max`` vertices whose smallest vertex is a root.
 
-    Standard rooted enumeration: sets are grouped by their smallest
-    vertex, and each extension candidate is considered once (taken or
-    excluded for the whole branch), which guarantees uniqueness without
-    storing previously seen sets. ``visit`` receives the set as a
-    scratch list plus its induced edge count.
+    Sets are grouped by root, in the order of ``roots``. Each extension
+    candidate is considered once, taken or excluded for the whole branch,
+    which makes every set unique without storing the sets already seen.
+    ``inside[u]`` counts the neighbours ``u`` has in the current set: a
+    joining vertex ``w`` adds ``inside[w]`` edges, and a vertex above the
+    root is a new candidate exactly when its count is 0, because every
+    set vertex but the root has a neighbour in the set. The walk keeps an
+    explicit stack of candidate lists, so it needs O(n) extra memory and
+    no recursion, and adding or removing a vertex costs O(degree). Each
+    set is yielded as a scratch list, valid until the next step, with its
+    induced edge count.
     """
-
-    for root in sorted(vertices):
-        s_list = [root]
-        visit(s_list, 0)
-        if t_max == 1:
-            continue
-        ext0 = [u for u in adj[root] if u > root]
-        seen0 = 1 << root
-        for u in ext0:
-            seen0 |= 1 << u
-
-        def rec(s_mask: int, e_count: int, ext: list[int], seen: int) -> None:
-            while ext:
-                w = ext.pop()
-                e2 = e_count + (adj_mask[w] & s_mask).bit_count()
-                s_list.append(w)
-                visit(s_list, e2)
-                if len(s_list) < t_max:
-                    new_seen = seen
-                    new_ext = ext.copy()
-                    for u in adj[w]:
-                        if u > root and not (new_seen >> u) & 1:
-                            new_seen |= 1 << u
-                            new_ext.append(u)
-                    rec(s_mask | (1 << w), e2, new_ext, new_seen)
+    inside = [0] * len(adj)
+    s_list: list[int] = []
+    for root in roots:
+        stack = [([root], 0)]  # (candidates, edges of the set they extend)
+        while stack:
+            ext, e_count = stack[-1]
+            if not ext:
+                stack.pop()
+                if s_list:
+                    for u in adj[s_list.pop()]:
+                        inside[u] -= 1
+                continue
+            w = ext.pop()
+            e2 = e_count + inside[w]
+            s_list.append(w)
+            yield s_list, e2
+            if len(s_list) == t_max:
                 s_list.pop()
-
-        rec(1 << root, 0, ext0, seen0)
+                continue
+            new_ext = ext.copy()
+            for u in adj[w]:
+                if u > root and not inside[u]:
+                    new_ext.append(u)
+                inside[u] += 1
+            stack.append((new_ext, e2))
 
 
 def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """Yield every connected vertex set of size <= ``t_max`` with its edge count."""
+    """Lazily yield every connected vertex set of size <= ``t_max`` with its edge count.
+
+    Sets come as sorted vertex tuples, grouped by smallest vertex. A bad
+    ``t_max`` raises :class:`ValueError` at call time, before iteration.
+    """
     if t_max < 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
-    adj_mask = [sum(1 << u for u in nbrs) for nbrs in g.adj]
-    out: list[Tuple[Tuple[int, ...], int]] = []
-
-    def visit(s_list: list[int], e_count: int) -> None:
-        out.append((tuple(sorted(s_list)), e_count))
-
-    _enumerate_connected(range(g.n), g.adj, adj_mask, t_max, visit)
-    return iter(out)
+    sets = _connected_sets(g.adj, range(g.n), t_max)
+    return ((tuple(sorted(s_list)), e_count) for s_list, e_count in sets)
 
 
 def _too_dense(edges: int, size: int, eps: float) -> bool:
@@ -285,35 +280,31 @@ def density_scan(
     A violating set spans at least one more edge than it has vertices, so
     components of the graph with excess at most 1 provably contain no
     violator and are skipped wholesale; ``sets_examined`` counts only
-    the sets actually enumerated. Exceeding ``budget`` examined sets
-    raises :class:`EnumerationBudgetError`.
+    the sets actually enumerated, component by component. The scan holds
+    O(n) extra memory and uses no recursion, so ``t_max`` may be as large
+    as the graph. Exceeding ``budget`` examined sets raises
+    :class:`EnumerationBudgetError`.
     """
     if t_max < 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
     if eps < 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
-    adj = g.adj
-    adj_mask = [sum(1 << u for u in nbrs) for nbrs in adj]
+    comp = components(g)
+    roots = (
+        v
+        for members, size, edges in zip(comp.members(), comp.sizes, comp.edge_counts(g))
+        if edges > size  # excess <= 1: every connected subset has e(T) <= |T|
+        for v in members
+    )
     violations: list[Tuple[Tuple[int, ...], int]] = []
     examined = 0
-
-    def visit(s_list: list[int], e_count: int) -> None:
-        nonlocal examined
+    for s_list, e_count in _connected_sets(g.adj, roots, t_max):
         examined += 1
         if examined > budget:
-            raise EnumerationBudgetError(
-                f"examined more than {budget} connected sets"
-            )
+            raise EnumerationBudgetError(f"examined more than {budget} connected sets")
         # e(T) <= |T| is never too dense; the integer test skips the call
         if e_count > len(s_list) and _too_dense(e_count, len(s_list), eps):
             violations.append((tuple(sorted(s_list)), e_count))
-
-    comp = components(g)
-    for members, size, edges in zip(comp.members(), comp.sizes, comp.edge_counts(g)):
-        if edges <= size:
-            continue  # excess <= 1: every connected subset has e(T) <= |T|
-        _enumerate_connected(members, adj, adj_mask, t_max, visit)
-
     return DensityReport(eps, t_max, tuple(violations), examined)
 
 

@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismantle import (
     EnumerationBudgetError,
@@ -252,6 +255,50 @@ def test_enumeration_edge_counts():
         assert sub.m == edge_count
 
 
+@st.composite
+def graphs_and_caps(draw):
+    n = draw(st.integers(1, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    return g, draw(st.integers(1, n + 1))
+
+
+def component_of(g, v):
+    seen = {v}
+    stack = [v]
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_caps())
+def test_enumeration_property(case):
+    g, t_max = case
+    got = list(connected_vertex_sets(g, t_max))
+    sets = [verts for verts, _ in got]
+    assert len(set(sets)) == len(sets)  # no set is yielded twice
+    assert set(sets) == brute_connected_sets(g, t_max)
+    for verts, edge_count in got:
+        assert edge_count == induced_subgraph(g, verts)[0].m
+    # density_scan enumerates exactly the sets in components of excess >= 2
+    dense = set()
+    for v in range(g.n):
+        comp = component_of(g, v)
+        if induced_subgraph(g, comp)[0].m > len(comp):
+            dense |= comp
+    assert density_scan(g, t_max, 0.5).sets_examined == sum(s[0] in dense for s in sets)
+
+
+def test_enumeration_validates_eagerly():
+    with pytest.raises(ValueError):
+        connected_vertex_sets(k4(), 0)  # raised at the call, before any iteration
+
+
 def test_scan_forest_has_no_violations():
     t = random_tree(40, seed=3)
     rep = density_scan(t, 10, 0.1)
@@ -304,6 +351,29 @@ def test_scan_matches_direct_check():
             if sub.m > (1 + eps / 3) * len(verts):
                 expected.add(verts)
         assert {v for v, _ in rep.violations} == expected
+
+
+def test_scan_deep_sets_need_no_recursion():
+    # K4 plus a 1,000-vertex path from vertex 3: sets reach 1,004 vertices deep
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    g = build_graph(1004, edges + [(v, v + 1) for v in range(3, 1003)])
+    rep = density_scan(g, g.n, 0.5)
+    assert len(rep.violations) == 8  # K4 plus the first 0..7 path vertices
+    assert rep.violations[-1] == ((0, 1, 2, 3), 6)
+    assert rep.sets_examined == 508_515
+
+
+def test_scan_extra_memory_is_linear():
+    # width-n bitmasks per set put the traced peak near 31 MiB on this
+    # graph; the neighbour counts and candidate stacks need about 1.4 MiB
+    g = gnp(20_000, 2.0, seed=1)
+    tracemalloc.start()
+    try:
+        density_scan(g, 3, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_scan_budget_guard():

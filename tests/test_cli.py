@@ -203,6 +203,18 @@ def test_verify_claim_k4(tmp_path, capsys):
     assert re.fullmatch(r"violations=1 sets_examined=\d+", lines[-1])
 
 
+def test_verify_claim_deep_sets(tmp_path, capsys):
+    # K4 plus a 1,000-vertex path from vertex 3: sets reach 1,004 vertices deep
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges += [(v, v + 1) for v in range(3, 1003)]
+    gfile = tmp_path / "tail.el"
+    gfile.write_text(f"1004 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, stdout, _ = run(capsys, "verify-claim", "--in", str(gfile), "--eps", "0.5",
+                          "--tmax", "1004")
+    assert code == 0
+    assert stdout.strip().splitlines()[-1] == "violations=8 sets_examined=508515"
+
+
 def test_delta_output(capsys):
     code, stdout, _ = run(capsys, "delta", "--c", "2", "--eps", "0.5")
     assert code == 0
