@@ -37,8 +37,10 @@ def gnp(n: int, c: float, seed: int, stream: int = 0) -> Graph:
     """Binomial random graph: each pair kept independently with probability ``c/n``.
 
     Sampling skips between successes geometrically over the ``C(n, 2)``
-    pair sequence, so the cost is proportional to the number of edges
-    rather than to ``n**2``.
+    pair sequence (Batagelj & Brandes 2005), and numpy decodes the kept
+    indices to pairs, so ``m`` edges cost O(n + m log n) time and
+    O(n + m) memory rather than O(n**2). The decoding draws nothing, so
+    a seed gives the same graph, bit for bit, as in earlier versions.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -52,31 +54,28 @@ def gnp(n: int, c: float, seed: int, stream: int = 0) -> Graph:
         return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
     rng = rng_for(seed, stream)
-    positions: list[int] = []
+    chunks = []
     cur = -1
     block = max(1024, int(p * total * 1.1) + 16)
     while True:
-        skips = rng.geometric(p, size=block)
+        # A skip past the end ends the sample; capping it at total + 1
+        # keeps the running sum from overflowing int64 when p is tiny.
+        skips = np.minimum(rng.geometric(p, size=block), total + 1)
         cum = cur + np.cumsum(skips, dtype=np.int64)
         if cum[-1] >= total:
-            positions.extend(int(x) for x in cum[cum < total])
+            chunks.append(cum[cum < total])
             break
-        positions.extend(int(x) for x in cum)
+        chunks.append(cum)
         cur = int(cum[-1])
+    idx = np.concatenate(chunks)
 
     # Decode ascending linear indices to pairs (u, v), u < v, in row order:
-    # row u covers indices [row_start, row_start + n - 1 - u).
-    edges = []
-    u = 0
-    row_start = 0
-    row_end = n - 1
-    for idx in positions:
-        while idx >= row_end:
-            u += 1
-            row_start = row_end
-            row_end += n - 1 - u
-        edges.append((u, u + 1 + idx - row_start))
-    return Graph(n, edges)
+    # row u covers indices [row_end[u] - (n - 1 - u), row_end[u]).
+    row_len = np.arange(n - 1, 0, -1, dtype=np.int64)
+    row_end = np.cumsum(row_len)
+    u = np.searchsorted(row_end, idx, side="right")
+    v = u + 1 + idx - (row_end[u] - row_len[u])
+    return Graph(n, np.column_stack((u, v)))
 
 
 def random_regular(
@@ -90,9 +89,11 @@ def random_regular(
 
     Pairs ``n*d`` half-edges by a uniform matching and rejects the whole
     sample whenever a loop or repeated edge appears, which makes the
-    accepted outcomes uniform over simple ``d``-regular graphs. For fixed
-    ``d`` the acceptance probability is bounded away from zero, so the
-    attempt cap only triggers on misuse (e.g. large ``d`` at small ``n``).
+    accepted outcomes uniform over simple ``d``-regular graphs. Repeated
+    edges are found by sorting the edge keys and comparing neighbours.
+    For fixed ``d`` the acceptance probability is bounded away from zero,
+    so the attempt cap only triggers on misuse (e.g. large ``d`` at small
+    ``n``).
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -110,10 +111,10 @@ def random_regular(
             continue
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        key = lo.astype(np.int64) * n + hi
-        if np.unique(key).size != key.size:
+        key = np.sort(lo.astype(np.int64) * n + hi)
+        if np.any(key[1:] == key[:-1]):
             continue
-        return Graph(n, zip(lo.tolist(), hi.tolist()))
+        return Graph(n, np.column_stack(np.divmod(key, n)))
     raise SamplingBudgetError(
         f"no simple {d}-regular graph found in {max_attempts} attempts"
     )

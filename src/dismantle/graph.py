@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 
 class EdgeListFormatError(ValueError):
     """An edge-list file violates the expected text format."""
@@ -20,7 +22,12 @@ class Graph:
 
     ``edges`` is a sorted tuple of ``(u, v)`` pairs with ``u < v``;
     ``adj`` is a tuple of sorted neighbor tuples. Both are fixed at
-    construction time.
+    construction time and hold Python ``int``s.
+
+    ``edges`` may be an iterable of pairs or an integer ``(m, 2)`` numpy
+    array. Both forms get the same range, self-loop and duplicate checks
+    and the same error messages; the array form runs them, and builds the
+    graph, in numpy, which is how the generators pass their samples.
     """
 
     __slots__ = ("n", "m", "edges", "adj")
@@ -28,6 +35,12 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
+        if (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
+                and edges.ndim == 2 and edges.shape[1] == 2):
+            if self._init_from_array(n, edges):
+                return
+            # A check failed: the pairs loop below names the first bad edge.
+            edges = edges.tolist()
         seen = set()
         norm = []
         for u, v in edges:
@@ -51,6 +64,31 @@ class Graph:
         self.m = len(norm)
         self.edges: Tuple[Tuple[int, int], ...] = tuple(norm)
         self.adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
+
+    def _init_from_array(self, n: int, edges: np.ndarray) -> bool:
+        """Build from an ``(m, 2)`` integer array; False if any check fails."""
+        # uint64 ids of 2**63 and above wrap to negative: out of range too.
+        a = edges.astype(np.int64, copy=False)
+        lo = np.minimum(a[:, 0], a[:, 1])
+        hi = np.maximum(a[:, 0], a[:, 1])
+        if a.size and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+            return False
+        key = np.sort(lo * n + hi)
+        if np.any(key[1:] == key[:-1]):
+            return False
+        lo, hi = np.divmod(key, n)
+        # Both directions of every edge, sorted as (source, target) keys,
+        # list each vertex's neighbors in ascending order.
+        half = np.sort(np.concatenate((key, hi * n + lo)))
+        ends = np.cumsum(np.bincount(half // n, minlength=n)).tolist()
+        # One int object per vertex, shared by every edge and neighbor entry.
+        ids = np.arange(n).astype(object)
+        flat = tuple(ids[half % n].tolist())
+        self.n = n
+        self.m = len(key)
+        self.edges = tuple(zip(ids[lo].tolist(), ids[hi].tolist()))
+        self.adj = tuple(flat[s:e] for s, e in zip([0] + ends[:-1], ends))
+        return True
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -1,10 +1,15 @@
+import hashlib
 import math
 from statistics import fmean, stdev
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismantle import (
     SamplingBudgetError,
+    build_graph,
     components,
     excess,
     gnp,
@@ -143,3 +148,119 @@ def test_path_properties():
     assert excess(g) == 0
     with pytest.raises(ValueError):
         path(0)
+
+
+# ---------------------------------------------------------------------------
+# Reference generators: per-edge Python loops that make the same random draws
+# as ``gnp`` and ``random_regular``, so they must give the same graphs.
+
+
+def gnp_reference(n, c, seed, stream=0):
+    """Geometric skips summed and decoded to pairs one edge at a time; the oracle."""
+    p = c / n
+    total = n * (n - 1) // 2
+    if p == 0.0 or total == 0:
+        return build_graph(n, [])
+    if p >= 1.0:
+        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    rng = rng_for(seed, stream)
+    positions = []
+    cur = -1
+    block = max(1024, int(p * total * 1.1) + 16)
+    while cur < total:
+        for skip in rng.geometric(p, size=block).tolist():
+            cur += skip
+            if cur >= total:
+                break
+            positions.append(cur)
+    edges = []
+    u = 0
+    row_start = 0
+    row_end = n - 1
+    for idx in positions:
+        while idx >= row_end:
+            u += 1
+            row_start = row_end
+            row_end += n - 1 - u
+        edges.append((u, u + 1 + idx - row_start))
+    return build_graph(n, edges)
+
+
+def random_regular_reference(n, d, seed, stream=0, max_attempts=10_000):
+    """Configuration model rejecting repeated edges through ``np.unique``; the oracle."""
+    rng = rng_for(seed, stream)
+    for _ in range(max_attempts):
+        perm = rng.permutation(n * d)
+        a = perm[0::2] // d
+        b = perm[1::2] // d
+        if np.any(a == b):
+            continue
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        key = lo.astype(np.int64) * n + hi
+        if np.unique(key).size != key.size:
+            continue
+        return build_graph(n, zip(lo.tolist(), hi.tolist()))
+    raise SamplingBudgetError(f"no simple {d}-regular graph found in {max_attempts} attempts")
+
+
+def assert_same_graph(g, ref):
+    assert (g.n, g.m, g.edges, g.adj) == (ref.n, ref.m, ref.edges, ref.adj)
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+    assert all(type(u) is int for nbrs in g.adj for u in nbrs)
+
+
+@st.composite
+def gnp_params(draw):
+    n = draw(st.integers(1, 300))
+    c = draw(st.one_of(st.just(0.0), st.just(n), st.floats(0, n), st.floats(0, min(n, 8))))
+    return n, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(gnp_params(), st.integers(0, 2**64 - 1), st.integers(0, 5))
+def test_gnp_matches_reference(params, seed, stream):
+    n, c = params
+    assert_same_graph(gnp(n, c, seed, stream), gnp_reference(n, c, seed, stream))
+
+
+@st.composite
+def regular_params(draw):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d + 1, 300))
+    return n + (n * d) % 2, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_params(), st.integers(0, 2**64 - 1), st.integers(0, 5),
+       st.sampled_from([1, 1000]))
+def test_random_regular_matches_reference(params, seed, stream, attempts):
+    n, d = params
+    try:
+        ref = random_regular_reference(n, d, seed, stream, attempts)
+    except SamplingBudgetError:
+        with pytest.raises(SamplingBudgetError):
+            random_regular(n, d, seed, stream, max_attempts=attempts)
+        return
+    assert_same_graph(random_regular(n, d, seed, stream, max_attempts=attempts), ref)
+
+
+def test_gnp_tiny_c_is_edgeless():
+    # Skips near 2**63 would overflow an int64 running sum that then never ends.
+    for c in (1e-17, 1e-300, 5e-324):
+        g = gnp(10, c, seed=0)
+        assert g.m == 0
+        assert_same_graph(g, gnp_reference(10, c, seed=0))
+
+
+@pytest.mark.parametrize("make, m, digest", [
+    (lambda: gnp(50_000, 2.0, seed=1), 50_167,
+     "f668047f8ee96ebc841801dbedfa8c6ebf1107fd27542940643e19bad9b2c189"),
+    (lambda: random_regular(50_000, 3, seed=1), 75_000,
+     "7858d37b641df98082db27f34ccc58b5402ecc9ca9feb0f36ccbd8c23d8d005e"),
+], ids=["gnp", "regular"])
+def test_large_outputs_pinned(make, m, digest):
+    # Pinned at version 0.2.0: a seed must keep giving the same graph.
+    g = make()
+    assert g.m == m
+    assert hashlib.sha256(repr(g.edges).encode()).hexdigest() == digest

@@ -1,12 +1,14 @@
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dismantle import (
     EdgeListFormatError,
+    Graph,
     build_graph,
     components,
     count_short_cycles,
@@ -86,6 +88,77 @@ def test_build_rejections_are_distinct():
         build_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="vertex count"):
         build_graph(-1, [])
+
+
+def build_outcome(n, edges):
+    """``(edges, adj)`` of the built graph, or the ``ValueError`` message."""
+    try:
+        g = Graph(n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return g.edges, g.adj
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 3)],
+    [(0, 1), (-1, 2)],
+    [(2, 2)],
+    [(0, 1), (0, 1)],
+    [(1, 2), (0, 1), (2, 1)],
+    [(0, 1), (1, 2), (0, 2), (2, 7), (1, 1)],
+], ids=["out-of-range", "negative", "self-loop", "duplicate", "reversed-duplicate",
+        "after-valid-prefix"])
+def test_array_faults_give_the_pairs_message(pairs):
+    message = build_outcome(3, pairs)
+    assert isinstance(message, str)
+    assert build_outcome(3, np.array(pairs)) == message
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+def test_array_input_builds_the_pairs_graph(dtype):
+    pairs = [(3, 1), (0, 4), (2, 0), (1, 0), (4, 3)]  # rows out of order, some reversed
+    g = Graph(5, np.array(pairs, dtype=dtype))
+    assert g == Graph(5, pairs) and g.adj == Graph(5, pairs).adj
+    assert all(type(u) is int for e in g.edges for u in e)
+    assert all(type(u) is int for nbrs in g.adj for u in nbrs)
+    empty = Graph(4, np.empty((0, 2), dtype=dtype))
+    assert empty.m == 0 and empty.adj == ((),) * 4
+
+
+def test_array_build_shares_one_int_per_vertex():
+    # Ids above 256 are distinct objects unless shared; sharing keeps the
+    # memory of a large graph below that of one object per endpoint.
+    g = Graph(1000, np.array(gnp(1000, 3.0, seed=2).edges))
+    first = {}
+    for u in chain(chain.from_iterable(g.edges), chain.from_iterable(g.adj)):
+        assert first.setdefault(u, u) is u
+
+
+def test_float_and_bool_arrays_take_the_pairs_path():
+    # As for pairs of numpy floats or bools: the checks pass, but such ids
+    # cannot index the adjacency lists.
+    for arr in (np.array([[0.0, 2.0]]), np.array([[True, False]])):
+        with pytest.raises(TypeError):
+            Graph(3, arr)
+    for bad in (np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([[True, True]])):
+        assert build_outcome(3, bad) == build_outcome(3, iter(bad))
+        assert build_outcome(3, bad).startswith("self-loop")
+
+
+@st.composite
+def small_edge_arrays(draw):
+    n = draw(st.integers(0, 8))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint16]))
+    ids = st.integers(0 if np.dtype(dtype).kind == "u" else -2, n + 1)
+    rows = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    return n, np.array(rows, dtype=dtype).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_edge_arrays())
+def test_array_and_pairs_builds_agree(case):
+    n, arr = case
+    assert build_outcome(n, arr) == build_outcome(n, arr.tolist())
 
 
 def test_adjacency_sorted_and_symmetric():
