@@ -139,9 +139,10 @@ class CurveEstimate:
     base_seed: Optional[int] = None
 
 
-def _ceil_guarded(x: float) -> int:
-    # ceil robust to float noise at exactly-representable products
-    return math.ceil(round(x, 9))
+def _x_cap(x: float, n: int) -> int:
+    # ceil(x*n), robust to float noise at exactly representable products; a
+    # positive product below that noise still caps at 1
+    return max(1, math.ceil(round(x * n, 9)))
 
 
 def _generate(cfg: ExperimentConfig, r: int) -> Graph:
@@ -243,7 +244,7 @@ def estimate_curve_k(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
 
 
 def estimate_curve_x(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
-    """Estimate the kept fraction at caps proportional to n (``ceil(x*n)``).
+    """Estimate the kept fraction at caps proportional to n (``ceil(x*n)``, at least 1).
 
     At ``x = 1`` the cap equals ``n``, every graph is feasible as-is and
     all methods report a kept fraction of exactly 1.
@@ -251,7 +252,7 @@ def estimate_curve_x(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
     cfg.validate()
     if not cfg.x_grid:
         raise ValueError("config carries no x grid")
-    caps = [_ceil_guarded(x * cfg.n) for x in cfg.x_grid]
+    caps = [_x_cap(x, cfg.n) for x in cfg.x_grid]
     return _estimate(cfg, list(cfg.x_grid), caps, "x", jobs)
 
 
@@ -274,7 +275,7 @@ def verify_estimate(est: CurveEstimate) -> bool:
         method=est.method,
     )
     caps = [
-        int(p.grid_value) if est.grid_kind == "k" else _ceil_guarded(p.grid_value * est.n)
+        int(p.grid_value) if est.grid_kind == "k" else _x_cap(p.grid_value, est.n)
         for p in est.points
     ]
     for stream in sorted({s for p in est.points for s in p.streams}):
@@ -487,22 +488,29 @@ def _fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _grid_token(kind: str, value: float) -> str:
+    """A grid value as the CSV holds it."""
+    if kind == "k":
+        return str(int(value))
+    text = _fmt9(value)
+    return text if "." in text or "e" in text.lower() else text + ".0"
+
+
 def save_results(est: CurveEstimate, path) -> None:
     """Write an estimate as CSV, one row per (grid point, replicate).
 
     Floats carry 9 significant digits; ``x``-grid values always keep a
-    decimal point so the grid kind survives a round trip.
+    decimal point so the grid kind survives a round trip. Grid values
+    that would be written alike raise ``ValueError`` before the file is
+    opened, since their rows could not be told apart on loading.
     """
+    tokens = [_grid_token(est.grid_kind, p.grid_value) for p in est.points]
+    if len(set(tokens)) != len(tokens):
+        raise ValueError(f"grid values repeat as written to CSV: {', '.join(tokens)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for p in est.points:
-            if est.grid_kind == "k":
-                gtxt = str(int(p.grid_value))
-            else:
-                gtxt = _fmt9(p.grid_value)
-                if "." not in gtxt and "e" not in gtxt.lower():
-                    gtxt += ".0"
+        for gtxt, p in zip(tokens, est.points):
             for i, nu in enumerate(p.values):
                 writer.writerow(
                     [

@@ -135,7 +135,7 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 
 
 # ---------------------------------------------------------------------------
-# Reverse add-back
+# Reverse add-back and core elimination
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +177,47 @@ def _add_back(adj, present: bytearray, order: Iterable[int],
     return joined
 
 
+def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
+    """Empty the ``j``-core of the region marked in ``alive``; return the removals in order.
+
+    While the ``j``-core is not empty, its vertex with the most core
+    neighbours (smallest id on ties) is removed and cleared in ``alive``,
+    and every vertex left with fewer than ``j`` core neighbours leaves
+    the core. ``deg`` holds degrees in the region on entry and core
+    degrees on exit; for ``j <= 1`` these are degrees among the vertices
+    left. Degrees only fall, so a popped heap entry above its vertex's
+    degree is pushed back at that degree, not re-keyed at each decrement.
+    """
+    core = bytearray(alive)
+
+    def leave(stack: list[int]) -> None:
+        while stack:
+            v = stack.pop()
+            if core[v]:
+                core[v] = 0
+                for u in adj[v]:
+                    if core[u]:
+                        deg[u] -= 1
+                        if deg[u] < j:
+                            stack.append(u)
+
+    leave([v for v, d in enumerate(deg) if core[v] and d < j])
+    heap = [(-d, v) for v, d in enumerate(deg) if core[v]]
+    heapq.heapify(heap)
+    removed: list[int] = []
+    while heap:
+        dneg, v = heapq.heappop(heap)
+        if not core[v]:
+            continue
+        if deg[v] != -dneg:
+            heapq.heappush(heap, (-deg[v], v))
+            continue
+        alive[v] = 0
+        removed.append(v)
+        leave([v])
+    return removed
+
+
 # ---------------------------------------------------------------------------
 # Greedy component-capping
 # ---------------------------------------------------------------------------
@@ -193,8 +234,8 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     O(m log n) whatever the cap:
 
     1. Cap-1 elimination: while some vertex has a neighbour left, remove
-       the one of highest remaining degree, smallest id on ties, from one
-       lazy global max-heap.
+       the one of highest remaining degree, smallest id on ties; this
+       empties the 1-core (see :func:`_empty_core`).
     2. Reverse union-find: the removed vertices go back in reverse order,
        each joining the sets of its present neighbours; the size of its
        set then is the size of the component it was removed from.
@@ -207,23 +248,8 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
         raise ValueError(f"component cap must be >= 1, got {cap}")
     n = g.n
     adj = g.adj
-    deg = [len(a) for a in adj]
-    heap = [(-d, v) for v, d in enumerate(deg) if d]
-    heapq.heapify(heap)
     present = bytearray([1]) * n
-    order: list[int] = []
-    while heap:
-        dneg, v = heapq.heappop(heap)
-        if not present[v] or deg[v] != -dneg:
-            continue
-        present[v] = 0
-        order.append(v)
-        for u in adj[v]:
-            if present[u]:
-                deg[u] -= 1
-                if deg[u]:
-                    heapq.heappush(heap, (-deg[u], u))
-
+    order = _empty_core(adj, present, [len(a) for a in adj], 1)
     cut = _add_back(adj, present, reversed(order), lambda roots: True)
     res = _make_result(g, (v for v in range(n) if cut[v] <= cap), "greedy")
     return replace(res, cut_sizes=tuple(cut[v] for v in res.removed))
@@ -234,30 +260,16 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _peel(incore: bytearray, coredeg: list[int], adj, seeds: Iterable[int]) -> None:
-    """Strip vertices of core-degree <= 1 starting from ``seeds`` (cascading)."""
-    queue = list(seeds)
-    while queue:
-        v = queue.pop()
-        if not incore[v] or coredeg[v] > 1:
-            continue
-        incore[v] = 0
-        for u in adj[v]:
-            if incore[u]:
-                coredeg[u] -= 1
-                if coredeg[u] <= 1:
-                    queue.append(u)
-
-
 def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     """A maximal induced forest of the region induced by ``verts``.
 
     Two passes, O(m log n):
 
     1. Elimination: while the region has a 2-core, remove its vertex of
-       highest degree in the region (smallest id on ties), then peel the
-       core again. One lazy max-heap holds the core. A removal needs no
-       cycle test: the next pass restores every one that closes no cycle.
+       highest degree in the 2-core (smallest id on ties), then peel the
+       core again (see :func:`_empty_core`). This is CoreHD (Zdeborova,
+       Zhang & Zhou, Sci. Rep. 6, 37954, 2016). A removal needs no cycle
+       test: the next pass restores every one that closes no cycle.
     2. Add-back: starting from the surviving forest, the removals go back
        in reverse order, each only when its present neighbours lie in
        distinct trees.
@@ -272,31 +284,8 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     verts = list(verts)
     for v in verts:
         alive[v] = 1
-    deg = [0] * g.n
-    for v in verts:
-        deg[v] = sum(alive[u] for u in adj[v])
-
-    incore = bytearray(alive)
-    coredeg = deg[:]
-    _peel(incore, coredeg, adj, [v for v in verts if deg[v] <= 1])
-    heap = [(-deg[v], v) for v in verts if incore[v]]
-    heapq.heapify(heap)
-
-    removed: list[int] = []
-    while heap:
-        dneg, v = heapq.heappop(heap)
-        if not incore[v] or deg[v] != -dneg:
-            continue
-        alive[v] = 0
-        removed.append(v)
-        for u in adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-                if incore[u]:
-                    heapq.heappush(heap, (-deg[u], u))
-        coredeg[v] = 0
-        _peel(incore, coredeg, adj, [v])
-
+    deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(adj)]
+    removed = _empty_core(adj, alive, deg, 2)
     order = [v for v in verts if alive[v]] + removed[::-1]
     joined = _add_back(adj, bytearray(g.n), order, lambda roots: len(set(roots)) == len(roots))
     return [v for v in verts if joined[v]]
@@ -305,8 +294,8 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
 def decycle_heuristic(g: Graph) -> FragmentationResult:
     """Remove vertices until the whole graph is a forest.
 
-    The max-degree vertex of the 2-core goes until no core is left, then
-    every removal that closes no cycle comes back (see
+    The 2-core vertex with the most 2-core neighbours goes until no core
+    is left, then every removal that closes no cycle comes back (see
     :func:`_decycled_forest`). The forest is maximal, and each component
     loses at most its ``excess``.
     """
@@ -351,35 +340,27 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     """Shrink every oversized component of ``G[S]`` to exactly ``target`` vertices.
 
     A component of size ``t > target`` loses exactly ``t - target``
-    vertices (maximum degree first, smaller id on ties); smaller
-    components are untouched.
+    vertices: the oversized components are emptied highest degree first
+    (degree among the vertices left, smaller id on ties; see
+    :func:`_empty_core`), and each loses its first ``t - target``
+    removals. Smaller components are untouched. O(m log n) over ``S``.
     """
     if target < 1:
         raise ValueError(f"target size must be >= 1, got {target}")
     s_t = as_vertex_tuple(g, s)
     adj = g.adj
-    removed: list[int] = []
-    for comp in components(g, s_t).members():
-        if len(comp) <= target:
-            continue
-        deg = dict.fromkeys(comp, 0)  # degree in the component; removed vertices leave it
-        for v in comp:
-            deg[v] = sum(u in deg for u in adj[v])
-        heap = [(-d, v) for v, d in deg.items()]
-        heapq.heapify(heap)
-        for _ in range(len(comp) - target):
-            while True:
-                dneg, v = heapq.heappop(heap)
-                if deg.get(v) == -dneg:
-                    break
-            del deg[v]
-            removed.append(v)
-            for u in adj[v]:
-                if u in deg:
-                    deg[u] -= 1
-                    heapq.heappush(heap, (-deg[u], u))
-
-    gone = set(removed)
+    comp = components(g, s_t)
+    quota = [size - target for size in comp.sizes]
+    alive = bytearray(g.n)
+    for v in s_t:
+        alive[v] = quota[comp.labels[v]] > 0
+    deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(adj)]
+    gone = set()
+    for v in _empty_core(adj, alive, deg, 0):
+        c = comp.labels[v]
+        if quota[c] > 0:
+            quota[c] -= 1
+            gone.add(v)
     return _make_result(g, (v for v in s_t if v not in gone), "trim")
 
 

@@ -174,6 +174,16 @@ def test_curve_exact_limit_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["4,4,8", "4,4", "0.1,0.1000000001,0.5"])
+def test_curve_repeated_grid_exits_2(tmp_path, capsys, grid):
+    # the CSV would hold two grid values written alike, which does not load back
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "200",
+                       "--grid", grid, "--reps", "2", "--out", str(out))
+    assert code == 2 and "repeat" in err
+    assert not out.exists()
+
+
 def test_curve_bad_grid_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "50",
                        "--grid", "a,b", "--reps", "2", "--out", str(tmp_path / "x.csv"))

@@ -127,6 +127,17 @@ def test_x_grid_keeps_everything_at_one():
         assert all(v == 1.0 for v in est.points[-1].values)
 
 
+def test_tiny_x_caps_at_one():
+    # x * n below the 9-decimal rounding still caps at 1, never at 0
+    for method in ("greedy", "forest-pipeline"):
+        cfg = cfg_small(method=method, n=200, replicates=3, k_grid=None, x_grid=(1e-12, 0.5))
+        est = estimate_curve_x(cfg)
+        at_one = estimate_curve_k(dataclasses.replace(cfg, k_grid=(1,), x_grid=None)).points[0]
+        assert est.points[0].values == at_one.values
+        assert est.points[0].max_components == at_one.max_components == (1, 1, 1)
+        assert verify_estimate(est)
+
+
 def test_x_monotone_per_matched_seed():
     cfg = cfg_small(
         method="greedy", n=400, replicates=5, k_grid=None,
@@ -462,6 +473,17 @@ def test_saved_file_shape(tmp_path):
     loaded = load_results(p)
     assert loaded.grid_kind == "x"
     assert [pt.grid_value for pt in loaded.points] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("grid", [dict(k_grid=(4, 4, 8)),
+                                  dict(k_grid=None, x_grid=(0.1, 0.1000000001, 0.5))])
+def test_save_rejects_grid_values_written_alike(tmp_path, grid):
+    cfg = cfg_small(method="greedy", n=30, replicates=2, **grid)
+    est = estimate_curve_k(cfg) if cfg.k_grid else estimate_curve_x(cfg)
+    p = tmp_path / "dup.csv"
+    with pytest.raises(ValueError, match="repeat"):
+        save_results(est, p)
+    assert not p.exists()
 
 
 def test_load_rejects_bad_header(tmp_path):

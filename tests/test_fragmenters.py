@@ -29,6 +29,7 @@ from dismantle import (
     strip_short_cycles,
     trim_components,
 )
+from dismantle.fragmenters import _empty_core
 
 
 def c5():
@@ -408,7 +409,7 @@ def decycle_reference(g):
     alive = bytearray([1]) * g.n
     removed = []
     while core := two_core(g, alive):
-        v = max(core, key=lambda v: (sum(alive[u] for u in g.adj[v]), -v))
+        v = max(core, key=lambda v: (sum(u in core for u in g.adj[v]), -v))
         alive[v] = 0
         removed.append(v)
     kept = [v for v in range(g.n) if alive[v]]
@@ -440,8 +441,9 @@ def triangles_joined_by_path(length):
     """Two triangles joined by a path of ``length`` edges.
 
     Every inner path vertex carries two pendant leaves, so it has the top
-    degree and is removed first, yet lies in the 2-core on no cycle and
-    has to come back in the add-back pass.
+    degree in the graph, yet only degree 2 in the 2-core and lies on no
+    cycle: a key on degree in the graph would remove it first and need
+    the add-back pass to restore it.
     """
     edges = [(0, 1), (1, 2), (2, 0)]
     n = 3
@@ -478,6 +480,33 @@ def decycle_cases():
 def test_decycle_matches_reference():
     for g in decycle_cases():
         assert sorted(decycle_heuristic(g).removed) == decycle_reference(g)
+
+
+def test_decycle_restores_a_core_vertex_on_no_cycle():
+    # hub 0 joins three triangles by bridges: it ties on 2-core degree 3
+    # with the triangle vertices it touches, goes first by id, and comes
+    # back once a vertex of each triangle is gone
+    g = build_graph(10, [(0, 1), (0, 4), (0, 7), (1, 2), (2, 3), (3, 1),
+                         (4, 5), (5, 6), (6, 4), (7, 8), (8, 9), (9, 7)])
+    alive = bytearray([1]) * g.n
+    assert _empty_core(g.adj, alive, [len(a) for a in g.adj], 2) == [0, 1, 4, 7]
+    assert list(decycle_heuristic(g).removed) == decycle_reference(g) == [1, 4, 7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_empty_core_leaves_no_core(g, data):
+    region = data.draw(st.sets(st.integers(0, g.n - 1)))
+    for j in (0, 1, 2):
+        alive = bytearray(g.n)
+        for v in region:
+            alive[v] = 1
+        deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
+        removed = _empty_core(g.adj, alive, deg, j)
+        left = [v for v in range(g.n) if alive[v]]
+        assert sorted(removed + left) == sorted(region)
+        sub, _ = induced_subgraph(g, left)
+        assert (sub.n, sub.m, excess(sub))[j] == 0  # empty, edgeless, a forest
 
 
 @settings(max_examples=150, deadline=None)
@@ -587,6 +616,57 @@ def test_trim_counting_identity():
 def test_trim_validation():
     with pytest.raises(ValueError):
         trim_components(c5(), range(5), 0)
+
+
+def trim_reference(g, s, target):
+    """Removed vertices of ``s``, sorted: each component of ``G[S]`` loses its
+    vertex of highest degree among those left, smallest id on ties,
+    recomputed from scratch at every step, until ``target`` are left."""
+    alive = set(s)
+    removed = []
+    seen = set()
+    for root in sorted(alive):
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            for u in g.adj[stack.pop()]:
+                if u in alive and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        for _ in range(len(comp) - target):
+            v = max(comp, key=lambda v: (sum(u in comp for u in g.adj[v]), -v))
+            comp.discard(v)
+            removed.append(v)
+    return sorted(removed)
+
+
+def trim_removals(g, s, target):
+    return sorted(set(s) - set(trim_components(g, s, target).kept))
+
+
+def test_trim_matches_reference():
+    rng = random.Random(717)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.randint(0, 2 * n), rng)
+        s = [v for v in range(n) if rng.random() < 0.8]
+        target = rng.randint(1, 5)
+        assert trim_removals(g, s, target) == trim_reference(g, s, target)
+    for seed, (n, d) in enumerate([(20, 3), (30, 4)]):
+        g = random_regular(n, d, seed=seed)
+        for target in range(1, 6):
+            assert trim_removals(g, range(n), target) == trim_reference(g, range(n), target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_trim_matches_reference_on_small_graphs(g, data):
+    s = data.draw(st.sets(st.integers(0, g.n - 1)))
+    target = data.draw(st.integers(1, 5))
+    assert trim_removals(g, s, target) == trim_reference(g, s, target)
 
 
 # ---------------------------------------------------------------------------
