@@ -21,6 +21,7 @@ from .exact import exact_max_forest, exact_max_induced
 from .experiments import (
     ExperimentConfig,
     ResultsFormatError,
+    _grid_tokens,
     estimate_curve_k,
     estimate_curve_x,
     gap_demo,
@@ -190,6 +191,7 @@ def _cmd_curve(args) -> int:
         k_grid=grid if kind == "k" else None,
         x_grid=grid if kind == "x" else None,
     )
+    _grid_tokens(kind, grid)  # a repeat fails the CSV: refuse it before estimating
     est = estimate_curve_k(cfg, jobs=args.jobs) if kind == "k" else estimate_curve_x(cfg, jobs=args.jobs)
     save_results(est, args.out)
     for pt in est.points:

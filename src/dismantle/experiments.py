@@ -25,6 +25,7 @@ from .analysis import admissible_delta, components_pass_density
 from .exact import exact_max_induced
 from .fragmenters import (
     FragmentationResult,
+    _certify_caps,
     _fragment_forest_removals,
     _make_result,
     component_cap,
@@ -156,7 +157,8 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
     """One witness per cap for replicate graph ``g``.
 
     ``greedy`` runs once, at the smallest cap; the removals at cap ``k``
-    are the vertices whose recorded cut size exceeds ``k``.
+    are the vertices whose recorded cut size exceeds ``k``, and one
+    union-find pass certifies every cap (see :func:`_certify_caps`).
     ``forest-pipeline`` decycles ``g`` at most once, and only when some
     cap is below the largest component, then cuts the forest per cap.
     """
@@ -164,9 +166,10 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
         return [exact_max_induced(g, cap, limit=oracle_limit) for cap in caps]
     if method == "greedy":
         run = greedy_fragment(g, min(caps))
-        cut = dict(zip(run.removed, run.cut_sizes))
-        return [_make_result(g, (v for v in range(g.n) if cut.get(v, 0) <= cap), "greedy")
-                for cap in caps]
+        rank = [0] * g.n
+        for v, size in zip(run.removed, run.cut_sizes):
+            rank[v] = size
+        return _certify_caps(g, rank, caps, "greedy")
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest
@@ -496,6 +499,14 @@ def _grid_token(kind: str, value: float) -> str:
     return text if "." in text or "e" in text.lower() else text + ".0"
 
 
+def _grid_tokens(kind: str, values: Sequence[float]) -> list[str]:
+    """Grid values as the CSV holds them; ``ValueError`` if two are written alike."""
+    tokens = [_grid_token(kind, v) for v in values]
+    if len(set(tokens)) != len(tokens):
+        raise ValueError(f"grid values repeat as written to CSV: {', '.join(tokens)}")
+    return tokens
+
+
 def save_results(est: CurveEstimate, path) -> None:
     """Write an estimate as CSV, one row per (grid point, replicate).
 
@@ -504,9 +515,7 @@ def save_results(est: CurveEstimate, path) -> None:
     that would be written alike raise ``ValueError`` before the file is
     opened, since their rows could not be told apart on loading.
     """
-    tokens = [_grid_token(est.grid_kind, p.grid_value) for p in est.points]
-    if len(set(tokens)) != len(tokens):
-        raise ValueError(f"grid values repeat as written to CSV: {', '.join(tokens)}")
+    tokens = _grid_tokens(est.grid_kind, [p.grid_value for p in est.points])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Tuple
+from itertools import compress
+from typing import Callable, Iterable, Sequence, Tuple
 
 from .analysis import components_pass_density
 from .graph import Graph, as_vertex_tuple, components, excess
@@ -55,6 +56,56 @@ def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationRes
     removed = tuple(v for v, c in enumerate(comp.labels) if c < 0)
     nu = 1.0 if g.n == 0 else len(kept_t) / g.n
     return FragmentationResult(kept_t, removed, comp.largest, method, nu, comp.count)
+
+
+def _certify_caps(g: Graph, rank: Sequence[int], caps: Sequence[int],
+                  method: str) -> list[FragmentationResult]:
+    """One result per cap of ``caps``, in its order: the vertices ``v`` with
+    ``rank[v] <= cap`` kept, the rest removed.
+
+    The kept sets are nested, so one union-find over ``g.adj`` certifies
+    them all: vertices join in order of rank, and at each distinct cap,
+    smallest first, the largest component and the component count are
+    read off the union-find. Like :func:`_make_result`, this recomputes
+    feasibility from the graph and trusts nothing about ``rank``. The
+    cost is O(m α + n |caps|) after the sort; a single set is cheaper
+    through :func:`_make_result`.
+    """
+    n = g.n
+    adj = g.adj
+    order = sorted(range(n), key=rank.__getitem__)
+    parent = list(range(n))
+    size = [1] * n
+    present = bytearray(n)
+    absent = bytearray([1]) * n
+    largest = count = i = 0
+    by_cap = {}
+    for cap in sorted(set(caps)):
+        while i < n and rank[order[i]] <= cap:
+            v = order[i]
+            i += 1
+            present[v] = 1
+            absent[v] = 0
+            count += 1
+            root = v
+            for u in adj[v]:
+                if present[u]:
+                    while parent[u] != u:
+                        parent[u] = parent[parent[u]]
+                        u = parent[u]
+                    if u != root:
+                        if size[u] > size[root]:
+                            u, root = root, u
+                        parent[u] = root
+                        size[root] += size[u]
+                        count -= 1
+            if size[root] > largest:
+                largest = size[root]
+        kept = tuple(compress(range(n), present))
+        nu = 1.0 if n == 0 else len(kept) / n
+        by_cap[cap] = FragmentationResult(kept, tuple(compress(range(n), absent)),
+                                          largest, method, nu, count)
+    return [by_cap[cap] for cap in caps]
 
 
 def max_component_size(g: Graph, kept: Iterable[int]) -> int:
@@ -187,7 +238,11 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
     degrees on exit; for ``j <= 1`` these are degrees among the vertices
     left. Degrees only fall, so a popped heap entry above its vertex's
     degree is pushed back at that degree, not re-keyed at each decrement.
+    A heap entry is the int ``(top - degree) * n + v``, with ``top`` the
+    largest degree on entry: it pops in the order of ``(-degree, v)``.
     """
+    n = len(adj)
+    top = max(deg, default=0)
     core = bytearray(alive)
 
     def leave(stack: list[int]) -> None:
@@ -202,15 +257,15 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
                             stack.append(u)
 
     leave([v for v, d in enumerate(deg) if core[v] and d < j])
-    heap = [(-d, v) for v, d in enumerate(deg) if core[v]]
+    heap = [(top - d) * n + v for v, d in enumerate(deg) if core[v]]
     heapq.heapify(heap)
     removed: list[int] = []
     while heap:
-        dneg, v = heapq.heappop(heap)
+        q, v = divmod(heapq.heappop(heap), n)
         if not core[v]:
             continue
-        if deg[v] != -dneg:
-            heapq.heappush(heap, (-deg[v], v))
+        if deg[v] != top - q:
+            heapq.heappush(heap, (top - deg[v]) * n + v)
             continue
         alive[v] = 0
         removed.append(v)

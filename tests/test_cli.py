@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from dismantle import load_results, read_edgelist
+from dismantle import experiments, load_results, read_edgelist
 from dismantle.cli import main
 
 
@@ -175,8 +175,13 @@ def test_curve_exact_limit_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", ["4,4,8", "4,4", "0.1,0.1000000001,0.5"])
-def test_curve_repeated_grid_exits_2(tmp_path, capsys, grid):
-    # the CSV would hold two grid values written alike, which does not load back
+def test_curve_repeated_grid_exits_2(tmp_path, capsys, monkeypatch, grid):
+    # the CSV would hold two grid values written alike, which does not load
+    # back; the run is refused before any replicate is estimated
+    def replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "_replicate_rows", replicate)
     out = tmp_path / "x.csv"
     code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "200",
                        "--grid", grid, "--reps", "2", "--out", str(out))

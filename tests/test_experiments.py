@@ -203,7 +203,8 @@ def replicate_graph(cfg, r):
 )
 def test_greedy_rows_match_separate_runs(overrides):
     # one greedy run per replicate serves the whole grid: unsorted grids,
-    # repeated caps and caps >= n give the rows of separate runs per cap
+    # repeated caps and caps >= n give the rows, and the certified results,
+    # of separate runs per cap
     cfg = cfg_small(method="greedy", n=300, replicates=3, **overrides)
     if cfg.k_grid:
         est, caps = estimate_curve_k(cfg), list(cfg.k_grid)
@@ -211,8 +212,10 @@ def test_greedy_rows_match_separate_runs(overrides):
         est, caps = estimate_curve_x(cfg), [math.ceil(round(x * cfg.n, 9)) for x in cfg.x_grid]
     for r in range(cfg.replicates):
         g = replicate_graph(cfg, r)
-        for p, cap in zip(est.points, caps):
+        rows = experiments._method_results(g, caps, "greedy", cfg.oracle_limit)
+        for p, cap, row in zip(est.points, caps, rows):
             res = greedy_fragment(g, cap)
+            assert row == dataclasses.replace(res, cut_sizes=())
             assert p.values[r] == res.nu
             assert p.max_components[r] == res.max_component <= cap
         by_cap = sorted(zip(caps, (p.values[r] for p in est.points)))

@@ -29,7 +29,7 @@ from dismantle import (
     strip_short_cycles,
     trim_components,
 )
-from dismantle.fragmenters import _empty_core
+from dismantle.fragmenters import _certify_caps, _empty_core, _make_result
 
 
 def c5():
@@ -390,6 +390,46 @@ def test_cut_sizes_empty_outside_greedy():
 
 
 # ---------------------------------------------------------------------------
+# _certify_caps
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ranked_graphs(draw):
+    n = draw(st.integers(0, 60))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n)) if n else []
+    g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    rank = draw(st.lists(st.integers(-2, n + 3), min_size=n, max_size=n))
+    # unsorted and repeated, with 0 and caps at or above n among the draws
+    caps = draw(st.lists(st.integers(0, n + 3), min_size=1, max_size=8))
+    return g, rank, caps
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_graphs())
+def test_certify_caps_matches_make_result(case):
+    g, rank, caps = case
+    results = _certify_caps(g, rank, caps, "m")
+    assert len(results) == len(caps)
+    for cap, res in zip(caps, results):
+        assert res == _make_result(g, [v for v in range(g.n) if rank[v] <= cap], "m")
+
+
+def test_certify_caps_reports_true_sizes():
+    # the ranks claim nothing is cut, so the whole path and cycle survive
+    # every cap; the rows must say so rather than echo the cap
+    g = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
+    for res in _certify_caps(g, [0] * 9, (1, 2, 9), "greedy"):
+        assert (res.max_component, res.component_count, res.nu) == (5, 2, 1.0)
+    # a rank that keeps both ends of a path joins them only with the middle
+    path5 = path(5)
+    rows = _certify_caps(path5, [1, 1, 3, 1, 1], (3, 1, 2), "greedy")
+    assert [(r.max_component, r.component_count, r.removed) for r in rows] == [
+        (5, 1, ()), (2, 2, (2,)), (2, 2, (2,))]
+
+
+# ---------------------------------------------------------------------------
 # decycle_heuristic
 # ---------------------------------------------------------------------------
 
@@ -491,6 +531,49 @@ def test_decycle_restores_a_core_vertex_on_no_cycle():
     alive = bytearray([1]) * g.n
     assert _empty_core(g.adj, alive, [len(a) for a in g.adj], 2) == [0, 1, 4, 7]
     assert list(decycle_heuristic(g).removed) == decycle_reference(g) == [1, 4, 7]
+
+
+def empty_core_reference(g, region, j):
+    """Removal order of ``_empty_core``, from scratch at every step: peel the
+    ``j``-core of what is left, then remove its vertex with the most core
+    neighbours, smallest id on ties."""
+    alive = set(region)
+    order = []
+    while True:
+        core = set(alive)
+        while low := {v for v in core if sum(u in core for u in g.adj[v]) < j}:
+            core -= low
+        if not core:
+            return order
+        v = max(core, key=lambda v: (sum(u in core for u in g.adj[v]), -v))
+        alive.discard(v)
+        order.append(v)
+
+
+def test_empty_core_ties_at_top_degree_and_largest_id():
+    # heap keys pack (degree, id) into one int; these graphs tie on the
+    # largest degree and put a tie, or the hub, on the largest id
+    def star(n, centre):
+        return build_graph(n, [tuple(sorted((centre, v))) for v in range(n) if v != centre])
+
+    def complete(n):
+        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+    def cycle(n):
+        return build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+
+    graphs = [star(7, 6), star(7, 0), star(2, 1), complete(2), complete(5), complete(8),
+              cycle(3), cycle(6), cycle(11), c5(), k4(), build_graph(1, []), build_graph(0, [])]
+    graphs += [random_regular(n, d, seed=n + d) for n, d in [(10, 3), (16, 3), (12, 4), (21, 4)]]
+    for g in graphs:
+        for j in (0, 1, 2):
+            for region in (range(g.n), range(g.n - 1), range(1, g.n)):
+                alive = bytearray(g.n)
+                for v in region:
+                    alive[v] = 1
+                deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
+                order = _empty_core(g.adj, alive, deg, j)
+                assert order == empty_core_reference(g, region, j), (g, j, region)
 
 
 @settings(max_examples=150, deadline=None)
