@@ -74,4 +74,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

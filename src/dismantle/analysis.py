@@ -181,9 +181,9 @@ def admissible_delta(c: float, eps: float) -> float:
     """Largest grid ``delta`` whose tail exponent is certified at ``tau = 1/delta``.
 
     The result is strictly below both ``eps/3`` and ``2/c``. It shrinks
-    like ``exp(-K/eps)`` and underflows double precision for very small
-    tolerances (around ``eps < 0.06`` at ``c = 2``), which is rejected
-    rather than silently returned as zero.
+    like ``exp(-K/eps)``; at ``c = 2`` it is 2.7e-314 at ``eps = 0.03``
+    and underflows to zero just below ``eps = 0.0291``, which is
+    rejected rather than silently returned as zero.
     """
     delta = delta_sweep(c, eps)[-1].delta
     if delta <= 0.0:

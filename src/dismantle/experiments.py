@@ -27,6 +27,7 @@ from .fragmenters import (
     FragmentationResult,
     _certify_caps,
     _fragment_forest_removals,
+    _greedy_cuts,
     _make_result,
     component_cap,
     decycle_heuristic,
@@ -156,20 +157,16 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
                     oracle_limit: int) -> list[FragmentationResult]:
     """One witness per cap for replicate graph ``g``.
 
-    ``greedy`` runs once, at the smallest cap; the removals at cap ``k``
-    are the vertices whose recorded cut size exceeds ``k``, and one
-    union-find pass certifies every cap (see :func:`_certify_caps`).
+    ``greedy`` eliminates once: the removals at cap ``k`` are the
+    vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`), and
+    one union-find pass certifies every cap (see :func:`_certify_caps`).
     ``forest-pipeline`` decycles ``g`` at most once, and only when some
     cap is below the largest component, then cuts the forest per cap.
     """
     if method == "exact":
         return [exact_max_induced(g, cap, limit=oracle_limit) for cap in caps]
     if method == "greedy":
-        run = greedy_fragment(g, min(caps))
-        rank = [0] * g.n
-        for v, size in zip(run.removed, run.cut_sizes):
-            rank[v] = size
-        return _certify_caps(g, rank, caps, "greedy")
+        return _certify_caps(g, _greedy_cuts(g), caps, "greedy")
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest
@@ -567,13 +564,15 @@ def load_results(path) -> CurveEstimate:
                 r_param = float(row[1])
                 r_n = int(row[2])
                 gtoken = row[3]
-                float(gtoken)
+                grid_value = float(gtoken)
                 replicate = int(row[4])
                 nu = float(row[5])
                 max_component = int(row[6])
                 stream = int(row[7])
             except ValueError:
                 raise ResultsFormatError(f"line {lineno}: malformed field") from None
+            if not math.isfinite(grid_value):
+                raise ResultsFormatError(f"line {lineno}: grid value not finite: {gtoken}")
             if not 0.0 <= nu <= 1.0:
                 raise ResultsFormatError(f"line {lineno}: nu out of range: {nu}")
             if max_component < 0 or replicate < 0 or stream < 0 or r_n < 1:

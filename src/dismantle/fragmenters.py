@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -33,12 +33,6 @@ class FragmentationResult:
     the largest component of the subgraph induced by ``kept``; ``nu`` is
     the kept fraction ``len(kept) / n``. ``component_count`` is carried
     as a descriptive statistic of the surviving subgraph.
-
-    ``cut_sizes``, aligned with ``removed``, holds the exact size of the
-    component each vertex was removed from, read off a union-find that
-    adds the removals back in reverse order; only :func:`greedy_fragment`
-    fills it, and greedy at any larger cap ``k`` removes exactly the
-    vertices whose cut size exceeds ``k``.
     """
 
     kept: Tuple[int, ...]
@@ -47,7 +41,6 @@ class FragmentationResult:
     method: str
     nu: float
     component_count: int = 0
-    cut_sizes: Tuple[int, ...] = ()
 
 
 def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationResult:
@@ -278,15 +271,9 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
-    """Cap component sizes by repeated maximum-degree removals.
-
-    While some component exceeds ``cap``, its highest-degree vertex
-    (smallest id on ties) is removed. A vertex is picked from its
-    component alone, never by the cap, so the removals at cap ``k`` are
-    the cap-1 removals made from components of more than ``k`` vertices,
-    and removal sets shrink as the cap grows. The work is two passes,
-    O(m log n) whatever the cap:
+def _greedy_cuts(g: Graph) -> list[int]:
+    """Every vertex's greedy cut size: the size of the component it was
+    removed from at cap 1, or 0 if it never was. Two passes, O(m log n):
 
     1. Cap-1 elimination: while some vertex has a neighbour left, remove
        the one of highest remaining degree, smallest id on ties; this
@@ -294,20 +281,28 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     2. Reverse union-find: the removed vertices go back in reverse order,
        each joining the sets of its present neighbours; the size of its
        set then is the size of the component it was removed from.
+    """
+    adj = g.adj
+    present = bytearray([1]) * g.n
+    order = _empty_core(adj, present, [len(a) for a in adj], 1)
+    return _add_back(adj, present, reversed(order), lambda roots: True)
 
-    The result removes the vertices whose cut size exceeds ``cap``;
-    ``cut_sizes`` holds those exact sizes, so the removals at any cap
-    ``k >= cap`` are the vertices whose entry exceeds ``k``.
+
+def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
+    """Cap component sizes by repeated maximum-degree removals.
+
+    While some component exceeds ``cap``, its highest-degree vertex
+    (smallest id on ties) is removed. A vertex is picked from its
+    component alone, never by the cap, so the removals at cap ``k`` are
+    the cap-1 removals made from components of more than ``k`` vertices,
+    and removal sets shrink as the cap grows. So the result removes the
+    vertices whose cut size (see :func:`_greedy_cuts`) exceeds ``cap``,
+    in O(m log n) whatever the cap.
     """
     if cap < 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
-    n = g.n
-    adj = g.adj
-    present = bytearray([1]) * n
-    order = _empty_core(adj, present, [len(a) for a in adj], 1)
-    cut = _add_back(adj, present, reversed(order), lambda roots: True)
-    res = _make_result(g, (v for v in range(n) if cut[v] <= cap), "greedy")
-    return replace(res, cut_sizes=tuple(cut[v] for v in res.removed))
+    cut = _greedy_cuts(g)
+    return _make_result(g, (v for v in range(g.n) if cut[v] <= cap), "greedy")
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,16 @@ class EdgeListFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    ``edges`` is a sorted tuple of ``(u, v)`` pairs with ``u < v``;
-    ``adj`` is a tuple of sorted neighbor tuples. Both are fixed at
-    construction time and hold Python ``int``s.
+    ``adj`` is a tuple of ascending neighbor tuples of Python ``int``s,
+    fixed at construction time; :attr:`edges` is derived from it.
 
-    ``edges`` may be an iterable of pairs or an integer ``(m, 2)`` numpy
-    array. Both forms get the same range, self-loop and duplicate checks
-    and the same error messages; the array form runs them, and builds the
-    graph, in numpy, which is how the generators pass their samples.
+    The ``edges`` argument may be an iterable of pairs or an integer
+    ``(m, 2)`` numpy array. Both forms get the same range, self-loop and
+    duplicate checks and the same error messages; the array form, which
+    the generators use, runs them and builds the graph in numpy.
     """
 
-    __slots__ = ("n", "m", "edges", "adj")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -62,33 +61,33 @@ class Graph:
             adj[v].append(u)
         self.n = n
         self.m = len(norm)
-        self.edges: Tuple[Tuple[int, int], ...] = tuple(norm)
         self.adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
 
     def _init_from_array(self, n: int, edges: np.ndarray) -> bool:
         """Build from an ``(m, 2)`` integer array; False if any check fails."""
         # uint64 ids of 2**63 and above wrap to negative: out of range too.
         a = edges.astype(np.int64, copy=False)
-        lo = np.minimum(a[:, 0], a[:, 1])
-        hi = np.maximum(a[:, 0], a[:, 1])
-        if a.size and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+        u, v = a[:, 0], a[:, 1]
+        if a.size and (a.min() < 0 or a.max() >= n or np.any(u == v)):
             return False
-        key = np.sort(lo * n + hi)
-        if np.any(key[1:] == key[:-1]):
-            return False
-        lo, hi = np.divmod(key, n)
         # Both directions of every edge, sorted as (source, target) keys,
-        # list each vertex's neighbors in ascending order.
-        half = np.sort(np.concatenate((key, hi * n + lo)))
+        # list each vertex's neighbors in ascending order; with no
+        # self-loops, two equal keys mean a duplicate edge.
+        half = np.sort(np.concatenate((u * n + v, v * n + u)))
+        if np.any(half[1:] == half[:-1]):
+            return False
         ends = np.cumsum(np.bincount(half // n, minlength=n)).tolist()
-        # One int object per vertex, shared by every edge and neighbor entry.
-        ids = np.arange(n).astype(object)
-        flat = tuple(ids[half % n].tolist())
+        # One int object per vertex, shared by every neighbor entry.
+        flat = tuple(np.arange(n).astype(object)[half % n].tolist())
         self.n = n
-        self.m = len(key)
-        self.edges = tuple(zip(ids[lo].tolist(), ids[hi].tolist()))
+        self.m = len(a)
         self.adj = tuple(flat[s:e] for s, e in zip([0] + ends[:-1], ends))
         return True
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """Sorted tuple of the ``(u, v)`` edges with ``u < v``, derived from ``adj`` in O(m)."""
+        return tuple((u, v) for u, a in enumerate(self.adj) for v in a if v > u)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -96,7 +95,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -141,13 +140,15 @@ class ComponentDecomposition:
         return out
 
     def edge_counts(self, g: Graph) -> list[int]:
-        """Edges of ``g`` inside each component, in one pass over ``g.edges``."""
+        """Edges of ``g`` inside each component, each counted once from its smaller end."""
         labels = self.labels
         counts = [0] * len(self.sizes)
-        for u, v in g.edges:
+        for u, a in enumerate(g.adj):
             c = labels[u]
-            if c >= 0 and labels[v] == c:
-                counts[c] += 1
+            if c >= 0:
+                for v in a:
+                    if v > u and labels[v] == c:
+                        counts[c] += 1
         return counts
 
 

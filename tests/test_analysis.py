@@ -205,6 +205,14 @@ def test_delta_validation():
         admissible_delta(2.0, 0.0)
 
 
+def test_delta_underflow_boundary():
+    # at c = 2 delta is subnormal but positive at eps = 0.03 and
+    # underflows to zero between eps = 0.0291 and 0.029
+    assert 0.0 < admissible_delta(2.0, 0.03) < 1e-300
+    with pytest.raises(ValueError, match="underflows"):
+        admissible_delta(2.0, 0.029)
+
+
 def test_simplified_exponent_dominates_below_delta_n():
     # pick n so that delta*n = 10 and sweep every admissible set size
     c, eps = 2.0, 0.5

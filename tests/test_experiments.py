@@ -215,7 +215,7 @@ def test_greedy_rows_match_separate_runs(overrides):
         rows = experiments._method_results(g, caps, "greedy", cfg.oracle_limit)
         for p, cap, row in zip(est.points, caps, rows):
             res = greedy_fragment(g, cap)
-            assert row == dataclasses.replace(res, cut_sizes=())
+            assert row == res
             assert p.values[r] == res.nu
             assert p.max_components[r] == res.max_component <= cap
         by_cap = sorted(zip(caps, (p.values[r] for p in est.points)))
@@ -224,27 +224,27 @@ def test_greedy_rows_match_separate_runs(overrides):
 
 def count_greedy_calls(monkeypatch):
     calls = []
-    real = experiments.greedy_fragment
+    real = experiments._greedy_cuts
 
-    def counted(g, cap):
-        calls.append(cap)
-        return real(g, cap)
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
 
-    monkeypatch.setattr(experiments, "greedy_fragment", counted)
+    monkeypatch.setattr(experiments, "_greedy_cuts", counted)
     return calls
 
 
 def test_greedy_runs_once_per_replicate(monkeypatch):
     calls = count_greedy_calls(monkeypatch)
     est = estimate_curve_k(cfg_small(method="greedy", n=300, replicates=3, k_grid=(8, 2, 32, 4)))
-    assert calls == [2, 2, 2]
+    assert calls == [300] * 3
     calls.clear()
     estimate_curve_x(cfg_small(method="greedy", n=300, replicates=4, k_grid=None,
                                x_grid=(0.5, 0.05, 1.0)))
-    assert calls == [15] * 4
+    assert calls == [300] * 4
     calls.clear()
     assert verify_estimate(est)
-    assert calls == [2, 2, 2]
+    assert calls == [300] * 3
 
 
 def test_forest_pipeline_rows_match_public_api():
@@ -521,6 +521,18 @@ def test_load_rejects_malformed_row(tmp_path):
         "gnp,2,10,2,0,abc,2,0\n"
     )
     with pytest.raises(ResultsFormatError, match="line 2"):
+        load_results(p)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_load_rejects_non_finite_grid_value(tmp_path, token):
+    p = tmp_path / "grid.csv"
+    p.write_text(
+        "model,param,n,grid_value,replicate,nu,max_component,seed_stream\n"
+        "gnp,2,10,2,0,0.5,2,0\n"
+        f"gnp,2,10,{token},0,0.5,2,0\n"
+    )
+    with pytest.raises(ResultsFormatError, match="line 3"):
         load_results(p)
 
 

@@ -29,7 +29,7 @@ from dismantle import (
     strip_short_cycles,
     trim_components,
 )
-from dismantle.fragmenters import _certify_caps, _empty_core, _make_result
+from dismantle.fragmenters import _certify_caps, _empty_core, _greedy_cuts, _make_result
 
 
 def c5():
@@ -226,11 +226,17 @@ def greedy_reference(g, cap):
         removed.append(v)
 
 
+def cut_sizes(g, res):
+    """Greedy cut sizes of the vertices ``res`` removed, in its order."""
+    cut = _greedy_cuts(g)
+    return tuple(cut[v] for v in res.removed)
+
+
 def test_greedy_cap_at_least_n_is_noop():
     for g in (gnp(100, 2.0, seed=8), c6(), k4()):
         for cap in (g.n, g.n + 1, 10 * g.n):
             res = greedy_fragment(g, cap)
-            assert res.removed == () and res.cut_sizes == ()
+            assert res.removed == ()
             assert res.nu == 1.0
 
 
@@ -275,7 +281,7 @@ def test_greedy_without_edges_removes_nothing():
         g = build_graph(n, [])
         for cap in (1, 3):
             res = greedy_fragment(g, cap)
-            assert res.removed == () and res.cut_sizes == ()
+            assert res.removed == () and _greedy_cuts(g) == [0] * n
             assert res.kept == tuple(range(n))
 
 
@@ -283,7 +289,7 @@ def test_greedy_star_removes_centre():
     star = build_graph(7, [(4, i) for i in range(7) if i != 4])
     for cap in range(1, 7):
         res = greedy_fragment(star, cap)
-        assert res.removed == (4,) and res.cut_sizes == (7,)
+        assert res.removed == (4,) and cut_sizes(star, res) == (7,)
         assert res.max_component == 1
     assert greedy_fragment(star, 7).removed == ()
 
@@ -294,27 +300,27 @@ def test_greedy_complete_graph_cut_sizes():
         kn = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         res = greedy_fragment(kn, 1)
         assert res.removed == tuple(range(n - 1)) and res.kept == (n - 1,)
-        assert res.cut_sizes == tuple(range(n, 1, -1))
+        assert cut_sizes(kn, res) == tuple(range(n, 1, -1))
 
 
 def test_greedy_ties_go_to_smallest_id():
     # every vertex of a cycle ties on degree: 0 goes first (cut 6), then
     # 2 from the path 1..5 (cut 5), then 4 from the path 3-4-5 (cut 3)
     res = greedy_fragment(c6(), 1)
-    assert res.removed == (0, 2, 4) and res.cut_sizes == (6, 5, 3)
+    assert res.removed == (0, 2, 4) and cut_sizes(c6(), res) == (6, 5, 3)
     # 3x3 grid, id 3*row + col: the centre goes first, then the 8-cycle
     # around it is cut from its smallest ids down
     grid = build_graph(9, [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
                        + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)])
     res = greedy_fragment(grid, 1)
-    assert res.removed == (0, 2, 4, 6, 8) and res.cut_sizes == (8, 7, 9, 5, 3)
+    assert res.removed == (0, 2, 4, 6, 8) and cut_sizes(grid, res) == (8, 7, 9, 5, 3)
     # 4x4 torus: every vertex ties on degree 4
     torus = build_graph(16, sorted({tuple(sorted((4 * r + c, 4 * r + (c + 1) % 4)))
                                     for r in range(4) for c in range(4)}
                                    | {tuple(sorted((4 * r + c, 4 * ((r + 1) % 4) + c)))
                                       for r in range(4) for c in range(4)}))
     run = greedy_fragment(torus, 1)
-    assert run.removed[0] == 0 and run.cut_sizes[0] == 16
+    assert run.removed[0] == 0 and cut_sizes(torus, run)[0] == 16
     for g in (c6(), grid, torus):
         for cap in range(1, g.n + 1):
             assert list(greedy_fragment(g, cap).removed) == greedy_reference(g, cap)
@@ -338,7 +344,7 @@ def small_graphs(draw):
 def test_greedy_cut_sizes_give_every_larger_cap(g, caps):
     run = greedy_fragment(g, min(caps))
     for cap in caps:
-        above = [v for v, size in zip(run.removed, run.cut_sizes) if size > cap]
+        above = [v for v, size in zip(run.removed, cut_sizes(g, run)) if size > cap]
         assert above == greedy_reference(g, cap)
 
 
@@ -346,7 +352,7 @@ def test_greedy_cut_sizes_give_every_larger_cap(g, caps):
 @given(small_graphs())
 def test_greedy_cut_sizes_are_exact(g):
     run = greedy_fragment(g, 1)
-    for v, size in zip(run.removed, run.cut_sizes):
+    for v, size in zip(run.removed, cut_sizes(g, run)):
         assert v in greedy_reference(g, size - 1)
         assert v not in greedy_reference(g, size)
 
@@ -360,8 +366,7 @@ def test_greedy_removals_nested_and_cut_sizes_bounded():
         comps = components(g)
         for low in (1, 3, 8):
             run = greedy_fragment(g, low)
-            assert len(run.cut_sizes) == len(run.removed)
-            for v, size in zip(run.removed, run.cut_sizes):
+            for v, size in zip(run.removed, cut_sizes(g, run)):
                 assert low < size <= comps.sizes[comps.labels[v]]
         caps = [1, 2, 3, 5, 8, 13, 40, g.n]
         sets = [set(greedy_fragment(g, cap).removed) for cap in caps]
@@ -369,24 +374,6 @@ def test_greedy_removals_nested_and_cut_sizes_bounded():
             assert large <= small
         nus = [greedy_fragment(g, cap).nu for cap in caps]
         assert nus == sorted(nus)
-
-
-def test_cut_sizes_empty_outside_greedy():
-    g = gnp(60, 2.0, seed=21)
-    tiny = gnp(12, 2.5, seed=22)
-    forest, _ = induced_subgraph(g, decycle_heuristic(g).kept)
-    results = [
-        fragment_forest(forest, 3),
-        decycle_heuristic(g),
-        pipeline_fragment(g, range(g.n), 0.5),
-        trim_components(g, range(g.n), 3),
-        strip_short_cycles(g, greedy_fragment(g, 4).kept, 4),
-        exact_max_induced(tiny, 2),
-        exact_max_forest(tiny),
-    ]
-    for res in results:
-        assert res.removed, res.method
-        assert res.cut_sizes == (), res.method
 
 
 # ---------------------------------------------------------------------------

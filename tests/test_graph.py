@@ -130,8 +130,55 @@ def test_array_build_shares_one_int_per_vertex():
     # memory of a large graph below that of one object per endpoint.
     g = Graph(1000, np.array(gnp(1000, 3.0, seed=2).edges))
     first = {}
-    for u in chain(chain.from_iterable(g.edges), chain.from_iterable(g.adj)):
+    for u in chain.from_iterable(g.adj):
         assert first.setdefault(u, u) is u
+
+
+def stored_edges(pairs):
+    """The edge tuple ``Graph`` stored before it was derived from ``adj``."""
+    return tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+
+
+@st.composite
+def edge_input(draw, pairs):
+    """``pairs`` in any order, as a list or as an integer array."""
+    pairs = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs
+
+
+@st.composite
+def distinct_pairs(draw, n):
+    """Distinct edges on ``n`` vertices, each in either orientation."""
+    drawn = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n)) if n else []
+    return list({(min(u, v), max(u, v)): (u, v) for u, v in drawn if u != v}.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_derived_edges_match_the_stored_definition(data, n):
+    pairs = data.draw(distinct_pairs(n))
+    g = Graph(n, data.draw(edge_input(pairs)))
+    assert g.edges == stored_edges(pairs) and g.m == len(pairs)
+    # the other graph: the same edges reversed, perhaps one fewer and one
+    # more vertex, or an independent draw on as many vertices
+    if data.draw(st.booleans()):
+        n2 = n + data.draw(st.integers(0, 1))
+        pairs2 = [(v, u) for u, v in pairs[data.draw(st.integers(0, min(1, len(pairs)))):]]
+    else:
+        n2 = n
+        pairs2 = data.draw(distinct_pairs(n2))
+    g2 = Graph(n2, data.draw(edge_input(pairs2)))
+    assert (g == g2) == ((n, stored_edges(pairs)) == (n2, stored_edges(pairs2)))
+    for verts in (None, data.draw(st.sets(st.integers(0, n - 1))) if n else set()):
+        dec = components(g, verts)
+        counts = [0] * dec.count
+        for u, v in stored_edges(pairs):
+            if dec.labels[u] >= 0 and dec.labels[u] == dec.labels[v]:
+                counts[dec.labels[u]] += 1
+        assert dec.edge_counts(g) == counts
 
 
 def test_float_and_bool_arrays_take_the_pairs_path():
