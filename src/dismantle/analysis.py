@@ -213,58 +213,115 @@ class DensityReport:
     sets_examined: int
 
 
-def _connected_sets(adj, roots, t_max: int) -> Iterator[Tuple[list[int], int]]:
-    """Yield each connected set of at most ``t_max`` vertices whose smallest vertex is a root.
+def _connected_sets(
+    adj, roots, t_max: int, inside: list[int]
+) -> Iterator[Tuple[int, list[int], int, Optional[list[int]]]]:
+    """Walk the stems: the connected sets of at most ``t_max - 2`` vertices.
 
-    Sets are grouped by root, in the order of ``roots``. Each extension
-    candidate is considered once, taken or excluded for the whole branch,
-    which makes every set unique without storing the sets already seen.
-    ``inside[u]`` counts the neighbours ``u`` has in the current set: a
-    joining vertex ``w`` adds ``inside[w]`` edges, and a vertex above the
-    root is a new candidate exactly when its count is 0, because every
-    set vertex but the root has a neighbour in the set. The walk keeps an
-    explicit stack of candidate lists, so it needs O(n) extra memory and
-    no recursion, and adding or removing a vertex costs O(degree). Each
-    set is yielded as a scratch list, valid until the next step, with its
-    induced edge count.
+    Yields ``(root, stem, edges, cands)`` for every stem whose smallest
+    vertex is a root, grouped by root in the order of ``roots``, each
+    before the stems that extend it. ``cands`` is ``None`` while the walk
+    goes on into the stem's extensions. A stem of exactly ``t_max - 2``
+    vertices is a leaf: its ``cands`` lists the vertices that extend it,
+    and the sets one and two vertices larger, the last two levels, are
+    left to :func:`_tail_sets` (or counted in closed form). For
+    ``t_max <= 2`` each root has one leaf, the empty stem with
+    ``cands == [root]``. Each extension candidate is considered once,
+    taken or excluded for the whole branch, which makes every set unique
+    without storing the sets already seen.
+
+    ``inside`` must hold zeros on entry; while a stem is yielded,
+    ``inside[u]`` counts the neighbours ``u`` has in it. A joining vertex
+    ``w`` adds ``inside[w]`` edges, and a vertex above the root is a new
+    candidate exactly when its count is 0, because every set vertex but
+    the root has a neighbour in the set. The walk keeps an explicit stack
+    of candidate lists, so it needs O(n) extra memory and no recursion,
+    and adding or removing a vertex costs O(degree). ``stem`` is a scratch
+    list, valid until the walk resumes.
     """
-    inside = [0] * len(adj)
-    s_list: list[int] = []
+    stem: list[int] = []
     for root in roots:
-        stack = [([root], 0)]  # (candidates, edges of the set they extend)
+        if t_max <= 2:
+            yield root, stem, 0, [root]
+            continue
+        stack = [([root], 0)]  # (candidates, edges of the stem they extend)
         while stack:
             ext, e_count = stack[-1]
             if not ext:
                 stack.pop()
-                if s_list:
-                    for u in adj[s_list.pop()]:
+                if stem:
+                    for u in adj[stem.pop()]:
                         inside[u] -= 1
                 continue
             w = ext.pop()
             e2 = e_count + inside[w]
-            s_list.append(w)
-            yield s_list, e2
-            if len(s_list) == t_max:
-                s_list.pop()
-                continue
+            stem.append(w)
             new_ext = ext.copy()
             for u in adj[w]:
                 if u > root and not inside[u]:
                     new_ext.append(u)
                 inside[u] += 1
-            stack.append((new_ext, e2))
+            if len(stem) == t_max - 2:
+                yield root, stem, e2, new_ext
+                stack.append(([], e2))  # a leaf: the next step removes it
+            else:
+                yield root, stem, e2, None
+                stack.append((new_ext, e2))
+
+
+def _tail_sets(
+    adj, inside: list[int], root: int, stem: list[int], e_count: int, cands: list[int], t_max: int
+) -> Iterator[Tuple[list[int], int]]:
+    """Yield the sets one and two vertices larger than a leaf stem, in walk order.
+
+    Takes a leaf yielded by :func:`_connected_sets` while it is current
+    and consumes ``cands``. Each set is ``stem`` itself, extended in
+    place, with its induced edge count; once the tail is exhausted,
+    ``stem`` and ``inside`` are as they were.
+    """
+    while cands:
+        w = cands.pop()
+        e2 = e_count + inside[w]
+        stem.append(w)
+        yield stem, e2
+        if len(stem) < t_max:
+            ext = cands.copy()
+            for u in adj[w]:
+                if u > root and not inside[u]:
+                    ext.append(u)
+                inside[u] += 1
+            while ext:
+                x = ext.pop()
+                stem.append(x)
+                yield stem, e2 + inside[x]
+                stem.pop()
+            for u in adj[w]:
+                inside[u] -= 1
+        stem.pop()
 
 
 def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Lazily yield every connected vertex set of size <= ``t_max`` with its edge count.
 
-    Sets come as sorted vertex tuples, grouped by smallest vertex. A bad
+    Sets come as sorted vertex tuples, grouped by smallest vertex. The
+    walk visits the sets of at most ``t_max - 2`` vertices and expands
+    the last two levels below each of them one set at a time. A bad
     ``t_max`` raises :class:`ValueError` at call time, before iteration.
     """
     if t_max < 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
-    sets = _connected_sets(g.adj, range(g.n), t_max)
-    return ((tuple(sorted(s_list)), e_count) for s_list, e_count in sets)
+    return _all_sets(g.adj, t_max)
+
+
+def _all_sets(adj, t_max: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Every stem of the walk from every vertex, each followed by its expanded tail."""
+    inside = [0] * len(adj)
+    for root, stem, e_count, cands in _connected_sets(adj, range(len(adj)), t_max, inside):
+        if stem:
+            yield tuple(sorted(stem)), e_count
+        if cands:
+            for s_list, e2 in _tail_sets(adj, inside, root, stem, e_count, cands, t_max):
+                yield tuple(sorted(s_list)), e2
 
 
 def _too_dense(edges: int, size: int, eps: float) -> bool:
@@ -279,11 +336,18 @@ def density_scan(
 
     A violating set spans at least one more edge than it has vertices, so
     components of the graph with excess at most 1 provably contain no
-    violator and are skipped wholesale; ``sets_examined`` counts only
-    the sets actually enumerated, component by component. The scan holds
-    O(n) extra memory and uses no recursion, so ``t_max`` may be as large
-    as the graph. Exceeding ``budget`` examined sets raises
-    :class:`EnumerationBudgetError`.
+    violator and are skipped wholesale; ``sets_examined`` counts the
+    connected sets of at most ``t_max`` vertices in the other components.
+    Only the sets of at most ``t_max - 2`` vertices are walked. Below
+    each leaf stem of ``t_max - 2`` vertices with ``k`` candidates lie
+    ``k`` sets of ``t_max - 1`` vertices and ``k(k-1)/2`` plus the
+    candidates' new neighbours sets of ``t_max`` vertices; those are
+    counted, and expanded one at a time only when a bound on their edge
+    counts (a joining vertex adds at most ``top``, the largest neighbour
+    count of a candidate, two add at most ``2 top + 1``) allows a
+    violator. The scan holds O(n) extra memory and uses no recursion, so
+    ``t_max`` may be as large as the graph. Exceeding ``budget`` examined
+    sets raises :class:`EnumerationBudgetError`.
     """
     if t_max < 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
@@ -296,15 +360,37 @@ def density_scan(
         if edges > size  # excess <= 1: every connected subset has e(T) <= |T|
         for v in members
     )
+    adj = g.adj
+    inside = [0] * g.n
     violations: list[Tuple[Tuple[int, ...], int]] = []
     examined = 0
-    for s_list, e_count in _connected_sets(g.adj, roots, t_max):
-        examined += 1
+    for root, stem, e_count, cands in _connected_sets(adj, roots, t_max, inside):
+        size = len(stem)
+        if stem:
+            examined += 1
+            # e(T) <= |T| is never too dense; the integer test skips the call
+            if e_count > size and _too_dense(e_count, size, eps):
+                violations.append((tuple(sorted(stem)), e_count))
+        if cands:
+            # a leaf: len(cands) sets one vertex larger, and below each the
+            # candidates before it plus its new neighbours
+            k = len(cands)
+            top = fresh = 0
+            for w in cands:
+                if inside[w] > top:
+                    top = inside[w]
+                for u in adj[w]:
+                    if u > root and not inside[u]:
+                        fresh += 1
+            examined += k if t_max == 1 else k + k * (k - 1) // 2 + fresh
+            if _too_dense(e_count + top, size + 1, eps) or (
+                t_max > 1 and _too_dense(e_count + 2 * top + 1, size + 2, eps)
+            ):
+                for s_list, e2 in _tail_sets(adj, inside, root, stem, e_count, cands, t_max):
+                    if e2 > len(s_list) and _too_dense(e2, len(s_list), eps):
+                        violations.append((tuple(sorted(s_list)), e2))
         if examined > budget:
             raise EnumerationBudgetError(f"examined more than {budget} connected sets")
-        # e(T) <= |T| is never too dense; the integer test skips the call
-        if e_count > len(s_list) and _too_dense(e_count, len(s_list), eps):
-            violations.append((tuple(sorted(s_list)), e_count))
     return DensityReport(eps, t_max, tuple(violations), examined)
 
 

@@ -541,6 +541,7 @@ def load_results(path) -> CurveEstimate:
     base seed are not part of the file format and load as ``None``.
     """
     groups: dict[str, list] = {}
+    first_line: dict[str, int] = {}
     model = param = n = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -584,12 +585,17 @@ def load_results(path) -> CurveEstimate:
                     f"line {lineno}: inconsistent model/param/n across rows"
                 )
             groups.setdefault(gtoken, []).append((nu, max_component, stream))
+            first_line.setdefault(gtoken, lineno)
     if not groups:
         raise ResultsFormatError("line 2: no data rows")
     sizes = {len(rows) for rows in groups.values()}
     if len(sizes) != 1:
         raise ResultsFormatError("unbalanced replicate counts across grid values")
     kind = "x" if any("." in t or "e" in t.lower() for t in groups) else "k"
+    for token, lineno in first_line.items():
+        value = float(token)
+        if not (value >= 1 if kind == "k" else 0 < value <= 1):
+            raise ResultsFormatError(f"line {lineno}: {kind} grid value out of range: {token}")
     points = tuple(
         CurvePoint(
             grid_value=float(token) if kind == "x" else int(token),

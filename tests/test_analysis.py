@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from contextlib import nullcontext
 from itertools import combinations
 
 import pytest
@@ -300,6 +301,119 @@ def test_enumeration_property(case):
         if induced_subgraph(g, comp)[0].m > len(comp):
             dense |= comp
     assert density_scan(g, t_max, 0.5).sets_examined == sum(s[0] in dense for s in sets)
+
+
+def reference_connected_sets(adj, roots, t_max):
+    """The one-set-at-a-time walk the scan used before it counted its last two levels.
+
+    Yields each connected set of at most ``t_max`` vertices whose smallest
+    vertex is a root, as a scratch list with its induced edge count.
+    """
+    inside = [0] * len(adj)
+    s_list = []
+    for root in roots:
+        stack = [([root], 0)]
+        while stack:
+            ext, e_count = stack[-1]
+            if not ext:
+                stack.pop()
+                if s_list:
+                    for u in adj[s_list.pop()]:
+                        inside[u] -= 1
+                continue
+            w = ext.pop()
+            e2 = e_count + inside[w]
+            s_list.append(w)
+            yield s_list, e2
+            if len(s_list) == t_max:
+                s_list.pop()
+                continue
+            new_ext = ext.copy()
+            for u in adj[w]:
+                if u > root and not inside[u]:
+                    new_ext.append(u)
+                inside[u] += 1
+            stack.append((new_ext, e2))
+
+
+def reference_scan(g, t_max, eps, budget):
+    """``(violations, sets_examined)`` of a scan over every set of the reference walk."""
+    roots, seen = [], set()
+    for v in range(g.n):  # components by smallest vertex, members ascending
+        if v not in seen:
+            comp = component_of(g, v)
+            seen |= comp
+            if induced_subgraph(g, comp)[0].m > len(comp):
+                roots += sorted(comp)
+    violations, examined = [], 0
+    for s_list, e_count in reference_connected_sets(g.adj, roots, t_max):
+        examined += 1
+        if examined > budget:
+            raise EnumerationBudgetError(f"examined more than {budget} connected sets")
+        if e_count > (1.0 + eps / 3.0) * len(s_list) + 1e-12:
+            violations.append((tuple(sorted(s_list)), e_count))
+    return tuple(violations), examined
+
+
+@st.composite
+def graphs_of_any_density(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(combinations(range(n), 2))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    cut = draw(st.integers(0, 4))  # 0: no edges ... 4: complete
+    g = build_graph(n, [e for e, w in zip(pairs, weights) if w < cut])
+    return g, draw(st.integers(1, n + 1)), draw(st.sampled_from([0.0, 0.48, 0.5, 2.0, 3.8]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_of_any_density(), st.data())
+def test_scan_matches_reference_walk(case, data):
+    g, t_max, eps = case
+    expected = [(tuple(sorted(s)), e)
+                for s, e in reference_connected_sets(g.adj, range(g.n), t_max)]
+    assert list(connected_vertex_sets(g, t_max)) == expected
+    violations, examined = reference_scan(g, t_max, eps, math.inf)
+    rep = density_scan(g, t_max, eps)
+    assert rep.violations == violations
+    assert rep.sets_examined == examined
+    budget = data.draw(st.integers(0, examined + 1))
+    for b in {budget, examined, max(examined - 1, 0)}:
+        with pytest.raises(EnumerationBudgetError) if examined > b else nullcontext():
+            assert density_scan(g, t_max, eps, budget=b) == rep
+
+
+def test_scan_bounds_the_level_below_a_leaf_on_its_own():
+    # K8 with a pendant at every vertex, t_max 17, eps 3.72: the whole graph
+    # spans 36 > 35.84 edges, but each 15-vertex leaf below it has one
+    # candidate, a pendant, so no 17-set bound (e + 2*1 + 1 <= 38.08) fires
+    g = build_graph(16, list(combinations(range(8), 2)) + [(v, v + 8) for v in range(8)])
+    rep = density_scan(g, 17, 3.72)
+    assert (tuple(range(16)), 36) in rep.violations
+    assert (rep.violations, rep.sets_examined) == reference_scan(g, 17, 3.72, math.inf)
+
+
+def test_scan_pinned_at_scale():
+    rep = density_scan(gnp(3000, 3.0, seed=1), 6, 0.3)
+    assert rep.sets_examined == 1_554_769
+    assert rep.violations == (((650, 817, 859, 952, 1865, 2103), 7),)
+    rep = density_scan(gnp(20_000, 2.0, seed=1), 6, 0.5)
+    assert rep.sets_examined == 1_613_879
+    assert rep.violations == ()
+
+
+def test_huge_size_cap_costs_nothing_extra():
+    # a cap beyond the graph must act as t_max = n: nothing is sized by t_max
+    tracemalloc.start()
+    try:
+        rep = density_scan(k4(), 10**7, 0.3)
+        sets = list(connected_vertex_sets(k4(), 10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    small = density_scan(k4(), 4, 0.3)
+    assert (rep.violations, rep.sets_examined) == (small.violations, small.sets_examined)
+    assert sets == list(connected_vertex_sets(k4(), 4))
 
 
 def test_enumeration_validates_eagerly():

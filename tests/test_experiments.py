@@ -536,6 +536,20 @@ def test_load_rejects_non_finite_grid_value(tmp_path, token):
         load_results(p)
 
 
+@pytest.mark.parametrize("good, token", [("2", "0"), ("2", "-3"), ("0.5", "0.0"),
+                                         ("0.5", "-0.5"), ("0.5", "1.5")])
+def test_load_rejects_grid_value_out_of_range(tmp_path, good, token):
+    # k grids hold integers >= 1 and x grids lie in (0, 1], as ExperimentConfig requires
+    p = tmp_path / "grid.csv"
+    p.write_text(
+        "model,param,n,grid_value,replicate,nu,max_component,seed_stream\n"
+        f"gnp,2,10,{good},0,0.5,2,0\n"
+        f"gnp,2,10,{token},0,0.5,2,0\n"
+    )
+    with pytest.raises(ResultsFormatError, match="line 3"):
+        load_results(p)
+
+
 def test_load_rejects_truncated_row(tmp_path):
     p = tmp_path / "trunc.csv"
     p.write_text(
