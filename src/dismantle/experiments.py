@@ -15,7 +15,6 @@ import csv
 import math
 import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from statistics import fmean, stdev
@@ -201,6 +200,8 @@ def _replicate_map(fn: Callable[[int], object], replicates: int, jobs: int) -> l
     workers = _pool_size(jobs, replicates)
     if workers <= 1:
         return [fn(r) for r in range(replicates)]
+    from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(replicates)))
 

@@ -11,7 +11,6 @@ keeps results independent of hash or iteration order.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import compress
@@ -66,7 +65,8 @@ def _certify_caps(g: Graph, rank: Sequence[int], caps: Sequence[int],
     """
     n = g.n
     adj = g.adj
-    order = sorted(range(n), key=rank.__getitem__)
+    ids = tuple(range(n))  # every cap's tuples share these int objects
+    order = sorted(ids, key=rank.__getitem__)
     parent = list(range(n))
     size = [1] * n
     present = bytearray(n)
@@ -94,9 +94,9 @@ def _certify_caps(g: Graph, rank: Sequence[int], caps: Sequence[int],
                         count -= 1
             if size[root] > largest:
                 largest = size[root]
-        kept = tuple(compress(range(n), present))
+        kept = tuple(compress(ids, present))
         nu = 1.0 if n == 0 else len(kept) / n
-        by_cap[cap] = FragmentationResult(kept, tuple(compress(range(n), absent)),
+        by_cap[cap] = FragmentationResult(kept, tuple(compress(ids, absent)),
                                           largest, method, nu, count)
     return [by_cap[cap] for cap in caps]
 
@@ -229,14 +229,18 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
     and every vertex left with fewer than ``j`` core neighbours leaves
     the core. ``deg`` holds degrees in the region on entry and core
     degrees on exit; for ``j <= 1`` these are degrees among the vertices
-    left. Degrees only fall, so a popped heap entry above its vertex's
-    degree is pushed back at that degree, not re-keyed at each decrement.
-    A heap entry is the int ``(top - degree) * n + v``, with ``top`` the
-    largest degree on entry: it pops in the order of ``(-degree, v)``.
+    left.
+
+    A level scan finds the removals. Core degrees only fall, so while
+    ``top`` is the largest of them, the next removal is the smallest id
+    still at degree ``top``, and no vertex climbs back to it. A vertex is
+    filed under each degree it reaches, so each level's list, sorted once
+    when the scan gets there, holds every candidate at that level. The
+    cost is O(n + m) filing plus one sort per degree level, over at most
+    ``n + 2m`` entries in all.
     """
-    n = len(adj)
-    top = max(deg, default=0)
     core = bytearray(alive)
+    levels: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
 
     def leave(stack: list[int]) -> None:
         while stack:
@@ -245,24 +249,37 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
                 core[v] = 0
                 for u in adj[v]:
                     if core[u]:
-                        deg[u] -= 1
-                        if deg[u] < j:
+                        d = deg[u] = deg[u] - 1
+                        if d < j:
                             stack.append(u)
+                        else:
+                            levels[d].append(u)
 
+    # Peel first, then file the core at its degrees: a vertex reaches
+    # each degree once, so no level lists it twice.
     leave([v for v, d in enumerate(deg) if core[v] and d < j])
-    heap = [(top - d) * n + v for v, d in enumerate(deg) if core[v]]
-    heapq.heapify(heap)
+    for level in levels:
+        level.clear()
+    for v, d in enumerate(deg):
+        if core[v]:
+            levels[d].append(v)
     removed: list[int] = []
-    while heap:
-        q, v = divmod(heapq.heappop(heap), n)
-        if not core[v]:
-            continue
-        if deg[v] != top - q:
-            heapq.heappush(heap, (top - deg[v]) * n + v)
-            continue
-        alive[v] = 0
-        removed.append(v)
-        leave([v])
+    while len(levels) > j:
+        top = len(levels) - 1
+        for v in sorted(levels.pop()):
+            if core[v] and deg[v] == top:
+                core[v] = alive[v] = 0
+                removed.append(v)
+                low = []
+                for u in adj[v]:
+                    if core[u]:
+                        d = deg[u] = deg[u] - 1
+                        if d < j:
+                            low.append(u)
+                        else:
+                            levels[d].append(u)
+                if low:
+                    leave(low)
     return removed
 
 
@@ -273,7 +290,9 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
 
 def _greedy_cuts(g: Graph) -> list[int]:
     """Every vertex's greedy cut size: the size of the component it was
-    removed from at cap 1, or 0 if it never was. Two passes, O(m log n):
+    removed from at cap 1, or 0 if it never was. Two passes: a level scan,
+    O(n + m) filing plus one sort per degree level, then an O(m α)
+    union-find:
 
     1. Cap-1 elimination: while some vertex has a neighbour left, remove
        the one of highest remaining degree, smallest id on ties; this
@@ -297,7 +316,8 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     the cap-1 removals made from components of more than ``k`` vertices,
     and removal sets shrink as the cap grows. So the result removes the
     vertices whose cut size (see :func:`_greedy_cuts`) exceeds ``cap``,
-    in O(m log n) whatever the cap.
+    at the same cost whatever the cap: one level-scan elimination,
+    O(n + m) filing plus one sort per degree level, and a union-find.
     """
     if cap < 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
@@ -313,13 +333,15 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
 def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     """A maximal induced forest of the region induced by ``verts``.
 
-    Two passes, O(m log n):
+    Two passes, O(n + m) filing plus one sort per degree level, then an
+    O(m α) union-find:
 
     1. Elimination: while the region has a 2-core, remove its vertex of
        highest degree in the 2-core (smallest id on ties), then peel the
-       core again (see :func:`_empty_core`). This is CoreHD (Zdeborova,
-       Zhang & Zhou, Sci. Rep. 6, 37954, 2016). A removal needs no cycle
-       test: the next pass restores every one that closes no cycle.
+       core again, by the level scan of :func:`_empty_core`. This is
+       CoreHD (Zdeborova, Zhang & Zhou, Sci. Rep. 6, 37954, 2016). A
+       removal needs no cycle test: the next pass restores every one
+       that closes no cycle.
     2. Add-back: starting from the surviving forest, the removals go back
        in reverse order, each only when its present neighbours lie in
        distinct trees.
@@ -393,7 +415,8 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     vertices: the oversized components are emptied highest degree first
     (degree among the vertices left, smaller id on ties; see
     :func:`_empty_core`), and each loses its first ``t - target``
-    removals. Smaller components are untouched. O(m log n) over ``S``.
+    removals. Smaller components are untouched. Over ``S``, the level
+    scan costs O(n + m) filing plus one sort per degree level.
     """
     if target < 1:
         raise ValueError(f"target size must be >= 1, got {target}")

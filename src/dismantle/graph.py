@@ -8,6 +8,7 @@ auditable and graphs can be shared freely across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -76,12 +77,27 @@ class Graph:
         half = np.sort(np.concatenate((u * n + v, v * n + u)))
         if np.any(half[1:] == half[:-1]):
             return False
-        ends = np.cumsum(np.bincount(half // n, minlength=n)).tolist()
-        # One int object per vertex, shared by every neighbor entry.
-        flat = tuple(np.arange(n).astype(object)[half % n].tolist())
+        deg = np.bincount(half // n, minlength=n)
+        first = np.cumsum(deg) - deg  # where each vertex's neighbors start
+        ids = np.arange(n).astype(object)  # one int object per vertex, shared by every entry
+        nbr = np.remainder(half, n, out=half)  # in place: the keys are done with
+        # One degree class at a time: its ``d`` neighbor columns, zipped
+        # into tuples in C, then all the tuples put back in vertex order.
+        by_degree = np.argsort(deg)
+        tuples: list = []
+        for d, count in enumerate(np.bincount(deg).tolist()):
+            if count:
+                start = first[by_degree[len(tuples):len(tuples) + count]]
+                if d:
+                    tuples += zip(*(ids[nbr[start + i]].tolist() for i in range(d)))
+                else:
+                    tuples += [()] * count
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_degree] = np.arange(n)
         self.n = n
         self.m = len(a)
-        self.adj = tuple(flat[s:e] for s, e in zip([0] + ends[:-1], ends))
+        # ``ids[rank]`` lists the shared ints, where ``rank.tolist()`` would make n new ones
+        self.adj = tuple(map(tuples.__getitem__, ids[rank].tolist()))
         return True
 
     @property
@@ -304,6 +320,10 @@ def read_edgelist(path) -> Graph:
         raise EdgeListFormatError(
             f"header declares {m} edges but file contains {len(edges)}"
         )
+    try:
+        edges = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
+    except OverflowError:
+        pass  # an id beyond int64: the pairs path names it
     try:
         return Graph(n, edges)
     except ValueError as exc:

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -538,8 +539,8 @@ def empty_core_reference(g, region, j):
 
 
 def test_empty_core_ties_at_top_degree_and_largest_id():
-    # heap keys pack (degree, id) into one int; these graphs tie on the
-    # largest degree and put a tie, or the hub, on the largest id
+    # these graphs tie on the largest degree and put a tie, or the hub,
+    # on the largest id: the first and the last entry of a level
     def star(n, centre):
         return build_graph(n, [tuple(sorted((centre, v))) for v in range(n) if v != centre])
 
@@ -577,6 +578,89 @@ def test_empty_core_leaves_no_core(g, data):
         assert sorted(removed + left) == sorted(region)
         sub, _ = induced_subgraph(g, left)
         assert (sub.n, sub.m, excess(sub))[j] == 0  # empty, edgeless, a forest
+
+
+def heap_empty_core(adj, alive, deg, j):
+    """The lazy-heap ``_empty_core`` that the level scan replaced, kept as a
+    reference: the same removal order, ``alive`` and exit ``deg``."""
+    n = len(adj)
+    top = max(deg, default=0)
+    core = bytearray(alive)
+
+    def leave(stack):
+        while stack:
+            v = stack.pop()
+            if core[v]:
+                core[v] = 0
+                for u in adj[v]:
+                    if core[u]:
+                        deg[u] -= 1
+                        if deg[u] < j:
+                            stack.append(u)
+
+    leave([v for v, d in enumerate(deg) if core[v] and d < j])
+    heap = [(top - d) * n + v for v, d in enumerate(deg) if core[v]]
+    heapq.heapify(heap)
+    removed = []
+    while heap:
+        q, v = divmod(heapq.heappop(heap), n)
+        if not core[v]:
+            continue
+        if deg[v] != top - q:
+            heapq.heappush(heap, (top - deg[v]) * n + v)
+            continue
+        alive[v] = 0
+        removed.append(v)
+        leave([v])
+    return removed
+
+
+def elimination_outcome(eliminate, g, region, j):
+    """Removal order, final ``alive`` and exit ``deg`` of one elimination of ``region``."""
+    alive = bytearray(g.n)
+    for v in region:
+        alive[v] = 1
+    deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
+    return eliminate(g.adj, alive, deg, j), alive, deg
+
+
+def assert_matches_heap(g, region):
+    for j in (0, 1, 2):
+        assert (elimination_outcome(_empty_core, g, region, j)
+                == elimination_outcome(heap_empty_core, g, region, j)), (g, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_level_scan_matches_heap_elimination(g, data):
+    assert_matches_heap(g, data.draw(st.sets(st.integers(0, g.n - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(8, 300), st.floats(0.5, 6.0), st.integers(0, 2**32 - 1), st.data())
+def test_level_scan_matches_heap_on_sparse_graphs(n, c, seed, data):
+    g = gnp(n, c, seed=seed)
+    keep = data.draw(st.floats(0.0, 1.0))
+    rng = random.Random(seed)
+    assert_matches_heap(g, [v for v in range(n) if rng.random() < keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(5, 60), st.integers(0, 2**32 - 1), st.booleans())
+def test_level_scan_matches_heap_on_regular_graphs(d, n, seed, whole):
+    # every vertex starts on one level, so each removal is a tie on ids
+    n += n * d % 2
+    g = random_regular(n, d, seed=seed)
+    rng = random.Random(seed)
+    assert_matches_heap(g, range(n) if whole else [v for v in range(n) if rng.random() < 0.8])
+
+
+def test_level_scan_matches_heap_at_scale():
+    # too large for the from-scratch reference; the heap takes milliseconds
+    for g in (gnp(5000, 3.0, seed=13), random_regular(5000, 3, seed=13)):
+        rng = random.Random(5)
+        assert_matches_heap(g, range(g.n))
+        assert_matches_heap(g, [v for v in range(g.n) if rng.random() < 0.7])
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -125,13 +128,16 @@ def test_array_input_builds_the_pairs_graph(dtype):
     assert empty.m == 0 and empty.adj == ((),) * 4
 
 
-def test_array_build_shares_one_int_per_vertex():
-    # Ids above 256 are distinct objects unless shared; sharing keeps the
-    # memory of a large graph below that of one object per endpoint.
-    g = Graph(1000, np.array(gnp(1000, 3.0, seed=2).edges))
+def assert_one_int_per_vertex(g):
     first = {}
     for u in chain.from_iterable(g.adj):
         assert first.setdefault(u, u) is u
+
+
+def test_array_build_shares_one_int_per_vertex():
+    # Ids above 256 are distinct objects unless shared; sharing keeps the
+    # memory of a large graph below that of one object per endpoint.
+    assert_one_int_per_vertex(Graph(1000, np.array(gnp(1000, 3.0, seed=2).edges)))
 
 
 def stored_edges(pairs):
@@ -206,6 +212,49 @@ def small_edge_arrays(draw):
 def test_array_and_pairs_builds_agree(case):
     n, arr = case
     assert build_outcome(n, arr) == build_outcome(n, arr.tolist())
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (0, []),
+    (1, []),
+    (5, []),
+    (6, [(4, 1)]),
+    (7, [(0, v) for v in range(1, 6)]),  # the hub alone in its degree class
+    (9, [(1, 2), (2, 3), (3, 4), (2, 7), (7, 6)]),  # isolated 0, 5 and 8
+], ids=["n0", "n1", "edgeless", "one-edge", "star-plus-isolated", "tree-plus-isolated"])
+def test_degree_class_build_on_small_cases(n, pairs):
+    g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert g.adj == Graph(n, pairs).adj and g.n == n and g.m == len(pairs)
+    assert_one_int_per_vertex(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 60))
+def test_degree_class_build_matches_pairs(data, n):
+    pairs = data.draw(distinct_pairs(n))
+    if n > 1 and data.draw(st.booleans()):  # a hub of its own degree class
+        hub = data.draw(st.integers(0, n - 1))
+        spokes = data.draw(st.sets(st.integers(0, n - 1)))
+        pairs = list({(min(u, v), max(u, v)): (u, v)
+                      for u, v in pairs + [(hub, v) for v in spokes if v != hub]}.values())
+    g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert g.adj == Graph(n, pairs).adj
+    assert all(type(u) is int for nbrs in g.adj for u in nbrs)
+    assert_one_int_per_vertex(g)
+
+
+def test_import_and_generation_leave_heavy_modules_out():
+    # numpy.ma (np.unique imports it) and the process pool's modules cost
+    # import time and memory on every run that needs neither
+    import dismantle
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dismantle.__file__)))
+    code = ("import sys, dismantle; dismantle.gnp(100, 2.0, 1); "
+            "print(' '.join(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_adjacency_sorted_and_symmetric():
@@ -414,3 +463,18 @@ def test_edgelist_format_errors(tmp_path, text, fragment):
     p.write_text(text)
     with pytest.raises(EdgeListFormatError, match=fragment):
         read_edgelist(p)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 2**70)],
+    [(0, 1), (-2**63, 1)],
+    [(2**63 - 1, 0)],
+    [(1, 1)],
+    [(0, 1), (2, 1), (1, 0)],
+], ids=["beyond-int64", "int64-min", "int64-max", "self-loop", "duplicate"])
+def test_edgelist_faults_give_the_pairs_message(tmp_path, pairs):
+    p = tmp_path / "bad.el"
+    p.write_text(f"3 {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+    with pytest.raises(EdgeListFormatError) as exc:
+        read_edgelist(p)
+    assert str(exc.value) == build_outcome(3, pairs)
