@@ -81,17 +81,26 @@ class Graph:
         first = np.cumsum(deg) - deg  # where each vertex's neighbors start
         ids = np.arange(n).astype(object)  # one int object per vertex, shared by every entry
         nbr = np.remainder(half, n, out=half)  # in place: the keys are done with
-        # One degree class at a time: its ``d`` neighbor columns, zipped
-        # into tuples in C, then all the tuples put back in vertex order.
+        # One degree class at a time, then all the tuples put back in vertex
+        # order. A class of ``count`` vertices of degree ``d`` costs
+        # min(d, count) numpy calls: its ``d`` neighbor columns zipped into
+        # tuples in C, or, for hubs rarer than their degree, one slice per
+        # vertex. That is at most n calls in all, however skewed the degrees.
         by_degree = np.argsort(deg)
         tuples: list = []
         for d, count in enumerate(np.bincount(deg).tolist()):
-            if count:
-                start = first[by_degree[len(tuples):len(tuples) + count]]
-                if d:
-                    tuples += zip(*(ids[nbr[start + i]].tolist() for i in range(d)))
-                else:
-                    tuples += [()] * count
+            if not count:
+                continue
+            start = first[by_degree[len(tuples):len(tuples) + count]]
+            if not d:
+                tuples += [()] * count
+            elif count >= d:
+                tuples += zip(*(ids[nbr[start + i]].tolist() for i in range(d)))
+            else:
+                tuples += (tuple(ids[nbr[s:s + d]].tolist()) for s in start.tolist())
+        # Freed before the n-sized arrays below so that these can reuse the
+        # space; held, they raise the peak of a process that builds many graphs.
+        del half, nbr, first, deg
         rank = np.empty(n, dtype=np.intp)
         rank[by_degree] = np.arange(n)
         self.n = n

@@ -630,29 +630,19 @@ def assert_matches_heap(g, region):
                 == elimination_outcome(heap_empty_core, g, region, j)), (g, j)
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_graphs(), st.data())
-def test_level_scan_matches_heap_elimination(g, data):
-    assert_matches_heap(g, data.draw(st.sets(st.integers(0, g.n - 1))))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(8, 300), st.floats(0.5, 6.0), st.integers(0, 2**32 - 1), st.data())
-def test_level_scan_matches_heap_on_sparse_graphs(n, c, seed, data):
-    g = gnp(n, c, seed=seed)
-    keep = data.draw(st.floats(0.0, 1.0))
-    rng = random.Random(seed)
-    assert_matches_heap(g, [v for v in range(n) if rng.random() < keep])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.integers(5, 60), st.integers(0, 2**32 - 1), st.booleans())
-def test_level_scan_matches_heap_on_regular_graphs(d, n, seed, whole):
+elimination_graphs = st.one_of(
+    small_graphs(),
+    st.builds(gnp, st.integers(8, 300), st.floats(0.5, 6.0), seed=st.integers(0, 2**32 - 1)),
     # every vertex starts on one level, so each removal is a tie on ids
-    n += n * d % 2
-    g = random_regular(n, d, seed=seed)
-    rng = random.Random(seed)
-    assert_matches_heap(g, range(n) if whole else [v for v in range(n) if rng.random() < 0.8])
+    st.builds(lambda n, d, seed: random_regular(n + n * d % 2, d, seed=seed),
+              st.integers(5, 60), st.integers(2, 4), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_graphs, st.one_of(st.just(1.0), st.floats(0.0, 1.0)), st.randoms())
+def test_level_scan_matches_heap_elimination(g, keep, rng):
+    assert_matches_heap(g, [v for v in range(g.n) if rng.random() < keep])
 
 
 def test_level_scan_matches_heap_at_scale():

@@ -221,7 +221,9 @@ def test_array_and_pairs_builds_agree(case):
     (6, [(4, 1)]),
     (7, [(0, v) for v in range(1, 6)]),  # the hub alone in its degree class
     (9, [(1, 2), (2, 3), (3, 4), (2, 7), (7, 6)]),  # isolated 0, 5 and 8
-], ids=["n0", "n1", "edgeless", "one-edge", "star-plus-isolated", "tree-plus-isolated"])
+    (7, [(u, v) for u in (0, 1) for v in range(2, 7)]),  # two hubs of degree 5, five of degree 2
+], ids=["n0", "n1", "edgeless", "one-edge", "star-plus-isolated", "tree-plus-isolated",
+        "complete-bipartite-2-5"])
 def test_degree_class_build_on_small_cases(n, pairs):
     g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
     assert g.adj == Graph(n, pairs).adj and g.n == n and g.m == len(pairs)
@@ -245,12 +247,16 @@ def test_degree_class_build_matches_pairs(data, n):
 
 def test_import_and_generation_leave_heavy_modules_out():
     # numpy.ma (np.unique imports it) and the process pool's modules cost
-    # import time and memory on every run that needs neither
+    # import time and memory on every run that needs neither; only what the
+    # package adds to a bare ``import numpy`` counts, since numpy 1.x loads
+    # numpy.ma itself
     import dismantle
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(dismantle.__file__)))
-    code = ("import sys, dismantle; dismantle.gnp(100, 2.0, 1); "
-            "print(' '.join(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))")
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import dismantle; dismantle.gnp(100, 2.0, 1); "
+            "print(' '.join(m for m in ('numpy.ma', 'concurrent.futures') "
+            "if m in sys.modules and m not in before))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
