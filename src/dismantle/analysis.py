@@ -28,7 +28,7 @@ def giant_fraction_limit(c: float) -> float:
     1e-10 (fixed-point iteration from 0.5, bisection as a fallback when
     the contraction is slow near criticality).
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError(f"mean degree must be positive, got {c}")
     if c <= 1:
         return 0.0
@@ -98,8 +98,8 @@ def dense_set_probability_bound(t: int, n: int, c: float, eps: float) -> TailBou
     """
     if not 1 <= t <= n:
         raise ValueError(f"set size must satisfy 1 <= t <= n, got t={t}, n={n}")
-    if c <= 1:
-        raise ValueError(f"mean degree must exceed 1, got {c}")
+    if not 1 < c < math.inf:
+        raise ValueError(f"mean degree must be finite and exceed 1, got {c}")
     if not 0 < eps < 1:
         raise ValueError(f"tolerance must lie strictly in (0, 1), got {eps}")
     tau = n / t
@@ -159,8 +159,8 @@ def delta_sweep(c: float, eps: float, max_steps: int = 200_000) -> list[DeltaSwe
     sweep stops at the first admissible candidate, which is therefore the
     largest admissible grid point.
     """
-    if c <= 1:
-        raise ValueError(f"mean degree must exceed 1, got {c}")
+    if not 1 < c < math.inf:
+        raise ValueError(f"mean degree must be finite and exceed 1, got {c}")
     if not 0 < eps < 1:
         raise ValueError(f"tolerance must lie strictly in (0, 1), got {eps}")
     log_anchor = math.log(min(2.0 / c, eps / 3.0))
@@ -216,112 +216,64 @@ class DensityReport:
 def _connected_sets(
     adj, roots, t_max: int, inside: list[int]
 ) -> Iterator[Tuple[int, list[int], int, Optional[list[int]]]]:
-    """Walk the stems: the connected sets of at most ``t_max - 2`` vertices.
+    """Walk every connected set of at most ``t_max`` vertices.
 
-    Yields ``(root, stem, edges, cands)`` for every stem whose smallest
+    Yields ``(root, s_list, edges, ext)`` for every set whose smallest
     vertex is a root, grouped by root in the order of ``roots``, each
-    before the stems that extend it. ``cands`` is ``None`` while the walk
-    goes on into the stem's extensions. A stem of exactly ``t_max - 2``
-    vertices is a leaf: its ``cands`` lists the vertices that extend it,
-    and the sets one and two vertices larger, the last two levels, are
-    left to :func:`_tail_sets` (or counted in closed form). For
-    ``t_max <= 2`` each root has one leaf, the empty stem with
-    ``cands == [root]``. Each extension candidate is considered once,
-    taken or excluded for the whole branch, which makes every set unique
-    without storing the sets already seen.
+    before the sets that extend it. ``ext`` lists the vertices the walk
+    tries next to add to the set, and is ``None`` for a set of ``t_max``
+    vertices. A consumer that empties ``ext`` in place skips every larger
+    set built on this one. Each extension candidate is
+    considered once, taken or excluded for the whole branch, which makes
+    every set unique without storing the sets already seen.
 
-    ``inside`` must hold zeros on entry; while a stem is yielded,
-    ``inside[u]`` counts the neighbours ``u`` has in it. A joining vertex
-    ``w`` adds ``inside[w]`` edges, and a vertex above the root is a new
-    candidate exactly when its count is 0, because every set vertex but
-    the root has a neighbour in the set. The walk keeps an explicit stack
-    of candidate lists, so it needs O(n) extra memory and no recursion,
-    and adding or removing a vertex costs O(degree). ``stem`` is a scratch
-    list, valid until the walk resumes.
+    ``inside`` must hold zeros on entry; while a set of fewer than
+    ``t_max`` vertices is yielded, ``inside[u]`` counts the neighbours
+    ``u`` has in it. A joining vertex ``w`` adds ``inside[w]`` edges, and
+    a vertex above the root is a new candidate exactly when its count is
+    0, because every set vertex but the root has a neighbour in the set.
+    The walk keeps an explicit stack of candidate lists, so it needs O(n)
+    extra memory and no recursion, and adding or removing a vertex costs
+    O(degree). ``s_list`` is a scratch list, valid until the walk resumes.
     """
-    stem: list[int] = []
+    s_list: list[int] = []
     for root in roots:
-        if t_max <= 2:
-            yield root, stem, 0, [root]
-            continue
-        stack = [([root], 0)]  # (candidates, edges of the stem they extend)
+        stack = [([root], 0)]  # (candidates, edges of the set they extend)
         while stack:
             ext, e_count = stack[-1]
             if not ext:
                 stack.pop()
-                if stem:
-                    for u in adj[stem.pop()]:
+                if s_list:
+                    for u in adj[s_list.pop()]:
                         inside[u] -= 1
                 continue
             w = ext.pop()
             e2 = e_count + inside[w]
-            stem.append(w)
+            s_list.append(w)
+            if len(s_list) == t_max:
+                yield root, s_list, e2, None
+                s_list.pop()
+                continue
             new_ext = ext.copy()
             for u in adj[w]:
                 if u > root and not inside[u]:
                     new_ext.append(u)
                 inside[u] += 1
-            if len(stem) == t_max - 2:
-                yield root, stem, e2, new_ext
-                stack.append(([], e2))  # a leaf: the next step removes it
-            else:
-                yield root, stem, e2, None
-                stack.append((new_ext, e2))
-
-
-def _tail_sets(
-    adj, inside: list[int], root: int, stem: list[int], e_count: int, cands: list[int], t_max: int
-) -> Iterator[Tuple[list[int], int]]:
-    """Yield the sets one and two vertices larger than a leaf stem, in walk order.
-
-    Takes a leaf yielded by :func:`_connected_sets` while it is current
-    and consumes ``cands``. Each set is ``stem`` itself, extended in
-    place, with its induced edge count; once the tail is exhausted,
-    ``stem`` and ``inside`` are as they were.
-    """
-    while cands:
-        w = cands.pop()
-        e2 = e_count + inside[w]
-        stem.append(w)
-        yield stem, e2
-        if len(stem) < t_max:
-            ext = cands.copy()
-            for u in adj[w]:
-                if u > root and not inside[u]:
-                    ext.append(u)
-                inside[u] += 1
-            while ext:
-                x = ext.pop()
-                stem.append(x)
-                yield stem, e2 + inside[x]
-                stem.pop()
-            for u in adj[w]:
-                inside[u] -= 1
-        stem.pop()
+            yield root, s_list, e2, new_ext
+            stack.append((new_ext, e2))
 
 
 def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Lazily yield every connected vertex set of size <= ``t_max`` with its edge count.
 
-    Sets come as sorted vertex tuples, grouped by smallest vertex. The
-    walk visits the sets of at most ``t_max - 2`` vertices and expands
-    the last two levels below each of them one set at a time. A bad
-    ``t_max`` raises :class:`ValueError` at call time, before iteration.
+    Sets come as sorted vertex tuples, grouped by smallest vertex, in the
+    order of the walk, which visits every set. A bad ``t_max`` raises
+    :class:`ValueError` at call time, before iteration.
     """
     if t_max < 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
-    return _all_sets(g.adj, t_max)
-
-
-def _all_sets(adj, t_max: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """Every stem of the walk from every vertex, each followed by its expanded tail."""
-    inside = [0] * len(adj)
-    for root, stem, e_count, cands in _connected_sets(adj, range(len(adj)), t_max, inside):
-        if stem:
-            yield tuple(sorted(stem)), e_count
-        if cands:
-            for s_list, e2 in _tail_sets(adj, inside, root, stem, e_count, cands, t_max):
-                yield tuple(sorted(s_list)), e2
+    walk = _connected_sets(g.adj, range(g.n), t_max, [0] * g.n)
+    return ((tuple(sorted(s_list)), e_count) for _, s_list, e_count, _ in walk)
 
 
 def _too_dense(edges: int, size: int, eps: float) -> bool:
@@ -338,20 +290,21 @@ def density_scan(
     components of the graph with excess at most 1 provably contain no
     violator and are skipped wholesale; ``sets_examined`` counts the
     connected sets of at most ``t_max`` vertices in the other components.
-    Only the sets of at most ``t_max - 2`` vertices are walked. Below
-    each leaf stem of ``t_max - 2`` vertices with ``k`` candidates lie
-    ``k`` sets of ``t_max - 1`` vertices and ``k(k-1)/2`` plus the
-    candidates' new neighbours sets of ``t_max`` vertices; those are
-    counted, and expanded one at a time only when a bound on their edge
-    counts (a joining vertex adds at most ``top``, the largest neighbour
-    count of a candidate, two add at most ``2 top + 1``) allows a
-    violator. The scan holds O(n) extra memory and uses no recursion, so
+    At each set of ``t_max - 2`` vertices whose walk offers ``k``
+    candidates, the ``k`` sets one vertex larger and the ``k(k-1)/2``
+    plus the candidates' new neighbours sets two larger are counted in
+    closed form. When a bound on their edge counts (a joining vertex adds
+    at most ``top``, the largest neighbour count of a candidate, two add
+    at most ``2 top + 1``) rules out a violator, the scan empties the
+    candidate list so the walk skips them; otherwise the walk visits them
+    like any other sets. On sparse graphs the skipped sets are most of
+    them. The scan holds O(n) extra memory and uses no recursion, so
     ``t_max`` may be as large as the graph. Exceeding ``budget`` examined
     sets raises :class:`EnumerationBudgetError`.
     """
     if t_max < 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
     comp = components(g)
     roots = (
@@ -364,31 +317,29 @@ def density_scan(
     inside = [0] * g.n
     violations: list[Tuple[Tuple[int, ...], int]] = []
     examined = 0
-    for root, stem, e_count, cands in _connected_sets(adj, roots, t_max, inside):
-        size = len(stem)
-        if stem:
-            examined += 1
-            # e(T) <= |T| is never too dense; the integer test skips the call
-            if e_count > size and _too_dense(e_count, size, eps):
-                violations.append((tuple(sorted(stem)), e_count))
-        if cands:
-            # a leaf: len(cands) sets one vertex larger, and below each the
+    for root, s_list, e_count, ext in _connected_sets(adj, roots, t_max, inside):
+        size = len(s_list)
+        examined += 1
+        # e(T) <= |T| is never too dense; the integer test skips the call
+        if e_count > size and _too_dense(e_count, size, eps):
+            violations.append((tuple(sorted(s_list)), e_count))
+        if size == t_max - 2:
+            # len(ext) sets one vertex larger, and below each the
             # candidates before it plus its new neighbours
-            k = len(cands)
             top = fresh = 0
-            for w in cands:
+            for w in ext:
                 if inside[w] > top:
                     top = inside[w]
                 for u in adj[w]:
                     if u > root and not inside[u]:
                         fresh += 1
-            examined += k if t_max == 1 else k + k * (k - 1) // 2 + fresh
-            if _too_dense(e_count + top, size + 1, eps) or (
-                t_max > 1 and _too_dense(e_count + 2 * top + 1, size + 2, eps)
+            if not (
+                _too_dense(e_count + top, size + 1, eps)
+                or _too_dense(e_count + 2 * top + 1, size + 2, eps)
             ):
-                for s_list, e2 in _tail_sets(adj, inside, root, stem, e_count, cands, t_max):
-                    if e2 > len(s_list) and _too_dense(e2, len(s_list), eps):
-                        violations.append((tuple(sorted(s_list)), e2))
+                k = len(ext)
+                examined += k + k * (k - 1) // 2 + fresh
+                ext.clear()
         if examined > budget:
             raise EnumerationBudgetError(f"examined more than {budget} connected sets")
     return DensityReport(eps, t_max, tuple(violations), examined)
@@ -396,6 +347,8 @@ def density_scan(
 
 def components_pass_density(g: Graph, s: Iterable[int], eps: float) -> bool:
     """Whether every component of ``G[S]`` spans at most ``(1+eps/3)`` times its size."""
+    if not eps >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {eps}")
     comp = components(g, s)
     return not any(
         _too_dense(edges, size, eps) for edges, size in zip(comp.edge_counts(g), comp.sizes)

@@ -537,12 +537,14 @@ def load_results(path) -> CurveEstimate:
     """Read a results CSV back into a :class:`CurveEstimate`.
 
     Schema violations (wrong header, malformed fields, out-of-range
-    values, unbalanced replicate counts) raise
-    :class:`ResultsFormatError` naming the offending line. Method and
-    base seed are not part of the file format and load as ``None``.
+    values, a repeated replicate of a grid value, unbalanced replicate
+    counts) raise :class:`ResultsFormatError` naming the offending line.
+    Method and base seed are not part of the file format and load as
+    ``None``.
     """
     groups: dict[str, list] = {}
     first_line: dict[str, int] = {}
+    seen: set[tuple[float, int]] = set()
     model = param = n = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -585,6 +587,11 @@ def load_results(path) -> CurveEstimate:
                 raise ResultsFormatError(
                     f"line {lineno}: inconsistent model/param/n across rows"
                 )
+            if (grid_value, replicate) in seen:
+                raise ResultsFormatError(
+                    f"line {lineno}: repeated replicate {replicate} of grid value {gtoken}"
+                )
+            seen.add((grid_value, replicate))
             groups.setdefault(gtoken, []).append((nu, max_component, stream))
             first_line.setdefault(gtoken, lineno)
     if not groups:

@@ -74,6 +74,8 @@ def test_limit_rejects_nonpositive():
         giant_fraction_limit(0.0)
     with pytest.raises(ValueError):
         giant_fraction_limit(-2.0)
+    with pytest.raises(ValueError, match="nan"):
+        giant_fraction_limit(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,9 @@ def test_parameter_validation():
         dense_set_probability_bound(2, 10, 0.9, 0.3)
     with pytest.raises(ValueError):
         dense_set_probability_bound(2, 10, 2.0, 1.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=str(c)):
+            dense_set_probability_bound(2, 10, c, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +209,10 @@ def test_delta_validation():
         admissible_delta(1.0, 0.3)
     with pytest.raises(ValueError):
         admissible_delta(2.0, 0.0)
+    # NaN fails every comparison: a bare c <= 1 check lets it into the sweep
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=str(c)):
+            delta_sweep(c, 0.5)
 
 
 def test_delta_underflow_boundary():
@@ -509,6 +518,11 @@ def test_scan_validation():
         density_scan(k4(), 0, 0.3)
     with pytest.raises(ValueError):
         density_scan(k4(), 3, -0.1)
+    with pytest.raises(ValueError, match="nan"):
+        density_scan(k4(), 3, math.nan)
+    # eps = inf is allowed: nothing is too dense, and every set is still counted
+    rep = density_scan(k4(), 4, math.inf)
+    assert (rep.violations, rep.sets_examined) == ((), density_scan(k4(), 4, 0.3).sets_examined)
 
 
 def test_scan_sparse_random_graph_mostly_clean():
@@ -530,6 +544,9 @@ def test_components_pass_density_cases():
     # a five-cycle spans exactly its size in edges: passes for any eps > 0
     c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert components_pass_density(c5, range(5), 0.01)
+    assert components_pass_density(k4(), range(4), math.inf)
+    with pytest.raises(ValueError, match="nan"):
+        components_pass_density(k4(), range(4), math.nan)
 
 
 def test_density_checks_agree_at_the_boundary():

@@ -245,6 +245,28 @@ def test_delta_subcritical_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    "gen --model gnp --n 50 --c {} --out {tmp}/g.el",
+    "fragment --in {c5} --method pipeline --eps {}",
+    "curve --model gnp --c {} --n 30 --grid 4 --reps 1 --out {tmp}/o.csv",
+    "curve --model gnp --c 2 --n 30 --grid {} --reps 1 --out {tmp}/o.csv",
+    "verify-claim --in {c5} --eps {} --tmax 4",
+    "delta --c {} --eps 0.5",
+    "delta --c 2 --eps {}",
+    "demo --c {} --eps 0.5 --n 50 --reps 1",
+    "demo --c 2 --eps {} --n 50 --reps 1",
+])
+def test_non_finite_float_options_exit_cleanly(tmp_path, capsys, argv, value):
+    # main returns a code for every failure it expects, so a traceback fails the call
+    c5 = write_c5(tmp_path)
+    code, _, err = run(capsys, *(a.format(value, tmp=tmp_path, c5=c5) for a in argv.split()))
+    if value == "nan" or code != 0:  # inf may be in range, as for verify-claim --eps
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("infeasible:")
+        assert value in err.removeprefix("infeasible:")  # the message names the value
+
+
 def test_demo_output(capsys):
     code, stdout, _ = run(capsys, "demo", "--c", "2", "--eps", "0.5", "--n", "600",
                           "--reps", "3", "--seed", "2")

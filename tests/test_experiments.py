@@ -560,6 +560,18 @@ def test_load_rejects_truncated_row(tmp_path):
         load_results(p)
 
 
+def test_load_rejects_repeated_replicate(tmp_path):
+    # two copies of one replicate would pass for the two replicates a report needs
+    p = tmp_path / "twice.csv"
+    p.write_text(
+        "model,param,n,grid_value,replicate,nu,max_component,seed_stream\n"
+        "gnp,2,10,2,0,0.5,2,0\n"
+        "gnp,2,10,2,0,0.5,2,0\n"
+    )
+    with pytest.raises(ResultsFormatError, match="line 3: repeated replicate 0"):
+        load_results(p)
+
+
 def test_load_rejects_inconsistent_metadata(tmp_path):
     p = tmp_path / "mix.csv"
     p.write_text(
