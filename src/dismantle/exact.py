@@ -31,7 +31,7 @@ def exact_max_induced(g: Graph, k: int, limit: int = DEFAULT_ORACLE_LIMIT) -> Fr
     exceeds ``k`` (component sizes only grow along an include path) or
     when even keeping every undecided vertex cannot beat the incumbent.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"component cap must be >= 1, got {k}")
     _check_limit(g, limit)
     n = g.n
@@ -150,7 +150,7 @@ def max_induced_by_enumeration(g: Graph, k: int, limit: int = ENUMERATION_LIMIT)
     subsets through a recurrence on submasks, then picks the biggest
     subset whose value is within ``k``. Returns ``(size, witness)``.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"component cap must be >= 1, got {k}")
     _check_limit(g, limit)
     n = g.n

@@ -25,6 +25,7 @@ from .exact import exact_max_induced
 from .fragmenters import (
     FragmentationResult,
     _certify_caps,
+    _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
     _make_result,
@@ -159,8 +160,9 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
     ``greedy`` eliminates once: the removals at cap ``k`` are the
     vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`), and
     one union-find pass certifies every cap (see :func:`_certify_caps`).
-    ``forest-pipeline`` decycles ``g`` at most once, and only when some
-    cap is below the largest component, then cuts the forest per cap.
+    ``forest-pipeline`` decycles ``g`` and orients the forest (see
+    :func:`_forest_order`) at most once, and only when some cap is below
+    the largest component; each such cap costs one sweep and one certification.
     """
     if method == "exact":
         return [exact_max_induced(g, cap, limit=oracle_limit) for cap in caps]
@@ -169,16 +171,17 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest
-    dec = None
+    forest = None
     out = []
     for cap in caps:
         if largest <= cap:
             out.append(_make_result(g, range(g.n), "forest-pipeline"))
             continue
-        if dec is None:
-            dec = decycle_heuristic(g)
-        gone = set(_fragment_forest_removals(g, dec.kept, cap))
-        out.append(_make_result(g, [v for v in dec.kept if v not in gone], "forest-pipeline"))
+        if forest is None:
+            forest = decycle_heuristic(g).kept
+            order, parent = _forest_order(g, forest)
+        gone = set(_fragment_forest_removals(order, parent, cap))
+        out.append(_make_result(g, [v for v in forest if v not in gone], "forest-pipeline"))
     return out
 
 

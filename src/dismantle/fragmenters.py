@@ -118,63 +118,70 @@ def component_cap(eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fragment_forest_removals(g: Graph, verts: Iterable[int], k: int) -> list[int]:
-    """Removals making every component of the induced forest have <= k vertices.
+def _forest_order(g: Graph, verts: Iterable[int]) -> tuple[list[int], list[int]]:
+    """A breadth-first order and the parents of the forest induced by ``verts``.
 
-    The region induced by ``verts`` must be acyclic. Each tree is rooted
-    at its smallest id and cut in one post-order pass: a vertex whose
-    uncut subtree (itself plus the uncut subtrees of its children) holds
-    more than ``k`` vertices is removed, leaving each child subtree, of
-    at most ``k`` vertices, as a component. Some vertex of that subtree
-    has to go, and the subtree's root separates the most, so the cut is
-    optimal on trees. Every removal takes its at least ``k + 1`` subtree
-    vertices with it, so a tree on ``t`` vertices loses at most
-    ``floor(t / (k+1))`` of them.
+    The region must be acyclic. Each tree is rooted at its smallest id,
+    so parents precede their children; ``parent`` is -1 at roots and
+    outside the region. One orientation serves every cap's cut.
     """
     adj = g.adj
     state = bytearray(g.n)  # 1 in the region, 2 visited
     verts = sorted(verts)
     for v in verts:
         state[v] = 1
-    size = [1] * g.n
     parent = [-1] * g.n
-    removed: list[int] = []
+    order: list[int] = []
     for root in verts:
         if state[root] != 1:
             continue
         state[root] = 2
-        order = [root]
-        for v in order:  # breadth-first: parents precede their children
+        tree = [root]
+        for v in tree:  # breadth-first: parents precede their children
             for u in adj[v]:
                 if state[u] == 1:
                     state[u] = 2
                     parent[u] = v
-                    order.append(u)
-        for v in reversed(order):
-            if size[v] > k:
-                removed.append(v)
-            elif v != root:
-                size[parent[v]] += size[v]
+                    tree.append(u)
+        order += tree
+    return order, parent
+
+
+def _fragment_forest_removals(order: Sequence[int], parent: Sequence[int], k: int) -> list[int]:
+    """Removals leaving components of at most ``k`` vertices in a forest
+    oriented by :func:`_forest_order`, in one O(n) reversed sweep of ``order``.
+
+    A vertex whose uncut subtree (itself plus the uncut subtrees of its
+    children) holds more than ``k`` vertices is removed, leaving each
+    child subtree, of at most ``k`` vertices, as a component. Some vertex
+    of that subtree has to go, and the subtree's root separates the most,
+    so the cut is optimal on trees, and a tree on ``t`` vertices loses at
+    most ``floor(t / (k+1))``.
+    """
+    size = [1] * len(parent)
+    removed: list[int] = []
+    for v in reversed(order):
+        if size[v] > k:
+            removed.append(v)
+        elif parent[v] >= 0:
+            size[parent[v]] += size[v]
     return removed
 
 
 def fragment_forest(f: Graph, k: int) -> FragmentationResult:
     """Fragment a forest into components of at most ``k`` vertices.
 
-    Each tree is cut bottom-up from its smallest id: a vertex goes as
-    soon as its uncut subtree exceeds ``k`` vertices. The cut removes the
-    fewest vertices possible, and at most ``floor(n / (k+1))`` in total,
-    which is tight on paths whose length is a multiple of ``k+1``. Trees
-    with at most ``k`` vertices are left untouched; a tree with exactly
-    ``k+1`` vertices costs one removal (its own component would otherwise
-    exceed the cap).
+    Each tree is cut bottom-up from its smallest id: a vertex goes as soon
+    as its uncut subtree exceeds ``k`` vertices. The cut removes the fewest
+    vertices possible, at most ``floor(n / (k+1))``, which is tight on
+    paths whose length is a multiple of ``k+1``. Trees with at most ``k``
+    vertices are left untouched; a tree with ``k+1`` costs one removal.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"component cap must be >= 1, got {k}")
     if excess(f) != 0:
         raise ValueError("input graph is not a forest")
-    removed = _fragment_forest_removals(f, range(f.n), k)
-    gone = set(removed)
+    gone = set(_fragment_forest_removals(*_forest_order(f, range(f.n)), k))
     return _make_result(f, (v for v in range(f.n) if v not in gone), "forest")
 
 
@@ -219,6 +226,20 @@ def _add_back(adj, present: bytearray, order: Iterable[int],
                 size[root] += size[u]
         joined[v] = size[root]
     return joined
+
+
+def _region_degrees(adj, alive: bytearray) -> list[int]:
+    """Degrees in the region marked in ``alive``, 0 outside it, from the
+    full degrees less the edges at vertices outside: O(n) plus those edges.
+    """
+    deg = list(map(len, adj))
+    outside = [v for v, x in enumerate(alive) if not x]
+    for v in outside:
+        for u in adj[v]:
+            deg[u] -= 1
+    for v in outside:
+        deg[v] = 0
+    return deg
 
 
 def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
@@ -319,7 +340,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     at the same cost whatever the cap: one level-scan elimination,
     O(n + m) filing plus one sort per degree level, and a union-find.
     """
-    if cap < 1:
+    if not cap >= 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
     cut = _greedy_cuts(g)
     return _make_result(g, (v for v in range(g.n) if cut[v] <= cap), "greedy")
@@ -356,8 +377,7 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     verts = list(verts)
     for v in verts:
         alive[v] = 1
-    deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(adj)]
-    removed = _empty_core(adj, alive, deg, 2)
+    removed = _empty_core(adj, alive, _region_degrees(adj, alive), 2)
     order = [v for v in verts if alive[v]] + removed[::-1]
     joined = _add_back(adj, bytearray(g.n), order, lambda roots: len(set(roots)) == len(roots))
     return [v for v in verts if joined[v]]
@@ -392,7 +412,7 @@ def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationRe
     cap = component_cap(eps)
     s_t = as_vertex_tuple(g, s)
     forest = _decycled_forest(g, s_t)
-    gone = set(_fragment_forest_removals(g, forest, cap))
+    gone = set(_fragment_forest_removals(*_forest_order(g, forest), cap))
     kept = [v for v in forest if v not in gone]
     result = _make_result(g, kept, "pipeline")
     if result.max_component > cap:
@@ -400,7 +420,7 @@ def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationRe
             f"internal error: component of size {result.max_component} exceeds cap {cap}"
         )
     removed_from_s = len(s_t) - len(kept)
-    if components_pass_density(g, s_t, eps) and removed_from_s > eps * g.n + 1e-9:
+    if removed_from_s > eps * g.n + 1e-9 and components_pass_density(g, s_t, eps):
         raise PipelineBudgetError(
             f"removed {removed_from_s} of {len(s_t)} vertices, over budget "
             f"{eps * g.n:.1f} despite the density check passing"
@@ -418,7 +438,7 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     removals. Smaller components are untouched. Over ``S``, the level
     scan costs O(n + m) filing plus one sort per degree level.
     """
-    if target < 1:
+    if not target >= 1:
         raise ValueError(f"target size must be >= 1, got {target}")
     s_t = as_vertex_tuple(g, s)
     adj = g.adj
@@ -427,9 +447,8 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     alive = bytearray(g.n)
     for v in s_t:
         alive[v] = quota[comp.labels[v]] > 0
-    deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(adj)]
     gone = set()
-    for v in _empty_core(adj, alive, deg, 0):
+    for v in _empty_core(adj, alive, _region_degrees(adj, alive), 0):
         c = comp.labels[v]
         if quota[c] > 0:
             quota[c] -= 1
@@ -447,7 +466,7 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
     """
     s_t = as_vertex_tuple(g, s)
     largest = max_component_size(g, s_t)
-    if largest > k:
+    if not largest <= k:
         raise ValueError(f"component of size {largest} exceeds the cap {k}")
     return _make_result(g, _decycled_forest(g, s_t), "strip")
 

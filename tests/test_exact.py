@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -115,6 +116,14 @@ def test_cap_validation():
         exact_max_induced(c5(), 0)
     with pytest.raises(ValueError):
         max_induced_by_enumeration(c5(), 0)
+
+
+def test_nan_cap_is_refused():
+    # NaN fails every comparison, so a check written as ``k < 1`` lets it through
+    for oracle in (exact_max_induced, max_induced_by_enumeration):
+        with pytest.raises(ValueError, match="component cap must be >= 1"):
+            oracle(path(10), math.nan)
+    assert exact_max_induced(path(10), math.inf).kept == tuple(range(10))
 
 
 def test_enumeration_limit():

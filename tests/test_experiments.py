@@ -281,6 +281,32 @@ def test_forest_pipeline_decycles_once_per_replicate(monkeypatch):
     assert calls == []
 
 
+def test_forest_pipeline_orients_once_per_replicate(monkeypatch):
+    # one orientation of the decycled forest serves every cap below the
+    # largest component; caps at or above it need none
+    calls = []
+    real = experiments._forest_order
+
+    def counted(g, verts):
+        calls.append(g.n)
+        return real(g, verts)
+
+    monkeypatch.setattr(experiments, "_forest_order", counted)
+    estimate_curve_k(cfg_small(method="forest-pipeline", n=300, replicates=3,
+                               k_grid=(8, 300, 2, 4, 2)))
+    assert calls == [300] * 3
+    calls.clear()
+    estimate_curve_k(cfg_small(method="forest-pipeline", n=300, replicates=3, k_grid=(300,)))
+    assert calls == []
+
+
+def test_forest_pipeline_rows_at_scale():
+    # pinned (nu, max_component) rows of one replicate at n = 20,000
+    rows = experiments._method_results(gnp(20000, 2.0, 1), [4, 8, 16, 1000], "forest-pipeline", 20)
+    assert [(r.nu, r.max_component) for r in rows] == [
+        (0.83065, 4), (0.88475, 8), (0.915, 16), (0.94885, 1000)]
+
+
 def test_verify_requires_metadata():
     est = estimate_curve_k(cfg_small())
     stripped = CurveEstimate(

@@ -30,7 +30,17 @@ from dismantle import (
     strip_short_cycles,
     trim_components,
 )
-from dismantle.fragmenters import _certify_caps, _empty_core, _greedy_cuts, _make_result
+from dismantle import fragmenters
+from dismantle.fragmenters import (
+    _certify_caps,
+    _decycled_forest,
+    _empty_core,
+    _forest_order,
+    _fragment_forest_removals,
+    _greedy_cuts,
+    _make_result,
+    _region_degrees,
+)
 
 
 def c5():
@@ -182,6 +192,28 @@ def test_forest_handles_multi_tree_forests():
     res = fragment_forest(f, 2)
     check_result(f, res, cap=2)
     assert len(res.removed) <= 14 // 3
+
+
+forest_regions = st.one_of(
+    small_forests().map(lambda f: (f, range(f.n))),
+    st.builds(gnp, st.integers(8, 300), st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1))
+    .map(lambda g: (g, decycle_heuristic(g).kept)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_regions, st.lists(st.integers(1, 20), min_size=1, max_size=6))
+def test_cuts_from_one_orientation_match_fragment_forest(case, caps):
+    # one orientation serves every cap, in any order and repeated, and the
+    # cut of a forest region of g is the cut of the induced forest
+    g, region = case
+    region = tuple(region)
+    oriented = _forest_order(g, region)
+    forest, _ = induced_subgraph(g, region)
+    for cap in caps + caps[:1]:
+        gone = set(_fragment_forest_removals(*oriented, cap))
+        kept = tuple(v for v in region if v not in gone)
+        assert kept == tuple(region[v] for v in fragment_forest(forest, cap).kept)
 
 
 def test_max_component_size_matches_induced_components():
@@ -666,6 +698,23 @@ def test_decycle_bounds_and_maximality(g):
         assert excess(induced_subgraph(g, res.kept + (v,))[0]) > 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(elimination_graphs, st.floats(0.0, 1.0), st.randoms(), st.integers(1, 5))
+def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
+    # relabelling onto the induced subgraph keeps id order and degrees, so a
+    # run on a region of g is the run on G[S], mapped back
+    s = [v for v in range(g.n) if rng.random() < keep]
+    alive = bytearray(g.n)
+    for v in s:
+        alive[v] = 1
+    deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
+    assert _region_degrees(g.adj, alive) == deg
+    sub, _ = induced_subgraph(g, s)
+    assert _decycled_forest(g, s) == [s[i] for i in _decycled_forest(sub, range(sub.n))]
+    whole = trim_components(sub, range(sub.n), target)
+    assert trim_components(g, s, target).kept == tuple(s[i] for i in whole.kept)
+
+
 # ---------------------------------------------------------------------------
 # pipeline_fragment
 # ---------------------------------------------------------------------------
@@ -720,6 +769,23 @@ def test_pipeline_budget_error_is_exposed():
     assert issubclass(PipelineBudgetError, RuntimeError)
 
 
+def test_pipeline_over_budget_raises(monkeypatch):
+    # a decycling that drops all of S removes more than eps * n from a
+    # forest, which passes the density check
+    monkeypatch.setattr(fragmenters, "_decycled_forest", lambda g, s: [])
+    with pytest.raises(PipelineBudgetError, match="over budget"):
+        pipeline_fragment(path(20), range(20), 0.5)
+
+
+def test_pipeline_density_pass_runs_only_over_budget(monkeypatch):
+    def unexpected(g, s, eps):
+        raise AssertionError("density pass on an in-budget call")
+
+    monkeypatch.setattr(fragmenters, "components_pass_density", unexpected)
+    g = gnp(300, 2.0, seed=4)
+    check_result(g, pipeline_fragment(g, greedy_fragment(g, 40).kept, 0.5), cap=6)
+
+
 # ---------------------------------------------------------------------------
 # trim_components
 # ---------------------------------------------------------------------------
@@ -755,6 +821,25 @@ def test_trim_counting_identity():
         res = trim_components(g, s, target)
         assert len(s) - len(res.kept) == expected
         check_result(g, res, cap=target)
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, k: fragment_forest(path(10), k),
+    greedy_fragment,
+    lambda g, k: trim_components(g, range(g.n), k),
+    lambda g, k: strip_short_cycles(g, range(g.n), k),
+], ids=["fragment_forest", "greedy_fragment", "trim_components", "strip_short_cycles"])
+def test_nan_cap_is_refused(run):
+    # NaN fails every comparison, so a check written as ``k < 1`` or
+    # ``largest > k`` lets it through and the witness ignores the cap
+    g = gnp(200, 3.0, 1)
+    with pytest.raises(ValueError, match="must be >= 1|exceeds the cap"):
+        run(g, math.nan)
+    res = run(g, math.inf)  # no cap at all
+    if res.method == "strip":
+        check_result(g, res, forest=True)
+    else:
+        assert res.removed == ()
 
 
 def test_trim_validation():
