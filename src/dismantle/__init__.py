@@ -18,8 +18,6 @@ from .exact import (
     DEFAULT_ORACLE_LIMIT,
     exact_max_forest,
     exact_max_induced,
-    max_forest_by_enumeration,
-    max_induced_by_enumeration,
 )
 from .experiments import (
     ConcentrationReport,
@@ -44,10 +42,8 @@ from .fragmenters import (
     PipelineBudgetError,
     component_cap,
     decycle_heuristic,
-    edge_decycling_count,
     fragment_forest,
     greedy_fragment,
-    max_component_size,
     pipeline_fragment,
     strip_short_cycles,
     trim_components,
@@ -65,7 +61,6 @@ from .graph import (
     EdgeListFormatError,
     Graph,
     as_vertex_tuple,
-    build_graph,
     components,
     count_short_cycles,
     excess,
@@ -74,4 +69,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

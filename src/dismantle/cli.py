@@ -21,6 +21,7 @@ from .exact import exact_max_forest, exact_max_induced
 from .experiments import (
     ExperimentConfig,
     ResultsFormatError,
+    _fmt9,
     _grid_tokens,
     estimate_curve_k,
     estimate_curve_x,
@@ -44,10 +45,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's default 2
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
 
 
 def positive_int(text: str) -> int:
@@ -147,7 +144,7 @@ def _cmd_fragment(args) -> int:
             res = fragment_forest(g, args.cap)
     for v in res.removed:
         print(v)
-    print(f"nu={_fmt(res.nu)} max_component={res.max_component}")
+    print(f"nu={_fmt9(res.nu)} max_component={res.max_component}")
     return 0
 
 
@@ -195,7 +192,7 @@ def _cmd_curve(args) -> int:
     est = estimate_curve_k(cfg, jobs=args.jobs) if kind == "k" else estimate_curve_x(cfg, jobs=args.jobs)
     save_results(est, args.out)
     for pt in est.points:
-        print(f"grid={_fmt(float(pt.grid_value))} mean={_fmt(pt.mean)} stddev={_fmt(pt.stddev)}")
+        print(f"grid={_fmt9(float(pt.grid_value))} mean={_fmt9(pt.mean)} stddev={_fmt9(pt.stddev)}")
     return 0
 
 
@@ -215,27 +212,27 @@ def _cmd_delta(args) -> int:
     value = admissible_delta(args.c, args.eps)
     for row in delta_sweep(args.c, args.eps):
         print(
-            f"candidate step={row.step} delta={_fmt(row.delta)} "
-            f"log_tau={_fmt(row.log_tau)} lhs={_fmt(row.lhs)} rhs={_fmt(row.rhs)} "
+            f"candidate step={row.step} delta={_fmt9(row.delta)} "
+            f"log_tau={_fmt9(row.log_tau)} lhs={_fmt9(row.lhs)} rhs={_fmt9(row.rhs)} "
             f"admissible={int(row.admissible)}"
         )
-    print(f"delta={_fmt(value)}")
+    print(f"delta={_fmt9(value)}")
     return 0
 
 
 def _cmd_demo(args) -> int:
     report = gap_demo(args.c, args.eps, args.n, args.reps, args.seed, jobs=args.jobs)
     print(
-        f"delta={_fmt(report.delta)} cap_initial={report.cap_initial} "
+        f"delta={_fmt9(report.delta)} cap_initial={report.cap_initial} "
         f"cap_pipeline={report.cap_pipeline}"
     )
     for row in report.rows:
         print(
-            f"replicate={row.replicate} nu_initial={_fmt(row.nu_initial)} "
-            f"nu_pipeline={_fmt(row.nu_pipeline)} gap={_fmt(row.gap)} "
+            f"replicate={row.replicate} nu_initial={_fmt9(row.nu_initial)} "
+            f"nu_pipeline={_fmt9(row.nu_pipeline)} gap={_fmt9(row.gap)} "
             f"density_ok={int(row.density_ok)} components={row.pipeline_components}"
         )
-    print(f"pass_fraction={_fmt(report.pass_fraction)}")
+    print(f"pass_fraction={_fmt9(report.pass_fraction)}")
     return 0
 
 

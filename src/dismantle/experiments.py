@@ -21,7 +21,7 @@ from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence, Tuple
 
 from .analysis import admissible_delta, components_pass_density
-from .exact import exact_max_induced
+from .exact import DEFAULT_ORACLE_LIMIT, exact_max_induced
 from .fragmenters import (
     FragmentationResult,
     _certify_caps,
@@ -68,7 +68,6 @@ class ExperimentConfig:
     method: str = "greedy"
     k_grid: Optional[Tuple[int, ...]] = None
     x_grid: Optional[Tuple[float, ...]] = None
-    oracle_limit: int = 20
 
     @property
     def param(self) -> float:
@@ -95,9 +94,9 @@ class ExperimentConfig:
                 raise ValueError(f"invalid degree {self.d} for n={self.n}")
             if (self.n * self.d) % 2 != 0:
                 raise ValueError(f"n*d must be even, got n={self.n}, d={self.d}")
-        if self.method == "exact" and self.n > self.oracle_limit:
+        if self.method == "exact" and self.n > DEFAULT_ORACLE_LIMIT:
             raise ValueError(
-                f"exact method needs n <= {self.oracle_limit}, got n={self.n}"
+                f"exact method needs n <= {DEFAULT_ORACLE_LIMIT}, got n={self.n}"
             )
         grids = [g for g in (self.k_grid, self.x_grid) if g]
         if len(grids) != 1:
@@ -153,8 +152,7 @@ def _generate(cfg: ExperimentConfig, r: int) -> Graph:
     return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)  # type: ignore[arg-type]
 
 
-def _method_results(g: Graph, caps: Sequence[int], method: str,
-                    oracle_limit: int) -> list[FragmentationResult]:
+def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[FragmentationResult]:
     """One witness per cap for replicate graph ``g``.
 
     ``greedy`` eliminates once: the removals at cap ``k`` are the
@@ -165,7 +163,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str,
     the largest component; each such cap costs one sweep and one certification.
     """
     if method == "exact":
-        return [exact_max_induced(g, cap, limit=oracle_limit) for cap in caps]
+        return [exact_max_induced(g, cap) for cap in caps]
     if method == "greedy":
         return _certify_caps(g, _greedy_cuts(g), caps, "greedy")
     if method != "forest-pipeline":
@@ -189,7 +187,7 @@ def _replicate_rows(cfg: ExperimentConfig, caps: Sequence[int], r: int):
     g = _generate(cfg, r)
     return [
         (res.nu, res.max_component)
-        for res in _method_results(g, caps, cfg.method, cfg.oracle_limit)
+        for res in _method_results(g, caps, cfg.method)
     ]
 
 
@@ -265,7 +263,9 @@ def verify_estimate(est: CurveEstimate) -> bool:
 
     Confirms that the stored kept fraction is reproduced bit-for-bit and
     that the witness respects its cap. Requires the in-memory metadata
-    (method and base seed), which the CSV format does not carry.
+    (method and base seed), which the CSV format does not carry. Like
+    the run that made it, an ``exact`` estimate above the oracle limit
+    raises ``ValueError``.
     """
     if est.method is None or est.base_seed is None:
         raise ValueError("estimate lacks method/base_seed metadata; cannot verify")
@@ -284,7 +284,7 @@ def verify_estimate(est: CurveEstimate) -> bool:
     ]
     for stream in sorted({s for p in est.points for s in p.streams}):
         g = _generate(cfg, stream)
-        results = _method_results(g, caps, est.method, max(20, est.n))
+        results = _method_results(g, caps, est.method)
         for p, cap, res in zip(est.points, caps, results):
             for nu, mc, s in zip(p.values, p.max_components, p.streams):
                 if s != stream:

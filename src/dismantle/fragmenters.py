@@ -101,11 +101,6 @@ def _certify_caps(g: Graph, rank: Sequence[int], caps: Sequence[int],
     return [by_cap[cap] for cap in caps]
 
 
-def max_component_size(g: Graph, kept: Iterable[int]) -> int:
-    """Largest connected component of the subgraph induced by ``kept``."""
-    return components(g, kept).largest
-
-
 def component_cap(eps: float) -> int:
     """Smallest integer >= 3/eps (guarded against float noise)."""
     if not 0.0 < eps < 1.0:
@@ -289,18 +284,9 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
         top = len(levels) - 1
         for v in sorted(levels.pop()):
             if core[v] and deg[v] == top:
-                core[v] = alive[v] = 0
+                alive[v] = 0
                 removed.append(v)
-                low = []
-                for u in adj[v]:
-                    if core[u]:
-                        d = deg[u] = deg[u] - 1
-                        if d < j:
-                            low.append(u)
-                        else:
-                            levels[d].append(u)
-                if low:
-                    leave(low)
+                leave([v])
     return removed
 
 
@@ -465,12 +451,7 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
     cycles, so removals stay at most the number of these short cycles.
     """
     s_t = as_vertex_tuple(g, s)
-    largest = max_component_size(g, s_t)
+    largest = components(g, s_t).largest
     if not largest <= k:
         raise ValueError(f"component of size {largest} exceeds the cap {k}")
     return _make_result(g, _decycled_forest(g, s_t), "strip")
-
-
-def edge_decycling_count(g: Graph) -> int:
-    """Minimum number of edge deletions leaving a spanning forest."""
-    return excess(g)

@@ -126,15 +126,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
-    """Validate and build a graph from an explicit edge list.
-
-    Rejects out-of-range endpoints, self-loops and duplicate edges,
-    each with its own message.
-    """
-    return Graph(n, edges)
-
-
 @dataclass(frozen=True)
 class ComponentDecomposition:
     """Connected components of a graph, or of the subgraph induced by a vertex set.

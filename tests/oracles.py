@@ -1,0 +1,117 @@
+"""Subset-enumeration references for the exact oracles of ``dismantle.exact``.
+
+Each function sweeps every vertex subset with its own component logic, to
+cross-check the branch-and-bound oracles in the tests. Only ``Graph`` is
+imported from ``dismantle``, so a bug in the library's traversals cannot
+hide in both halves of a comparison (``test_oracles_are_independent``
+checks this).
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+from dismantle import Graph
+
+ENUMERATION_LIMIT = 14
+
+
+def _check_limit(g: Graph, limit: int) -> None:
+    if g.n > limit:
+        raise ValueError(f"graph has {g.n} > {limit} vertices (enumeration limit)")
+
+
+def max_induced_by_enumeration(g: Graph, k: int, limit: int = ENUMERATION_LIMIT) -> Tuple[int, Tuple[int, ...]]:
+    """Exhaustive reference for ``exact_max_induced``.
+
+    Tabulates the largest component size of every one of the ``2**n``
+    subsets through a recurrence on submasks, then picks the biggest
+    subset whose value is within ``k``. Returns ``(size, witness)``.
+    """
+    if not k >= 1:
+        raise ValueError(f"component cap must be >= 1, got {k}")
+    _check_limit(g, limit)
+    n = g.n
+    nb = [0] * n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+
+    size_count = 1 << n
+    max_comp = [0] * size_count
+    for mask in range(1, size_count):
+        low = mask & -mask
+        comp = low
+        while True:
+            grow = 0
+            rest = comp
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                grow |= nb[b.bit_length() - 1]
+            grow &= mask
+            if grow | comp == comp:
+                break
+            comp |= grow
+        mc = comp.bit_count()
+        leftover = max_comp[mask & ~comp]
+        max_comp[mask] = mc if mc >= leftover else leftover
+
+    best = 0
+    witness = 0
+    for mask in range(size_count):
+        if max_comp[mask] <= k:
+            pc = mask.bit_count()
+            if pc > best:
+                best = pc
+                witness = mask
+    return best, tuple(v for v in range(n) if (witness >> v) & 1)
+
+
+def max_forest_by_enumeration(g: Graph, limit: int = ENUMERATION_LIMIT) -> Tuple[int, Tuple[int, ...]]:
+    """Exhaustive reference for ``exact_max_forest``.
+
+    Checks every subset directly: it induces a forest exactly when its
+    edge count equals its vertex count minus its number of components.
+    Returns ``(size, witness)``.
+    """
+    _check_limit(g, limit)
+    n = g.n
+    nb = [0] * n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+
+    best = 0
+    witness = 0
+    for mask in range(1 << n):
+        pc = mask.bit_count()
+        if pc <= best:
+            continue
+        twice_edges = 0
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            twice_edges += (nb[b.bit_length() - 1] & mask).bit_count()
+        ncomp = 0
+        todo = mask
+        while todo:
+            ncomp += 1
+            comp = todo & -todo
+            while True:
+                grow = 0
+                r2 = comp
+                while r2:
+                    b = r2 & -r2
+                    r2 ^= b
+                    grow |= nb[b.bit_length() - 1]
+                grow &= todo
+                if grow | comp == comp:
+                    break
+                comp |= grow
+            todo &= ~comp
+        if twice_edges // 2 == pc - ncomp:
+            best = pc
+            witness = mask
+    return best, tuple(v for v in range(n) if (witness >> v) & 1)

@@ -10,7 +10,6 @@ import time
 
 from dismantle import (
     admissible_delta,
-    build_graph,
     chernoff_upper_tail,
     components,
     concentration_report,
@@ -26,17 +25,17 @@ from dismantle import (
     giant_component_fraction,
     giant_fraction_limit,
     gnp,
+    Graph,
     greedy_fragment,
     induced_subgraph,
-    max_component_size,
-    max_forest_by_enumeration,
-    max_induced_by_enumeration,
     path,
     pipeline_fragment,
     random_tree,
     rng_for,
     trim_components,
 )
+
+from oracles import max_forest_by_enumeration, max_induced_by_enumeration
 
 RHO_2 = 0.7968121  # positive solution of x = 1 - exp(-2x)
 
@@ -148,7 +147,7 @@ def test_criterion_5_density_claim():
     for seed in range(20):
         rep = density_scan(gnp(500, 2.0, seed=500 + seed), 8, 0.6)
         clean += not rep.violations
-    k4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    k4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
     control = density_scan(k4, 4, 0.3)
     control_ok = ((0, 1, 2, 3), 6) in control.violations
     elapsed = time.time() - start

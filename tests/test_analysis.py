@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dismantle import (
     EnumerationBudgetError,
     admissible_delta,
-    build_graph,
     chernoff_upper_tail,
     components_pass_density,
     connected_vertex_sets,
@@ -21,6 +20,7 @@ from dismantle import (
     giant_component_fraction,
     giant_fraction_limit,
     gnp,
+    Graph,
     induced_subgraph,
     path,
     random_tree,
@@ -28,7 +28,7 @@ from dismantle import (
 
 
 def k4():
-    return build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 
 
 def random_graph(n, m, rng):
@@ -38,7 +38,7 @@ def random_graph(n, m, rng):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def graphs_and_caps(draw):
     n = draw(st.integers(1, 10))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
-    g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
     return g, draw(st.integers(1, n + 1))
 
 
@@ -370,7 +370,7 @@ def graphs_of_any_density(draw):
     pairs = list(combinations(range(n), 2))
     weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
     cut = draw(st.integers(0, 4))  # 0: no edges ... 4: complete
-    g = build_graph(n, [e for e, w in zip(pairs, weights) if w < cut])
+    g = Graph(n, [e for e, w in zip(pairs, weights) if w < cut])
     return g, draw(st.integers(1, n + 1)), draw(st.sampled_from([0.0, 0.48, 0.5, 2.0, 3.8]))
 
 
@@ -395,7 +395,7 @@ def test_scan_bounds_the_level_below_a_leaf_on_its_own():
     # K8 with a pendant at every vertex, t_max 17, eps 3.72: the whole graph
     # spans 36 > 35.84 edges, but each 15-vertex leaf below it has one
     # candidate, a pendant, so no 17-set bound (e + 2*1 + 1 <= 38.08) fires
-    g = build_graph(16, list(combinations(range(8), 2)) + [(v, v + 8) for v in range(8)])
+    g = Graph(16, list(combinations(range(8), 2)) + [(v, v + 8) for v in range(8)])
     rep = density_scan(g, 17, 3.72)
     assert (tuple(range(16)), 36) in rep.violations
     assert (rep.violations, rep.sets_examined) == reference_scan(g, 17, 3.72, math.inf)
@@ -442,7 +442,7 @@ def test_scan_k4_flags_whole_graph():
     assert rep.violations == (((0, 1, 2, 3), 6),)
     assert rep.sets_examined > 0
     # K4 less an edge has excess 2, the least a component holding a violator has
-    diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert density_scan(diamond, 4, 0.3).violations == (((0, 1, 2, 3), 5),)
 
 
@@ -487,7 +487,7 @@ def test_scan_matches_direct_check():
 def test_scan_deep_sets_need_no_recursion():
     # K4 plus a 1,000-vertex path from vertex 3: sets reach 1,004 vertices deep
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    g = build_graph(1004, edges + [(v, v + 1) for v in range(3, 1003)])
+    g = Graph(1004, edges + [(v, v + 1) for v in range(3, 1003)])
     rep = density_scan(g, g.n, 0.5)
     assert len(rep.violations) == 8  # K4 plus the first 0..7 path vertices
     assert rep.violations[-1] == ((0, 1, 2, 3), 6)
@@ -542,7 +542,7 @@ def test_components_pass_density_cases():
     assert components_pass_density(random_tree(30, seed=1), range(30), 0.1)
     assert not components_pass_density(k4(), range(4), 0.3)
     # a five-cycle spans exactly its size in edges: passes for any eps > 0
-    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert components_pass_density(c5, range(5), 0.01)
     assert components_pass_density(k4(), range(4), math.inf)
     with pytest.raises(ValueError, match="nan"):
@@ -553,7 +553,7 @@ def test_density_checks_agree_at_the_boundary():
     # 29 edges on 25 vertices at eps = 0.48: the limit (1 + eps/3) * 25 is
     # 29 exactly, but 28.999999999999996 in floats, so it is not exceeded.
     edges = [(v, v + 1) for v in range(24)] + [(0, 24), (0, 12), (3, 20), (6, 18), (9, 15)]
-    g = build_graph(25, edges)
+    g = Graph(25, edges)
     assert g.m == 29 and (1.0 + 0.48 / 3.0) * 25 < 29
     assert components_pass_density(g, range(25), 0.48)
     rep = density_scan(g, 25, 0.48)
@@ -562,7 +562,7 @@ def test_density_checks_agree_at_the_boundary():
 
 
 def test_giant_fraction_edgeless():
-    g = build_graph(50, [])
+    g = Graph(50, [])
     assert giant_component_fraction(g) == 1 / 50
 
 

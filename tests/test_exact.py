@@ -1,28 +1,30 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from dismantle import (
-    build_graph,
+    components,
     exact_max_forest,
     exact_max_induced,
     excess,
+    Graph,
     induced_subgraph,
-    max_component_size,
-    max_forest_by_enumeration,
-    max_induced_by_enumeration,
     path,
     random_tree,
 )
 
+from oracles import max_forest_by_enumeration, max_induced_by_enumeration
+
 
 def c5():
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
 def k4():
-    return build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 
 
 def random_graph(n, m, rng):
@@ -32,13 +34,13 @@ def random_graph(n, m, rng):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 def test_independence_number_of_c5():
     res = exact_max_induced(c5(), 1)
     assert len(res.kept) == 2
-    assert max_component_size(c5(), res.kept) <= 1
+    assert components(c5(), res.kept).largest <= 1
 
 
 def test_path6_cap2():
@@ -81,8 +83,8 @@ def test_branch_and_bound_matches_enumeration():
             res = exact_max_induced(g, k)
             size, witness = max_induced_by_enumeration(g, k)
             assert len(res.kept) == size
-            assert max_component_size(g, res.kept) <= k
-            assert max_component_size(g, witness) <= k
+            assert components(g, res.kept).largest <= k
+            assert components(g, witness).largest <= k
 
 
 def test_monotone_in_cap():
@@ -108,7 +110,7 @@ def test_limit_enforced():
     with pytest.raises(ValueError, match="oracle limit"):
         exact_max_forest(g)
     res = exact_max_induced(g, 2, limit=21)  # explicit limit override works
-    assert max_component_size(g, res.kept) <= 2
+    assert components(g, res.kept).largest <= 2
 
 
 def test_cap_validation():
@@ -132,3 +134,16 @@ def test_enumeration_limit():
         max_induced_by_enumeration(g, 2)
     with pytest.raises(ValueError):
         max_forest_by_enumeration(g)
+
+
+def test_oracles_are_independent():
+    # the enumeration references share no code with the library but Graph,
+    # so one traversal bug cannot sit on both sides of a comparison
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names if a.name.split(".")[0] == "dismantle"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dismantle":
+            imported += [f"{node.module}.{a.name}" for a in node.names]
+    assert imported == ["dismantle.Graph"]

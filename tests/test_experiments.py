@@ -21,7 +21,6 @@ from dismantle import (
     greedy_fragment,
     induced_subgraph,
     load_results,
-    max_component_size,
     monotone_inverse,
     pool_adjacent_violators,
     random_regular,
@@ -212,7 +211,7 @@ def test_greedy_rows_match_separate_runs(overrides):
         est, caps = estimate_curve_x(cfg), [math.ceil(round(x * cfg.n, 9)) for x in cfg.x_grid]
     for r in range(cfg.replicates):
         g = replicate_graph(cfg, r)
-        rows = experiments._method_results(g, caps, "greedy", cfg.oracle_limit)
+        rows = experiments._method_results(g, caps, "greedy")
         for p, cap, row in zip(est.points, caps, rows):
             res = greedy_fragment(g, cap)
             assert row == res
@@ -262,7 +261,7 @@ def test_forest_pipeline_rows_match_public_api():
             else:
                 kept = tuple(dec.kept[v] for v in fragment_forest(forest, p.grid_value).kept)
             assert p.values[r] == len(kept) / g.n
-            assert p.max_components[r] == max_component_size(g, kept)
+            assert p.max_components[r] == components(g, kept).largest
 
 
 def test_forest_pipeline_decycles_once_per_replicate(monkeypatch):
@@ -302,7 +301,7 @@ def test_forest_pipeline_orients_once_per_replicate(monkeypatch):
 
 def test_forest_pipeline_rows_at_scale():
     # pinned (nu, max_component) rows of one replicate at n = 20,000
-    rows = experiments._method_results(gnp(20000, 2.0, 1), [4, 8, 16, 1000], "forest-pipeline", 20)
+    rows = experiments._method_results(gnp(20000, 2.0, 1), [4, 8, 16, 1000], "forest-pipeline")
     assert [(r.nu, r.max_component) for r in rows] == [
         (0.83065, 4), (0.88475, 8), (0.915, 16), (0.94885, 1000)]
 
@@ -315,6 +314,16 @@ def test_verify_requires_metadata():
     )
     with pytest.raises(ValueError):
         verify_estimate(stripped)
+
+
+def test_verify_exact_estimate_keeps_the_oracle_limit():
+    # n = 21 is one above the limit the exact method runs under, so no
+    # run made this estimate and re-checking it must not run the oracle
+    point = CurvePoint(grid_value=2, values=(0.5,), max_components=(2,), streams=(0,))
+    est = CurveEstimate(model="gnp", param=2.0, n=21, grid_kind="k", points=(point,),
+                        method="exact", base_seed=0)
+    with pytest.raises(ValueError, match="oracle limit"):
+        verify_estimate(est)
 
 
 def test_jobs_parallel_matches_serial():

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dismantle import (
+    Graph,
     PipelineBudgetError,
-    build_graph,
     component_cap,
     components,
     components_pass_density,
     count_short_cycles,
     decycle_heuristic,
-    edge_decycling_count,
     exact_max_forest,
     exact_max_induced,
     excess,
@@ -22,7 +21,6 @@ from dismantle import (
     gnp,
     greedy_fragment,
     induced_subgraph,
-    max_component_size,
     path,
     pipeline_fragment,
     random_regular,
@@ -44,15 +42,15 @@ from dismantle.fragmenters import (
 
 
 def c5():
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
 def c6():
-    return build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    return Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
 
 
 def k4():
-    return build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 
 
 def random_graph(n, m, rng):
@@ -62,7 +60,7 @@ def random_graph(n, m, rng):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 def check_result(g, res, cap=None, forest=False):
@@ -119,7 +117,7 @@ def test_forest_path9_cap2():
 
 
 def test_forest_star_cap1_removes_center():
-    star = build_graph(6, [(0, i) for i in range(1, 6)])
+    star = Graph(6, [(0, i) for i in range(1, 6)])
     res = fragment_forest(star, 1)
     assert res.removed == (0,)
     assert res.max_component == 1
@@ -173,7 +171,7 @@ def small_forests(draw):
         p = draw(st.integers(-1, v - 1))
         if p >= 0:
             edges.append((label[p], label[v]))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 @settings(max_examples=150, deadline=None)
@@ -188,7 +186,7 @@ def test_forest_cut_is_optimal_on_small_forests(f, k):
 def test_forest_handles_multi_tree_forests():
     # two paths glued as one graph
     edges = [(i, i + 1) for i in range(7)] + [(8 + i, 9 + i) for i in range(5)]
-    f = build_graph(14, edges)
+    f = Graph(14, edges)
     res = fragment_forest(f, 2)
     check_result(f, res, cap=2)
     assert len(res.removed) <= 14 // 3
@@ -221,7 +219,7 @@ def test_max_component_size_matches_induced_components():
     g = gnp(300, 2.0, seed=31)
     for _ in range(20):
         kept = rng.sample(range(g.n), rng.randint(0, g.n))
-        assert max_component_size(g, kept) == components(induced_subgraph(g, kept)[0]).largest
+        assert components(g, kept).largest == components(induced_subgraph(g, kept)[0]).largest
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,7 @@ def test_greedy_matches_reference():
 
 def test_greedy_without_edges_removes_nothing():
     for n in (0, 1, 7):
-        g = build_graph(n, [])
+        g = Graph(n, [])
         for cap in (1, 3):
             res = greedy_fragment(g, cap)
             assert res.removed == () and _greedy_cuts(g) == [0] * n
@@ -319,7 +317,7 @@ def test_greedy_without_edges_removes_nothing():
 
 
 def test_greedy_star_removes_centre():
-    star = build_graph(7, [(4, i) for i in range(7) if i != 4])
+    star = Graph(7, [(4, i) for i in range(7) if i != 4])
     for cap in range(1, 7):
         res = greedy_fragment(star, cap)
         assert res.removed == (4,) and cut_sizes(star, res) == (7,)
@@ -330,7 +328,7 @@ def test_greedy_star_removes_centre():
 def test_greedy_complete_graph_cut_sizes():
     # n = 2 is a single edge: vertex 0 goes, with cut size 2
     for n in (2, 3, 6):
-        kn = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        kn = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         res = greedy_fragment(kn, 1)
         assert res.removed == tuple(range(n - 1)) and res.kept == (n - 1,)
         assert cut_sizes(kn, res) == tuple(range(n, 1, -1))
@@ -343,12 +341,12 @@ def test_greedy_ties_go_to_smallest_id():
     assert res.removed == (0, 2, 4) and cut_sizes(c6(), res) == (6, 5, 3)
     # 3x3 grid, id 3*row + col: the centre goes first, then the 8-cycle
     # around it is cut from its smallest ids down
-    grid = build_graph(9, [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
+    grid = Graph(9, [(3 * r + c, 3 * r + c + 1) for r in range(3) for c in range(2)]
                        + [(3 * r + c, 3 * r + c + 3) for r in range(2) for c in range(3)])
     res = greedy_fragment(grid, 1)
     assert res.removed == (0, 2, 4, 6, 8) and cut_sizes(grid, res) == (8, 7, 9, 5, 3)
     # 4x4 torus: every vertex ties on degree 4
-    torus = build_graph(16, sorted({tuple(sorted((4 * r + c, 4 * r + (c + 1) % 4)))
+    torus = Graph(16, sorted({tuple(sorted((4 * r + c, 4 * r + (c + 1) % 4)))
                                     for r in range(4) for c in range(4)}
                                    | {tuple(sorted((4 * r + c, 4 * ((r + 1) % 4) + c)))
                                       for r in range(4) for c in range(4)}))
@@ -369,7 +367,7 @@ def small_graphs(draw):
     n = draw(st.integers(1, 14))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
-    return build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    return Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,7 +417,7 @@ def ranked_graphs(draw):
     n = draw(st.integers(0, 60))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n)) if n else []
-    g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
     rank = draw(st.lists(st.integers(-2, n + 3), min_size=n, max_size=n))
     # unsorted and repeated, with 0 and caps at or above n among the draws
     caps = draw(st.lists(st.integers(0, n + 3), min_size=1, max_size=8))
@@ -439,7 +437,7 @@ def test_certify_caps_matches_make_result(case):
 def test_certify_caps_reports_true_sizes():
     # the ranks claim nothing is cut, so the whole path and cycle survive
     # every cap; the rows must say so rather than echo the cap
-    g = build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
+    g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
     for res in _certify_caps(g, [0] * 9, (1, 2, 9), "greedy"):
         assert (res.max_component, res.component_count, res.nu) == (5, 2, 1.0)
     # a rank that keeps both ends of a path joins them only with the middle
@@ -514,7 +512,7 @@ def triangles_joined_by_path(length):
         n += 3
         prev = v
     edges += [(prev, n), (n, n + 1), (n + 1, n + 2), (n + 2, n)]
-    return build_graph(n + 3, edges)
+    return Graph(n + 3, edges)
 
 
 def decycle_cases():
@@ -528,11 +526,11 @@ def decycle_cases():
     for length in (1, 2, 5):
         yield triangles_joined_by_path(length)
     # a hub of high degree on no cycle, between a 4-cycle and K4
-    yield build_graph(12, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6),
+    yield Graph(12, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6),
                            (4, 7), (4, 8), (8, 9), (8, 10), (8, 11), (9, 10),
                            (9, 11), (10, 11)])
     # cycles hanging off both ends of a path, each with a pendant tree
-    yield build_graph(13, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6),
+    yield Graph(13, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6),
                            (6, 7), (7, 8), (8, 6), (8, 9), (0, 10), (10, 11),
                            (10, 12)])
 
@@ -546,7 +544,7 @@ def test_decycle_restores_a_core_vertex_on_no_cycle():
     # hub 0 joins three triangles by bridges: it ties on 2-core degree 3
     # with the triangle vertices it touches, goes first by id, and comes
     # back once a vertex of each triangle is gone
-    g = build_graph(10, [(0, 1), (0, 4), (0, 7), (1, 2), (2, 3), (3, 1),
+    g = Graph(10, [(0, 1), (0, 4), (0, 7), (1, 2), (2, 3), (3, 1),
                          (4, 5), (5, 6), (6, 4), (7, 8), (8, 9), (9, 7)])
     alive = bytearray([1]) * g.n
     assert _empty_core(g.adj, alive, [len(a) for a in g.adj], 2) == [0, 1, 4, 7]
@@ -574,16 +572,16 @@ def test_empty_core_ties_at_top_degree_and_largest_id():
     # these graphs tie on the largest degree and put a tie, or the hub,
     # on the largest id: the first and the last entry of a level
     def star(n, centre):
-        return build_graph(n, [tuple(sorted((centre, v))) for v in range(n) if v != centre])
+        return Graph(n, [tuple(sorted((centre, v))) for v in range(n) if v != centre])
 
     def complete(n):
-        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
     def cycle(n):
-        return build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+        return Graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
 
     graphs = [star(7, 6), star(7, 0), star(2, 1), complete(2), complete(5), complete(8),
-              cycle(3), cycle(6), cycle(11), c5(), k4(), build_graph(1, []), build_graph(0, [])]
+              cycle(3), cycle(6), cycle(11), c5(), k4(), Graph(1, []), Graph(0, [])]
     graphs += [random_regular(n, d, seed=n + d) for n, d in [(10, 3), (16, 3), (12, 4), (21, 4)]]
     for g in graphs:
         for j in (0, 1, 2):
@@ -722,13 +720,13 @@ def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
 
 def test_pipeline_small_forest_components_untouched():
     edges = [(0, 1), (1, 2), (3, 4)]
-    g = build_graph(6, edges)
+    g = Graph(6, edges)
     res = pipeline_fragment(g, range(6), 0.5)  # cap 6, all comps tiny forests
     assert res.kept == tuple(range(6))
 
 
 def test_pipeline_two_five_cycles():
-    g = build_graph(
+    g = Graph(
         10,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8), (8, 9), (9, 5)],
     )
@@ -804,7 +802,7 @@ def test_trim_exact_removal_count():
     assert len(res.removed) == 6
     check_result(g, res, cap=4)
     # path 1-2-3-0: once 2 goes, 0 and 3 both have degree 1 and 0 goes first
-    g = build_graph(4, [(0, 3), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 3), (1, 2), (2, 3)])
     assert trim_components(g, range(4), 1).removed == (0, 1, 2)
 
 
@@ -939,20 +937,16 @@ def test_strip_bounded_by_short_cycle_count():
 
 
 # ---------------------------------------------------------------------------
-# edge_decycling_count
+# excess
 # ---------------------------------------------------------------------------
 
 
 def test_edge_decycling_examples():
-    assert edge_decycling_count(random_tree(20, seed=1)) == 0
-    assert edge_decycling_count(c5()) == 1
-    assert edge_decycling_count(k4()) == 3
-    g = build_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4)])
-    assert edge_decycling_count(g) == 1
-    rng = random.Random(23)
-    for _ in range(20):
-        g = random_graph(30, rng.randint(0, 60), rng)
-        assert edge_decycling_count(g) == excess(g)
+    # edge deletions that leave a spanning forest
+    assert excess(random_tree(20, seed=1)) == 0
+    assert excess(c5()) == 1
+    assert excess(k4()) == 3
+    assert excess(Graph(8, [(0, 1), (1, 2), (2, 0), (3, 4)])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -989,8 +983,8 @@ def test_forest_witness_chain():
 
 
 def test_empty_and_single_vertex_graphs():
-    empty = build_graph(0, [])
-    single = build_graph(1, [])
+    empty = Graph(0, [])
+    single = Graph(1, [])
     for g in (empty, single):
         assert greedy_fragment(g, 1).removed == ()
         assert decycle_heuristic(g).removed == ()

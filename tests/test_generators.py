@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dismantle import (
+    Graph,
     SamplingBudgetError,
-    build_graph,
     components,
     excess,
     gnp,
@@ -160,9 +160,9 @@ def gnp_reference(n, c, seed, stream=0):
     p = c / n
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
-        return build_graph(n, [])
+        return Graph(n, [])
     if p >= 1.0:
-        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     rng = rng_for(seed, stream)
     positions = []
     cur = -1
@@ -183,7 +183,7 @@ def gnp_reference(n, c, seed, stream=0):
             row_start = row_end
             row_end += n - 1 - u
         edges.append((u, u + 1 + idx - row_start))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def random_regular_reference(n, d, seed, stream=0, max_attempts=10_000):
@@ -200,7 +200,7 @@ def random_regular_reference(n, d, seed, stream=0, max_attempts=10_000):
         key = lo.astype(np.int64) * n + hi
         if np.unique(key).size != key.size:
             continue
-        return build_graph(n, zip(lo.tolist(), hi.tolist()))
+        return Graph(n, zip(lo.tolist(), hi.tolist()))
     raise SamplingBudgetError(f"no simple {d}-regular graph found in {max_attempts} attempts")
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dismantle import (
     EdgeListFormatError,
     Graph,
-    build_graph,
     components,
     count_short_cycles,
     excess,
@@ -25,11 +24,11 @@ from dismantle import (
 
 
 def c5():
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
 def k4():
-    return build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
 
 
 def random_graph(n, m, rng):
@@ -39,7 +38,7 @@ def random_graph(n, m, rng):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return build_graph(n, sorted(edges))
+    return Graph(n, sorted(edges))
 
 
 class UnionFind:
@@ -61,13 +60,13 @@ class UnionFind:
 
 
 def test_build_path():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g.n == 3 and g.m == 2
     assert g.edges == ((0, 1), (1, 2))
 
 
 def test_build_empty():
-    g = build_graph(5, [])
+    g = Graph(5, [])
     assert g.n == 5 and g.m == 0
     assert all(a == () for a in g.adj)
 
@@ -77,20 +76,20 @@ def test_build_k4():
 
 
 def test_build_zero_vertices():
-    g = build_graph(0, [])
+    g = Graph(0, [])
     assert g.n == 0 and g.m == 0 and components(g).count == 0
     assert components(g, ()) == components(g)
 
 
 def test_build_rejections_are_distinct():
     with pytest.raises(ValueError, match="out of range"):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="self-loop"):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(ValueError, match="duplicate"):
-        build_graph(3, [(0, 1), (1, 0)])
+        Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="vertex count"):
-        build_graph(-1, [])
+        Graph(-1, [])
 
 
 def build_outcome(n, edges):
@@ -273,12 +272,12 @@ def test_adjacency_sorted_and_symmetric():
 
 
 def test_components_path():
-    dec = components(build_graph(3, [(0, 1), (1, 2)]))
+    dec = components(Graph(3, [(0, 1), (1, 2)]))
     assert dec.count == 1 and dec.sizes == (3,)
 
 
 def test_components_edgeless():
-    dec = components(build_graph(5, []))
+    dec = components(Graph(5, []))
     assert dec.count == 5 and dec.largest == 1
 
 
@@ -323,7 +322,7 @@ def graphs_with_subsets(draw):
     n = draw(st.integers(1, 14))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
-    g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
     return g, draw(st.sets(vertex))
 
 
