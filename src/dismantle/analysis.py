@@ -270,7 +270,7 @@ def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...
     order of the walk, which visits every set. A bad ``t_max`` raises
     :class:`ValueError` at call time, before iteration.
     """
-    if t_max < 1:
+    if not t_max >= 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
     walk = _connected_sets(g.adj, range(g.n), t_max, [0] * g.n)
     return ((tuple(sorted(s_list)), e_count) for _, s_list, e_count, _ in walk)
@@ -302,10 +302,12 @@ def density_scan(
     ``t_max`` may be as large as the graph. Exceeding ``budget`` examined
     sets raises :class:`EnumerationBudgetError`.
     """
-    if t_max < 1:
+    if not t_max >= 1:
         raise ValueError(f"size cap must be >= 1, got {t_max}")
     if not eps >= 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     comp = components(g)
     roots = (
         v

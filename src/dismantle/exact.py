@@ -1,14 +1,17 @@
 """Exact maximum induced subgraph oracles (desk scale).
 
-Branch and bound gives the largest vertex set inducing components of at
-most ``k`` vertices, and the largest inducing a forest. The tests
-cross-check both against independent subset enumeration, which lives
-test-side in ``tests/oracles.py`` and shares no code with this module.
+One branch and bound gives both the largest vertex set inducing
+components of at most ``k`` vertices and the largest inducing a forest.
+It decides include/exclude in id order, include first, and keeps the
+kept components in a rollback union-find, so among the maximum sets it
+returns the first in that order. The tests cross-check both oracles
+against independent subset enumeration, which lives test-side in
+``tests/oracles.py`` and shares no code with this module.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
 
 from .fragmenters import FragmentationResult, _make_result
 from .graph import Graph
@@ -16,121 +19,75 @@ from .graph import Graph
 DEFAULT_ORACLE_LIMIT = 20
 
 
-def _check_limit(g: Graph, limit: int) -> None:
-    if g.n > limit:
-        raise ValueError(f"graph has {g.n} > {limit} vertices (exact oracle limit)")
+def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> list[int]:
+    """Largest vertex set whose induced components hold at most ``k``
+    vertices each and, with ``acyclic``, are trees.
+
+    Decides include/exclude in id order, include first. Vertex ``i`` may
+    join when the distinct components of its kept neighbours, plus ``i``,
+    hold at most ``k`` vertices; with ``acyclic`` those neighbours must
+    also lie in pairwise distinct components, or ``i`` would close a
+    cycle. Components only grow along an include path, so checking the
+    one ``i`` joins keeps every kept component valid. A branch dies when
+    keeping every undecided vertex cannot beat the incumbent, so the
+    first maximum set reached wins: the largest indicator vector read
+    from vertex 0. Kept components live in a union-find over ``g.adj``
+    whose joins point the old roots at ``i`` and are undone on backtrack.
+    """
+    n = g.n
+    if not n <= limit:
+        raise ValueError(f"graph has {n} > {limit} vertices (exact oracle limit)")
+    adj = g.adj
+    parent = list(range(n))
+    size = [1] * n
+    inside = bytearray(n)
+    kept: list[int] = []
+    best: list[int] = []
+
+    def dfs(i: int) -> None:
+        nonlocal best
+        if len(kept) + (n - i) <= len(best):
+            return
+        if i == n:
+            best = kept.copy()
+            return
+        roots = []
+        total = 1
+        for u in adj[i]:
+            if inside[u]:
+                r = u
+                while parent[r] != r:  # no path compression: links must roll back
+                    r = parent[r]
+                if r not in roots:
+                    roots.append(r)
+                    total += size[r]
+                elif acyclic:
+                    break
+        else:  # skipped when acyclic and i would close a cycle
+            if total <= k:
+                for r in roots:
+                    parent[r] = i
+                size[i] = total
+                inside[i] = 1
+                kept.append(i)
+                dfs(i + 1)
+                kept.pop()
+                inside[i] = 0
+                for r in roots:
+                    parent[r] = r
+        dfs(i + 1)
+
+    dfs(0)
+    return best
 
 
 def exact_max_induced(g: Graph, k: int, limit: int = DEFAULT_ORACLE_LIMIT) -> FragmentationResult:
-    """Largest vertex set inducing components of at most ``k`` vertices.
-
-    Branch and bound over include/exclude decisions in id order. A
-    branch dies as soon as the component swallowing the newest vertex
-    exceeds ``k`` (component sizes only grow along an include path) or
-    when even keeping every undecided vertex cannot beat the incumbent.
-    """
+    """Largest vertex set inducing components of at most ``k`` vertices."""
     if not k >= 1:
         raise ValueError(f"component cap must be >= 1, got {k}")
-    _check_limit(g, limit)
-    n = g.n
-    if n == 0:
-        return _make_result(g, (), "exact-components")
-    adjm = [0] * n
-    for u, v in g.edges:
-        adjm[u] |= 1 << v
-        adjm[v] |= 1 << u
-
-    best_size = 0
-    best_mask = 0
-
-    def component_fits(mask: int, start: int) -> bool:
-        comp = start
-        frontier = start
-        size = 1
-        while frontier:
-            grow = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                grow |= adjm[b.bit_length() - 1]
-            grow &= mask & ~comp
-            size += grow.bit_count()
-            if size > k:
-                return False
-            comp |= grow
-            frontier = grow
-        return True
-
-    def dfs(i: int, mask: int, count: int) -> None:
-        nonlocal best_size, best_mask
-        if count + (n - i) <= best_size:
-            return
-        if i == n:
-            best_size = count
-            best_mask = mask
-            return
-        bit = 1 << i
-        new_mask = mask | bit
-        if component_fits(new_mask, bit):
-            dfs(i + 1, new_mask, count + 1)
-        dfs(i + 1, mask, count)
-
-    dfs(0, 0, 0)
-    kept = [v for v in range(n) if (best_mask >> v) & 1]
-    return _make_result(g, kept, "exact-components")
+    return _make_result(g, _largest_kept(g, k, False, limit), "exact-components")
 
 
 def exact_max_forest(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> FragmentationResult:
-    """Largest vertex set inducing a forest (complement of a minimum decycling set).
-
-    Branch and bound with a rollback union-find: including a vertex is
-    allowed only when its already-kept neighbors lie in pairwise distinct
-    components, otherwise it would close a cycle.
-    """
-    _check_limit(g, limit)
-    n = g.n
-    if n == 0:
-        return _make_result(g, (), "exact-forest")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:  # no path compression: links must roll back
-            x = parent[x]
-        return x
-
-    best_size = 0
-    best_kept: Tuple[int, ...] = ()
-    kept: list[int] = []
-    kept_mask = 0
-
-    def dfs(i: int, count: int) -> None:
-        nonlocal best_size, best_kept, kept_mask
-        if count + (n - i) <= best_size:
-            return
-        if i == n:
-            best_size = count
-            best_kept = tuple(kept)
-            return
-        roots = set()
-        cycle = False
-        for u in g.adj[i]:
-            if (kept_mask >> u) & 1:
-                r = find(u)
-                if r in roots:
-                    cycle = True
-                    break
-                roots.add(r)
-        if not cycle:
-            for r in roots:
-                parent[r] = i
-            kept.append(i)
-            kept_mask |= 1 << i
-            dfs(i + 1, count + 1)
-            kept_mask ^= 1 << i
-            kept.pop()
-            for r in roots:
-                parent[r] = r
-        dfs(i + 1, count)
-
-    dfs(0, 0)
-    return _make_result(g, best_kept, "exact-forest")
+    """Largest vertex set inducing a forest (complement of a minimum decycling set)."""
+    return _make_result(g, _largest_kept(g, math.inf, True, limit), "exact-forest")

@@ -244,7 +244,7 @@ def count_short_cycles(g: Graph, k: int) -> int:
     and continues toward its smaller neighbor. Enumeration cost grows
     with the number of cycles; intended for desk-scale graphs.
     """
-    if k < 3:
+    if not k >= 3:
         raise ValueError(f"cycle length bound must be >= 3, got {k}")
     adj = g.adj
     n = g.n

@@ -21,21 +21,41 @@ def _check_limit(g: Graph, limit: int) -> None:
         raise ValueError(f"graph has {g.n} > {limit} vertices (enumeration limit)")
 
 
+def _masks(g: Graph) -> list[int]:
+    """Neighbour bitmasks with vertex ``v`` at bit ``n - 1 - v``.
+
+    Vertex 0 is the most significant bit, so a larger mask is a larger
+    indicator vector read from vertex 0: the set that an include-first
+    search in id order reaches first. Sweeping the masks from the largest
+    down and keeping only strict improvements returns that set among the
+    maximum ones.
+    """
+    n = g.n
+    nb = [0] * n
+    for u, v in g.edges:
+        nb[n - 1 - u] |= 1 << (n - 1 - v)
+        nb[n - 1 - v] |= 1 << (n - 1 - u)
+    return nb
+
+
+def _vertices(n: int, mask: int) -> Tuple[int, ...]:
+    return tuple(v for v in range(n) if (mask >> (n - 1 - v)) & 1)
+
+
 def max_induced_by_enumeration(g: Graph, k: int, limit: int = ENUMERATION_LIMIT) -> Tuple[int, Tuple[int, ...]]:
     """Exhaustive reference for ``exact_max_induced``.
 
     Tabulates the largest component size of every one of the ``2**n``
     subsets through a recurrence on submasks, then picks the biggest
-    subset whose value is within ``k``. Returns ``(size, witness)``.
+    subset whose value is within ``k``. Returns ``(size, witness)``; the
+    witness is the first maximum set in include-first order (see
+    :func:`_masks`).
     """
     if not k >= 1:
         raise ValueError(f"component cap must be >= 1, got {k}")
     _check_limit(g, limit)
     n = g.n
-    nb = [0] * n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    nb = _masks(g)
 
     size_count = 1 << n
     max_comp = [0] * size_count
@@ -59,13 +79,13 @@ def max_induced_by_enumeration(g: Graph, k: int, limit: int = ENUMERATION_LIMIT)
 
     best = 0
     witness = 0
-    for mask in range(size_count):
+    for mask in range(size_count - 1, -1, -1):
         if max_comp[mask] <= k:
             pc = mask.bit_count()
             if pc > best:
                 best = pc
                 witness = mask
-    return best, tuple(v for v in range(n) if (witness >> v) & 1)
+    return best, _vertices(n, witness)
 
 
 def max_forest_by_enumeration(g: Graph, limit: int = ENUMERATION_LIMIT) -> Tuple[int, Tuple[int, ...]]:
@@ -73,18 +93,16 @@ def max_forest_by_enumeration(g: Graph, limit: int = ENUMERATION_LIMIT) -> Tuple
 
     Checks every subset directly: it induces a forest exactly when its
     edge count equals its vertex count minus its number of components.
-    Returns ``(size, witness)``.
+    Returns ``(size, witness)``, the witness picked as in
+    :func:`max_induced_by_enumeration`.
     """
     _check_limit(g, limit)
     n = g.n
-    nb = [0] * n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    nb = _masks(g)
 
     best = 0
     witness = 0
-    for mask in range(1 << n):
+    for mask in range((1 << n) - 1, -1, -1):
         pc = mask.bit_count()
         if pc <= best:
             continue
@@ -114,4 +132,4 @@ def max_forest_by_enumeration(g: Graph, limit: int = ENUMERATION_LIMIT) -> Tuple
         if twice_edges // 2 == pc - ncomp:
             best = pc
             witness = mask
-    return best, tuple(v for v in range(n) if (witness >> v) & 1)
+    return best, _vertices(n, witness)

@@ -11,7 +11,6 @@ import time
 from dismantle import (
     admissible_delta,
     chernoff_upper_tail,
-    components,
     concentration_report,
     decycle_heuristic,
     dense_set_probability_bound,
@@ -23,11 +22,9 @@ from dismantle import (
     fragment_forest,
     gap_demo,
     giant_component_fraction,
-    giant_fraction_limit,
     gnp,
     Graph,
     greedy_fragment,
-    induced_subgraph,
     path,
     pipeline_fragment,
     random_tree,

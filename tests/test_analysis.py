@@ -22,7 +22,6 @@ from dismantle import (
     gnp,
     Graph,
     induced_subgraph,
-    path,
     random_tree,
 )
 
@@ -520,6 +519,14 @@ def test_scan_validation():
         density_scan(k4(), 3, -0.1)
     with pytest.raises(ValueError, match="nan"):
         density_scan(k4(), 3, math.nan)
+    # NaN fails every comparison, so checks written as ``t_max < 1`` or
+    # ``examined > budget`` let it through: unbounded set size, no budget
+    with pytest.raises(ValueError, match="size cap must be >= 1, got nan"):
+        density_scan(k4(), math.nan, 0.3)
+    with pytest.raises(ValueError, match="size cap must be >= 1, got nan"):
+        connected_vertex_sets(k4(), math.nan)
+    with pytest.raises(ValueError, match="budget must be >= 0, got nan"):
+        density_scan(k4(), 3, 0.3, budget=math.nan)
     # eps = inf is allowed: nothing is too dense, and every set is still counted
     rep = density_scan(k4(), 4, math.inf)
     assert (rep.violations, rep.sets_examined) == ((), density_scan(k4(), 4, 0.3).sets_examined)

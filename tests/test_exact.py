@@ -69,8 +69,9 @@ def test_forest_witness_is_acyclic():
         res = exact_max_forest(g)
         sub, _ = induced_subgraph(g, res.kept)
         assert excess(sub) == 0
-        size, _ = max_forest_by_enumeration(g)
+        size, witness = max_forest_by_enumeration(g)
         assert len(res.kept) == size
+        assert res.kept == witness  # both return the first maximum in include-first order
 
 
 def test_branch_and_bound_matches_enumeration():
@@ -83,8 +84,22 @@ def test_branch_and_bound_matches_enumeration():
             res = exact_max_induced(g, k)
             size, witness = max_induced_by_enumeration(g, k)
             assert len(res.kept) == size
+            assert res.kept == witness  # both return the first maximum in include-first order
             assert components(g, res.kept).largest <= k
             assert components(g, witness).largest <= k
+
+
+def test_every_small_graph_matches_enumeration():
+    # all 1,100 labelled graphs on at most 5 vertices, witnesses included;
+    # the capped oracle runs first, so a search that forgets to undo a
+    # union-find link fails here on a wrong set rather than looping
+    for n in range(6):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for j, e in enumerate(pairs) if (bits >> j) & 1])
+            for k in (1, 2, 3):
+                assert exact_max_induced(g, k).kept == max_induced_by_enumeration(g, k)[1]
+            assert exact_max_forest(g).kept == max_forest_by_enumeration(g)[1]
 
 
 def test_monotone_in_cap():
@@ -109,6 +124,11 @@ def test_limit_enforced():
         exact_max_induced(g, 2)
     with pytest.raises(ValueError, match="oracle limit"):
         exact_max_forest(g)
+    # NaN fails every comparison, so a check written as ``n > limit`` lets it through
+    with pytest.raises(ValueError, match="oracle limit"):
+        exact_max_induced(g, 2, limit=math.nan)
+    with pytest.raises(ValueError, match="oracle limit"):
+        exact_max_forest(g, limit=math.nan)
     res = exact_max_induced(g, 2, limit=21)  # explicit limit override works
     assert components(g, res.kept).largest <= 2
 

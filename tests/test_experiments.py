@@ -118,6 +118,17 @@ def test_exact_monotone_per_replicate():
         assert series == sorted(series)
 
 
+def test_exact_rows_pinned():
+    # max_component depends on which maximum set the oracle returns (the
+    # first in include-first order), so these rows pin the witness too
+    for g, want in (
+        (gnp(20, 2.0, 1), [(0.55, 1), (0.6, 2), (0.75, 3), (0.8, 4), (0.8, 6), (0.8, 7)]),
+        (random_regular(20, 3, 1), [(0.4, 1), (0.55, 2), (0.6, 3), (0.65, 4), (0.7, 6), (0.75, 8)]),
+    ):
+        rows = experiments._method_results(g, [1, 2, 3, 4, 6, 8], "exact")
+        assert [(r.nu, r.max_component) for r in rows] == want
+
+
 def test_x_grid_keeps_everything_at_one():
     for method in ("exact", "greedy", "forest-pipeline"):
         cfg = cfg_small(method=method, k_grid=None, x_grid=(0.5, 1.0))

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -413,6 +414,9 @@ def test_count_short_cycles_examples():
 def test_count_short_cycles_rejects_small_bound():
     with pytest.raises(ValueError):
         count_short_cycles(c5(), 2)
+    # NaN fails ``k < 3`` and used to count no cycle at all
+    with pytest.raises(ValueError, match="got nan"):
+        count_short_cycles(c5(), math.nan)
 
 
 def test_count_short_cycles_monotone_and_matches_brute_force():
