@@ -55,9 +55,9 @@ def chernoff_upper_tail(mean: float, threshold: float) -> float:
     only meaningful (and only accepted) above the mean, where the rate
     is strictly positive.
     """
-    if mean <= 0:
+    if not mean > 0:
         raise ValueError(f"mean must be positive, got {mean}")
-    if threshold <= mean:
+    if not threshold > mean:
         raise ValueError(
             f"threshold {threshold} must exceed the mean {mean} (bound is vacuous)"
         )

@@ -17,14 +17,16 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .analysis import admissible_delta, components_pass_density
 from .exact import DEFAULT_ORACLE_LIMIT, exact_max_induced
 from .fragmenters import (
     FragmentationResult,
-    _certify_caps,
     _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
@@ -76,9 +78,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.model not in ("gnp", "regular"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.replicates < 1:
+        if not self.replicates >= 1:
             raise ValueError(f"need at least 1 replicate, got {self.replicates}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
@@ -90,7 +92,7 @@ class ExperimentConfig:
         else:
             if self.d is None:
                 raise ValueError("regular model requires d")
-            if self.d < 1 or self.n <= self.d:
+            if not (self.d >= 1 and self.n > self.d):
                 raise ValueError(f"invalid degree {self.d} for n={self.n}")
             if (self.n * self.d) % 2 != 0:
                 raise ValueError(f"n*d must be even, got n={self.n}, d={self.d}")
@@ -157,7 +159,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[Fragment
 
     ``greedy`` eliminates once: the removals at cap ``k`` are the
     vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`), and
-    one union-find pass certifies every cap (see :func:`_certify_caps`).
+    each cap's kept set is certified on its own.
     ``forest-pipeline`` decycles ``g`` and orients the forest (see
     :func:`_forest_order`) at most once, and only when some cap is below
     the largest component; each such cap costs one sweep and one certification.
@@ -165,7 +167,9 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[Fragment
     if method == "exact":
         return [exact_max_induced(g, cap) for cap in caps]
     if method == "greedy":
-        return _certify_caps(g, _greedy_cuts(g), caps, "greedy")
+        cut = np.array(_greedy_cuts(g))
+        ids = tuple(range(g.n))  # every cap's kept tuple shares these int objects
+        return [_make_result(g, compress(ids, (cut <= cap).tolist()), "greedy") for cap in caps]
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest
@@ -353,9 +357,9 @@ def gap_demo(
     for any desk-scale ``n``), then run the pipeline on that set and
     record the gap plus the density status of the starting components.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if replicates < 1:
+    if not replicates >= 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     delta = admissible_delta(c, eps)
     cap_initial = max(1, math.floor(delta * n))

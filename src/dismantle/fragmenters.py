@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Iterable, Sequence, Tuple
 
+import numpy as np
+
 from .analysis import components_pass_density
-from .graph import Graph, as_vertex_tuple, components, excess
+from .graph import Graph, _component_roots, as_vertex_tuple, components, excess
 
 
 class PipelineBudgetError(RuntimeError):
@@ -43,62 +44,19 @@ class FragmentationResult:
 
 
 def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationResult:
-    kept_t = as_vertex_tuple(g, kept)
-    comp = components(g, kept_t)
-    removed = tuple(v for v, c in enumerate(comp.labels) if c < 0)
+    """Certify ``kept``, distinct vertex ids in ascending order: its
+    components are recomputed from the graph (see :func:`_component_roots`)."""
+    kept_t = tuple(kept)
+    ids = np.fromiter(kept_t, np.intp, len(kept_t))
+    if ids.size and not (ids[0] >= 0 and ids[-1] < g.n and np.all(ids[1:] > ids[:-1])):
+        raise ValueError(f"kept set is not ascending ids of 0..{g.n - 1}")
+    inside = np.zeros(g.n, dtype=bool)
+    inside[ids] = True
+    sizes = np.bincount(_component_roots(g, inside)[ids])
+    removed = tuple(np.flatnonzero(~inside).tolist())
     nu = 1.0 if g.n == 0 else len(kept_t) / g.n
-    return FragmentationResult(kept_t, removed, comp.largest, method, nu, comp.count)
-
-
-def _certify_caps(g: Graph, rank: Sequence[int], caps: Sequence[int],
-                  method: str) -> list[FragmentationResult]:
-    """One result per cap of ``caps``, in its order: the vertices ``v`` with
-    ``rank[v] <= cap`` kept, the rest removed.
-
-    The kept sets are nested, so one union-find over ``g.adj`` certifies
-    them all: vertices join in order of rank, and at each distinct cap,
-    smallest first, the largest component and the component count are
-    read off the union-find. Like :func:`_make_result`, this recomputes
-    feasibility from the graph and trusts nothing about ``rank``. The
-    cost is O(m α + n |caps|) after the sort; a single set is cheaper
-    through :func:`_make_result`.
-    """
-    n = g.n
-    adj = g.adj
-    ids = tuple(range(n))  # every cap's tuples share these int objects
-    order = sorted(ids, key=rank.__getitem__)
-    parent = list(range(n))
-    size = [1] * n
-    present = bytearray(n)
-    absent = bytearray([1]) * n
-    largest = count = i = 0
-    by_cap = {}
-    for cap in sorted(set(caps)):
-        while i < n and rank[order[i]] <= cap:
-            v = order[i]
-            i += 1
-            present[v] = 1
-            absent[v] = 0
-            count += 1
-            root = v
-            for u in adj[v]:
-                if present[u]:
-                    while parent[u] != u:
-                        parent[u] = parent[parent[u]]
-                        u = parent[u]
-                    if u != root:
-                        if size[u] > size[root]:
-                            u, root = root, u
-                        parent[u] = root
-                        size[root] += size[u]
-                        count -= 1
-            if size[root] > largest:
-                largest = size[root]
-        kept = tuple(compress(ids, present))
-        nu = 1.0 if n == 0 else len(kept) / n
-        by_cap[cap] = FragmentationResult(kept, tuple(compress(ids, absent)),
-                                          largest, method, nu, count)
-    return [by_cap[cap] for cap in caps]
+    return FragmentationResult(kept_t, removed, int(sizes.max(initial=0)), method, nu,
+                               int(np.count_nonzero(sizes)))
 
 
 def component_cap(eps: float) -> int:

@@ -42,7 +42,7 @@ def gnp(n: int, c: float, seed: int, stream: int = 0) -> Graph:
     O(n + m) memory rather than O(n**2). The decoding draws nothing, so
     a seed gives the same graph, bit for bit, as in earlier versions.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= c <= n:
         raise ValueError(f"mean-degree parameter out of range: c={c}, n={n}")
@@ -95,9 +95,9 @@ def random_regular(
     so the attempt cap only triggers on misuse (e.g. large ``d`` at small
     ``n``).
     """
-    if d < 1:
+    if not d >= 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if n <= d:
+    if not n > d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
@@ -122,7 +122,7 @@ def random_regular(
 
 def random_tree(n: int, seed: int, stream: int = 0) -> Graph:
     """Uniform random labelled tree (Pruefer-sequence decoding)."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return Graph(1)
@@ -154,6 +154,6 @@ def random_tree(n: int, seed: int, stream: int = 0) -> Graph:
 
 def path(n: int) -> Graph:
     """Path on vertices ``0..n-1`` with edges ``(i, i+1)``."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
     return Graph(n, ((i, i + 1) for i in range(n - 1)))

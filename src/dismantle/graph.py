@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import index
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -22,7 +23,9 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``adj`` is a tuple of ascending neighbor tuples of Python ``int``s,
-    fixed at construction time; :attr:`edges` is derived from it.
+    fixed at construction time; :attr:`edges` is derived from it. The
+    private ``_ends`` holds the same edges as a ``(2, m)`` numpy array of
+    ``(u, v)`` columns with ``u < v``, for the components pass.
 
     The ``edges`` argument may be an iterable of pairs or an integer
     ``(m, 2)`` numpy array. Both forms get the same range, self-loop and
@@ -30,7 +33,7 @@ class Graph:
     the generators use, runs them and builds the graph in numpy.
     """
 
-    __slots__ = ("n", "m", "adj")
+    __slots__ = ("n", "m", "adj", "_ends")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -63,6 +66,7 @@ class Graph:
         self.n = n
         self.m = len(norm)
         self.adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
+        self._ends = np.array(norm, dtype=np.intp).reshape(-1, 2).T.copy()
 
     def _init_from_array(self, n: int, edges: np.ndarray) -> bool:
         """Build from an ``(m, 2)`` integer array; False if any check fails."""
@@ -77,10 +81,14 @@ class Graph:
         half = np.sort(np.concatenate((u * n + v, v * n + u)))
         if np.any(half[1:] == half[:-1]):
             return False
-        deg = np.bincount(half // n, minlength=n)
+        src = half // n
+        deg = np.bincount(src, minlength=n)
         first = np.cumsum(deg) - deg  # where each vertex's neighbors start
         ids = np.arange(n).astype(object)  # one int object per vertex, shared by every entry
         nbr = np.remainder(half, n, out=half)  # in place: the keys are done with
+        up = src < nbr  # each edge once, in sorted (u, v) order
+        self._ends = np.array((src[up], nbr[up]), dtype=np.intp)
+        del src, up
         # One degree class at a time, then all the tuples put back in vertex
         # order. A class of ``count`` vertices of degree ``d`` costs
         # min(d, count) numpy calls: its ``d`` neighbor columns zipped into
@@ -156,52 +164,65 @@ class ComponentDecomposition:
         return out
 
     def edge_counts(self, g: Graph) -> list[int]:
-        """Edges of ``g`` inside each component, each counted once from its smaller end."""
-        labels = self.labels
-        counts = [0] * len(self.sizes)
-        for u, a in enumerate(g.adj):
-            c = labels[u]
-            if c >= 0:
-                for v in a:
-                    if v > u and labels[v] == c:
-                        counts[c] += 1
-        return counts
+        """Edges of ``g`` inside each component."""
+        labels = np.array(self.labels, dtype=np.intp)
+        u, v = g._ends
+        ends = labels[u]
+        ends = ends[(ends >= 0) & (ends == labels[v])]
+        return np.bincount(ends, minlength=len(self.sizes)).tolist()
+
+
+def _component_roots(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each vertex's smallest component-mate in ``g``, or in the subgraph
+    induced by the boolean mask ``inside``; a vertex outside keeps its id.
+
+    Min-label hooking plus pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 3, 1982) over the edges with both ends inside. Each round
+    hooks the larger label of every edge whose ends differ onto the
+    smaller, jumps pointers until every label is a root, and drops the
+    edges whose ends now agree. Labels only fall, never below the
+    smallest vertex of their component, so they end there.
+    """
+    lab = np.arange(g.n)
+    u, v = g._ends
+    if inside is not None:
+        both = inside[u] & inside[v]
+        u, v = u[both], v[both]
+    while True:
+        lu, lv = lab[u], lab[v]
+        split = lu != lv
+        if not split.any():
+            return lab
+        u, v, lu, lv = u[split], v[split], lu[split], lv[split]
+        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
 
 
 def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDecomposition:
-    """Decompose ``g``, or ``G[verts]`` when ``verts`` is given (iterative DFS).
+    """Decompose ``g``, or ``G[verts]`` when ``verts`` is given.
 
     Component ids follow each component's smallest vertex; vertices
     outside ``verts`` get label -1. Ids in ``verts`` are validated by
     :func:`as_vertex_tuple`. Induced edge counts come from
     :meth:`ComponentDecomposition.edge_counts`, a separate pass.
     """
+    n = g.n
     if verts is None:
-        roots: Iterable[int] = range(g.n)
-        labels = [-2] * g.n
+        inside = np.ones(n, dtype=bool)
+        lab = _component_roots(g)
     else:
-        roots = as_vertex_tuple(g, verts)
-        labels = [-1] * g.n
-        for v in roots:
-            labels[v] = -2  # in the set, not reached yet
-    sizes: list[int] = []
-    adj = g.adj
-    for s in roots:
-        if labels[s] != -2:
-            continue
-        cid = len(sizes)
-        labels[s] = cid
-        count = 1
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if labels[u] == -2:
-                    labels[u] = cid
-                    count += 1
-                    stack.append(u)
-        sizes.append(count)
-    return ComponentDecomposition(tuple(labels), tuple(sizes))
+        inside = np.zeros(n, dtype=bool)
+        # ``index`` refuses a float id, which numpy would truncate
+        inside[np.fromiter(map(index, as_vertex_tuple(g, verts)), np.intp)] = True
+        lab = _component_roots(g, inside)
+    roots = inside & (lab == np.arange(n))
+    labels = np.where(inside, np.cumsum(roots)[lab] - 1, -1)
+    sizes = np.bincount(lab[inside], minlength=n)[roots]
+    return ComponentDecomposition(tuple(labels.tolist()), tuple(sizes.tolist()))
 
 
 def as_vertex_tuple(g: Graph, s: Iterable[int]) -> Tuple[int, ...]:

@@ -1,7 +1,9 @@
-"""Subset-enumeration references for the exact oracles of ``dismantle.exact``.
+"""Naive references for the tests: subset enumeration for the exact
+oracles of ``dismantle.exact``, and a depth-first search for
+``dismantle.components``.
 
-Each function sweeps every vertex subset with its own component logic, to
-cross-check the branch-and-bound oracles in the tests. Only ``Graph`` is
+The enumerations sweep every vertex subset with their own component
+logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
 imported from ``dismantle``, so a bug in the library's traversals cannot
 hide in both halves of a comparison (``test_oracles_are_independent``
 checks this).
@@ -9,7 +11,7 @@ checks this).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Optional, Tuple
 
 from dismantle import Graph
 
@@ -133,3 +135,48 @@ def max_forest_by_enumeration(g: Graph, limit: int = ENUMERATION_LIMIT) -> Tuple
             best = pc
             witness = mask
     return best, _vertices(n, witness)
+
+
+def components_by_dfs(
+    g: Graph, verts: Optional[Iterable[int]] = None
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], list[int]]:
+    """Reference for ``components``: ``(labels, sizes, edge_counts)`` of ``g``,
+    or of ``G[verts]``, by iterative depth-first search over ``g.adj``.
+
+    Component ids follow each component's smallest vertex; a vertex
+    outside ``verts`` gets label -1. ``edge_counts`` counts each induced
+    edge once, from its smaller end.
+    """
+    if verts is None:
+        roots: Iterable[int] = range(g.n)
+        labels = [-2] * g.n
+    else:
+        roots = sorted(set(verts))
+        labels = [-1] * g.n
+        for v in roots:
+            labels[v] = -2  # in the set, not reached yet
+    sizes: list[int] = []
+    adj = g.adj
+    for s in roots:
+        if labels[s] != -2:
+            continue
+        cid = len(sizes)
+        labels[s] = cid
+        count = 1
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if labels[u] == -2:
+                    labels[u] = cid
+                    count += 1
+                    stack.append(u)
+        sizes.append(count)
+    counts = [0] * len(sizes)
+    for u, a in enumerate(adj):
+        c = labels[u]
+        if c >= 0:
+            for v in a:
+                if v > u and labels[v] == c:
+                    counts[c] += 1
+    return tuple(labels), tuple(sizes), counts

@@ -100,6 +100,10 @@ def test_chernoff_rejects_vacuous_region():
         chernoff_upper_tail(1.0, 1.0)
     with pytest.raises(ValueError):
         chernoff_upper_tail(0.0, 1.0)
+    with pytest.raises(ValueError, match="mean must be positive"):
+        chernoff_upper_tail(math.nan, 3.0)
+    with pytest.raises(ValueError, match="must exceed the mean"):
+        chernoff_upper_tail(1.0, math.nan)
 
 
 def exact_binomial_upper_tail(n, p, x):

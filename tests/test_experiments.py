@@ -69,6 +69,20 @@ def test_config_rejections(overrides):
         cfg_small(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(n=math.nan), "need n >= 1"),
+        (dict(replicates=math.nan), "replicate"),
+        (dict(model="regular", c=None, d=math.nan, n=20), "invalid degree"),
+    ],
+    ids=["n", "replicates", "d"],
+)
+def test_config_nan_names_its_field(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        cfg_small(**overrides).validate()
+
+
 def test_config_regular_ok():
     cfg = cfg_small(model="regular", c=None, d=3, n=12, method="greedy")
     cfg.validate()
@@ -382,6 +396,10 @@ def test_gap_demo_validation():
         gap_demo(2.0, 0.5, 0, 3)
     with pytest.raises(ValueError):
         gap_demo(2.0, 0.5, 100, 0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        gap_demo(2.0, 0.5, math.nan, 3)
+    with pytest.raises(ValueError, match="replicate"):
+        gap_demo(2.0, 0.5, 100, math.nan)
 
 
 # ---------------------------------------------------------------------------

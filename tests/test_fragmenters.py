@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,8 @@ from dismantle import (
     strip_short_cycles,
     trim_components,
 )
-from dismantle import fragmenters
+from dismantle import experiments, fragmenters
 from dismantle.fragmenters import (
-    _certify_caps,
     _decycled_forest,
     _empty_core,
     _forest_order,
@@ -39,6 +39,7 @@ from dismantle.fragmenters import (
     _make_result,
     _region_degrees,
 )
+from oracles import components_by_dfs
 
 
 def c5():
@@ -408,7 +409,7 @@ def test_greedy_removals_nested_and_cut_sizes_bounded():
 
 
 # ---------------------------------------------------------------------------
-# _certify_caps
+# _make_result and the greedy curve rows
 # ---------------------------------------------------------------------------
 
 
@@ -424,27 +425,49 @@ def ranked_graphs(draw):
     return g, rank, caps
 
 
+def greedy_rows(g, rank, caps):
+    """``_method_results(g, caps, "greedy")`` with ``rank`` standing in for the cut sizes."""
+    with mock.patch.object(experiments, "_greedy_cuts", lambda graph: rank):
+        return experiments._method_results(g, caps, "greedy")
+
+
 @settings(max_examples=300, deadline=None)
 @given(ranked_graphs())
-def test_certify_caps_matches_make_result(case):
+def test_greedy_rows_match_make_result(case):
     g, rank, caps = case
-    results = _certify_caps(g, rank, caps, "m")
+    results = greedy_rows(g, rank, caps)
     assert len(results) == len(caps)
     for cap, res in zip(caps, results):
-        assert res == _make_result(g, [v for v in range(g.n) if rank[v] <= cap], "m")
+        kept = [v for v in range(g.n) if rank[v] <= cap]
+        assert res == _make_result(g, kept, "greedy")
+        # the certificate is recomputed from the graph, as the DFS reference finds it
+        labels, sizes, _ = components_by_dfs(g, kept)
+        assert res.kept == tuple(kept)
+        assert res.removed == tuple(v for v in range(g.n) if labels[v] < 0)
+        assert (res.max_component, res.component_count) == (max(sizes, default=0), len(sizes))
+        assert res.nu == (1.0 if g.n == 0 else len(kept) / g.n)
 
 
-def test_certify_caps_reports_true_sizes():
+def test_greedy_rows_report_true_sizes():
     # the ranks claim nothing is cut, so the whole path and cycle survive
     # every cap; the rows must say so rather than echo the cap
     g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
-    for res in _certify_caps(g, [0] * 9, (1, 2, 9), "greedy"):
+    for res in greedy_rows(g, [0] * 9, (1, 2, 9)):
         assert (res.max_component, res.component_count, res.nu) == (5, 2, 1.0)
+        assert res == _make_result(g, range(9), "greedy")
     # a rank that keeps both ends of a path joins them only with the middle
     path5 = path(5)
-    rows = _certify_caps(path5, [1, 1, 3, 1, 1], (3, 1, 2), "greedy")
+    rows = greedy_rows(path5, [1, 1, 3, 1, 1], (3, 1, 2))
     assert [(r.max_component, r.component_count, r.removed) for r in rows] == [
         (5, 1, ()), (2, 2, (2,)), (2, 2, (2,))]
+    assert _make_result(path5, [0, 1, 3, 4], "greedy") == rows[1]
+
+
+@pytest.mark.parametrize("kept", [[2, 1], [0, 3, 3], [1, 0, 4], [-1, 2], [0, 5]],
+                         ids=["descending", "repeated", "unsorted", "negative", "too-large"])
+def test_make_result_refuses_a_kept_list_out_of_order(kept):
+    with pytest.raises(ValueError, match="ascending ids"):
+        _make_result(path(5), kept, "m")
 
 
 # ---------------------------------------------------------------------------

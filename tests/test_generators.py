@@ -62,6 +62,8 @@ def test_gnp_rejects_bad_c():
         gnp(10, 11, seed=0)
     with pytest.raises(ValueError):
         gnp(0, 0, seed=0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        gnp(math.nan, 2.0, seed=1)
 
 
 def test_gnp_mean_edges():
@@ -107,6 +109,10 @@ def test_regular_rejects_small_n():
         random_regular(3, 3, seed=0)
     with pytest.raises(ValueError):
         random_regular(10, 0, seed=0)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        random_regular(20, math.nan, seed=1)
+    with pytest.raises(ValueError, match="need n > d"):
+        random_regular(math.nan, 3, seed=1)
 
 
 def test_regular_budget_exhaustion_signalled():

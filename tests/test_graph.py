@@ -22,6 +22,7 @@ from dismantle import (
     read_edgelist,
     write_edgelist,
 )
+from oracles import components_by_dfs
 
 
 def c5():
@@ -299,6 +300,34 @@ def test_components_against_union_find():
     assert all(len(s) == 1 for s in roots.values())
 
 
+@st.composite
+def graphs_and_regions(draw):
+    """A graph on at most 40 vertices, from pairs or from an array, and a
+    region: none, empty, full or drawn. Half the graphs also get a path
+    through a random vertex order, so that labels must travel far."""
+    n = draw(st.integers(0, 40))
+    pairs = draw(distinct_pairs(n))
+    if n > 1 and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        pairs = list({(min(u, v), max(u, v)) for u, v in [*pairs, *zip(order, order[1:])]})
+    g = Graph(n, draw(edge_input(pairs)))
+    kind = draw(st.sampled_from(["none", "empty", "full", "drawn"]))
+    if kind == "drawn":
+        return g, draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return g, {"none": None, "empty": [], "full": range(n)}[kind]
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphs_and_regions())
+def test_components_match_the_dfs_reference(case):
+    g, verts = case
+    assert tuple(map(tuple, g._ends.T.tolist())) == g.edges
+    dec = components(g, verts)
+    labels, sizes, counts = components_by_dfs(g, verts)
+    assert dec.labels == labels and dec.sizes == sizes and dec.edge_counts(g) == counts
+    assert all(type(c) is int for c in dec.labels + dec.sizes + tuple(dec.edge_counts(g)))
+
+
 def test_components_members_are_maximal_and_connected():
     g = random_graph(60, 55, random.Random(11))
     for comp in components(g).members():
@@ -346,6 +375,8 @@ def test_masked_components_match_induced_subgraph(case):
         components(g, verts | {g.n})
     with pytest.raises(ValueError, match="invalid vertex id"):
         components(g, verts | {-1})
+    with pytest.raises(TypeError):
+        components(g, verts | {0.5})
 
 
 def test_induced_k4_pair():
