@@ -17,7 +17,6 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
 from statistics import fmean, stdev
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -168,8 +167,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[Fragment
         return [exact_max_induced(g, cap) for cap in caps]
     if method == "greedy":
         cut = np.array(_greedy_cuts(g))
-        ids = tuple(range(g.n))  # every cap's kept tuple shares these int objects
-        return [_make_result(g, compress(ids, (cut <= cap).tolist()), "greedy") for cap in caps]
+        return [_make_result(g, g._ids[cut <= cap].tolist(), "greedy") for cap in caps]
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest

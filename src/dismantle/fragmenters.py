@@ -53,7 +53,7 @@ def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationRes
     inside = np.zeros(g.n, dtype=bool)
     inside[ids] = True
     sizes = np.bincount(_component_roots(g, inside)[ids])
-    removed = tuple(np.flatnonzero(~inside).tolist())
+    removed = tuple(g._ids[~inside].tolist())  # the graph's own int objects
     nu = 1.0 if g.n == 0 else len(kept_t) / g.n
     return FragmentationResult(kept_t, removed, int(sizes.max(initial=0)), method, nu,
                                int(np.count_nonzero(sizes)))

@@ -8,7 +8,6 @@ auditable and graphs can be shared freely across concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import index
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -23,64 +22,50 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``adj`` is a tuple of ascending neighbor tuples of Python ``int``s,
-    fixed at construction time; :attr:`edges` is derived from it. The
-    private ``_ends`` holds the same edges as a ``(2, m)`` numpy array of
+    fixed at construction time; :attr:`edges` is derived from it. Vertex
+    ``v`` is one int object, the private ``_ids[v]``, wherever it appears
+    in ``adj`` and in the removal sets certified on the graph. The private
+    ``_ends`` holds the same edges as a ``(2, m)`` numpy array of
     ``(u, v)`` columns with ``u < v``, for the components pass.
 
-    The ``edges`` argument may be an iterable of pairs or an integer
-    ``(m, 2)`` numpy array. Both forms get the same range, self-loop and
-    duplicate checks and the same error messages; the array form, which
-    the generators use, runs them and builds the graph in numpy.
+    ``edges`` may be an iterable of pairs or an integer ``(m, 2)`` numpy
+    array; both are read into one int64 array and built in numpy. ``n``
+    and every id are read as integers (``operator.index``): a float
+    raises ``TypeError``, and a numpy or bool id becomes a Python
+    ``int``. An edge out of range, a self-loop or a repeated edge raises
+    ``ValueError`` naming the first such edge in input order.
     """
 
-    __slots__ = ("n", "m", "adj", "_ends")
+    __slots__ = ("n", "m", "adj", "_ends", "_ids")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
+        n = index(n)
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        if (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
-                and edges.ndim == 2 and edges.shape[1] == 2):
-            if self._init_from_array(n, edges):
-                return
-            # A check failed: the pairs loop below names the first bad edge.
-            edges = edges.tolist()
-        seen = set()
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-            norm.append(e)
-        norm.sort()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        # Scanning sorted (u, v) pairs appends every adjacency list in
-        # ascending order: all (x, v) with x < v precede all (v, y).
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.n = n
-        self.m = len(norm)
-        self.adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        self._ends = np.array(norm, dtype=np.intp).reshape(-1, 2).T.copy()
-
-    def _init_from_array(self, n: int, edges: np.ndarray) -> bool:
-        """Build from an ``(m, 2)`` integer array; False if any check fails."""
-        # uint64 ids of 2**63 and above wrap to negative: out of range too.
-        a = edges.astype(np.int64, copy=False)
-        u, v = a[:, 0], a[:, 1]
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+            # uint64 ids of 2**63 and above wrap to negative: out of range too.
+            a = edges.astype(np.int64, copy=False).T
+        else:
+            edges = list(edges)  # the scan may walk them again
+            us, vs = [], []
+            try:
+                for u, v in edges:
+                    us.append(index(u))
+                    vs.append(index(v))
+                a = np.array((us, vs), dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                _check_edges(n, edges)
+                raise  # no edge is out of range, a loop or a repeat
+            del us, vs
+        u, v = a
         if a.size and (a.min() < 0 or a.max() >= n or np.any(u == v)):
-            return False
+            _check_edges(n, edges)
         # Both directions of every edge, sorted as (source, target) keys,
         # list each vertex's neighbors in ascending order; with no
         # self-loops, two equal keys mean a duplicate edge.
         half = np.sort(np.concatenate((u * n + v, v * n + u)))
         if np.any(half[1:] == half[:-1]):
-            return False
+            _check_edges(n, edges)
         src = half // n
         deg = np.bincount(src, minlength=n)
         first = np.cumsum(deg) - deg  # where each vertex's neighbors start
@@ -112,10 +97,10 @@ class Graph:
         rank = np.empty(n, dtype=np.intp)
         rank[by_degree] = np.arange(n)
         self.n = n
-        self.m = len(a)
+        self.m = a.shape[1]
+        self._ids = ids
         # ``ids[rank]`` lists the shared ints, where ``rank.tolist()`` would make n new ones
         self.adj = tuple(map(tuples.__getitem__, ids[rank].tolist()))
-        return True
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
@@ -132,6 +117,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _check_edges(n: int, edges: Iterable) -> None:
+    """Raise ``ValueError`` for the first edge of ``edges`` that is out of
+    range, a self-loop or a repeat; return if there is none."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,7 @@ def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDeco
         lab = _component_roots(g)
     else:
         inside = np.zeros(n, dtype=bool)
-        # ``index`` refuses a float id, which numpy would truncate
-        inside[np.fromiter(map(index, as_vertex_tuple(g, verts)), np.intp)] = True
+        inside[np.fromiter(as_vertex_tuple(g, verts), np.intp)] = True
         lab = _component_roots(g, inside)
     roots = inside & (lab == np.arange(n))
     labels = np.where(inside, np.cumsum(roots)[lab] - 1, -1)
@@ -226,8 +225,11 @@ def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDeco
 
 
 def as_vertex_tuple(g: Graph, s: Iterable[int]) -> Tuple[int, ...]:
-    """Normalize a vertex set to a sorted tuple, checking the id range."""
-    ids = sorted(set(s))
+    """Normalize a vertex set to a sorted tuple of Python ints, checking the
+    id range. Ids are read through ``operator.index``, so a float raises
+    ``TypeError`` (numpy would truncate it) and a numpy or bool id becomes
+    a Python ``int``."""
+    ids = sorted(set(map(index, s)))
     if ids and (ids[0] < 0 or ids[-1] >= g.n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"invalid vertex id {bad} for graph with n={g.n}")
@@ -341,10 +343,6 @@ def read_edgelist(path) -> Graph:
         raise EdgeListFormatError(
             f"header declares {m} edges but file contains {len(edges)}"
         )
-    try:
-        edges = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m).reshape(m, 2)
-    except OverflowError:
-        pass  # an id beyond int64: the pairs path names it
     try:
         return Graph(n, edges)
     except ValueError as exc:

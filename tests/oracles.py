@@ -1,6 +1,7 @@
 """Naive references for the tests: subset enumeration for the exact
-oracles of ``dismantle.exact``, and a depth-first search for
-``dismantle.components``.
+oracles of ``dismantle.exact``, a depth-first search for
+``dismantle.components``, and a pairs loop for the adjacency that
+``dismantle.Graph`` builds in numpy.
 
 The enumerations sweep every vertex subset with their own component
 logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
@@ -180,3 +181,35 @@ def components_by_dfs(
                 if v > u and labels[v] == c:
                     counts[c] += 1
     return tuple(labels), tuple(sizes), counts
+
+
+def adjacency_by_pairs(
+    n: int, edges: Iterable[Tuple[int, int]]
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]:
+    """Reference for ``Graph(n, edges)``: ``(adj, edges)``, the ascending
+    neighbour tuples and the sorted ``(u, v)`` pairs with ``u < v`` (the
+    columns of ``_ends``), built one pair at a time.
+
+    Raises ``ValueError`` for the first edge in input order that is out
+    of range, a self-loop or a repeat, with ``Graph``'s message.
+    """
+    seen = set()
+    norm = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
+        norm.append(e)
+    norm.sort()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # Scanning sorted (u, v) pairs appends every adjacency list in
+    # ascending order: all (x, v) with x < v precede all (v, y).
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj)), tuple(norm)

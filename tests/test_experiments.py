@@ -246,6 +246,23 @@ def test_greedy_rows_match_separate_runs(overrides):
         assert [nu for _, nu in by_cap] == sorted(nu for _, nu in by_cap)
 
 
+@pytest.mark.parametrize("make", [lambda: gnp(2000, 2.0, 1), lambda: random_regular(2000, 3, 1)],
+                         ids=["gnp", "regular"])
+def test_greedy_results_share_the_graph_ints(make):
+    # a replicate holds every cap's result at once: one int object per
+    # vertex, the graph's own, keeps that memory at one pointer an id
+    g = make()
+    shared = {}
+    for nbrs in g.adj:
+        for v in nbrs:
+            shared.setdefault(v, v)
+    rows = experiments._method_results(g, [2, 8, 32, 2000], "greedy")
+    assert any(row.removed for row in rows)
+    for row in rows:
+        for v in row.kept + row.removed:
+            assert shared.setdefault(v, v) is v
+
+
 def count_greedy_calls(monkeypatch):
     calls = []
     real = experiments._greedy_cuts

@@ -12,17 +12,22 @@ from hypothesis import strategies as st
 
 from dismantle import (
     EdgeListFormatError,
+    FragmentationResult,
     Graph,
     components,
+    components_pass_density,
     count_short_cycles,
     excess,
     gnp,
     induced_subgraph,
     path,
+    pipeline_fragment,
     read_edgelist,
+    strip_short_cycles,
+    trim_components,
     write_edgelist,
 )
-from oracles import components_by_dfs
+from oracles import adjacency_by_pairs, components_by_dfs
 
 
 def c5():
@@ -103,6 +108,15 @@ def build_outcome(n, edges):
     return g.edges, g.adj
 
 
+def reference_outcome(n, edges):
+    """:func:`build_outcome` by the pairs reference ``adjacency_by_pairs``."""
+    try:
+        adj, edges = adjacency_by_pairs(n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return edges, adj
+
+
 @pytest.mark.parametrize("pairs", [
     [(0, 3)],
     [(0, 1), (-1, 2)],
@@ -113,8 +127,9 @@ def build_outcome(n, edges):
 ], ids=["out-of-range", "negative", "self-loop", "duplicate", "reversed-duplicate",
         "after-valid-prefix"])
 def test_array_faults_give_the_pairs_message(pairs):
-    message = build_outcome(3, pairs)
+    message = reference_outcome(3, pairs)
     assert isinstance(message, str)
+    assert build_outcome(3, pairs) == message
     assert build_outcome(3, np.array(pairs)) == message
 
 
@@ -122,7 +137,7 @@ def test_array_faults_give_the_pairs_message(pairs):
 def test_array_input_builds_the_pairs_graph(dtype):
     pairs = [(3, 1), (0, 4), (2, 0), (1, 0), (4, 3)]  # rows out of order, some reversed
     g = Graph(5, np.array(pairs, dtype=dtype))
-    assert g == Graph(5, pairs) and g.adj == Graph(5, pairs).adj
+    assert g == Graph(5, pairs) and g.adj == adjacency_by_pairs(5, pairs)[0]
     assert all(type(u) is int for e in g.edges for u in e)
     assert all(type(u) is int for nbrs in g.adj for u in nbrs)
     empty = Graph(4, np.empty((0, 2), dtype=dtype))
@@ -139,6 +154,32 @@ def test_array_build_shares_one_int_per_vertex():
     # Ids above 256 are distinct objects unless shared; sharing keeps the
     # memory of a large graph below that of one object per endpoint.
     assert_one_int_per_vertex(Graph(1000, np.array(gnp(1000, 3.0, seed=2).edges)))
+
+
+def test_pairs_build_shares_one_int_per_vertex():
+    # every endpoint its own int object on the way in, one per vertex in ``adj``
+    pairs = [(int(str(u)), int(str(v))) for u, v in gnp(1000, 3.0, seed=2).edges]
+    assert_one_int_per_vertex(Graph(1000, pairs))
+
+
+def test_ids_are_read_as_python_ints():
+    pairs = [(np.int64(0), np.int64(1)), (True, 2), (np.uint8(4), np.int32(3))]
+    g = Graph(np.int64(5), pairs)
+    assert type(g.n) is int and g.n == 5 and type(Graph(np.int64(5)).n) is int
+    assert (g.edges, g.adj) == reference_outcome(5, [(0, 1), (1, 2), (4, 3)])
+    assert all(type(u) is int for e in g.edges for u in e)
+    assert all(type(u) is int for nbrs in g.adj for u in nbrs)
+
+
+@pytest.mark.parametrize("n,edges", [
+    (3, [(0, 1.5)]),
+    (3, [(0.0, 2)]),
+    (3, [(0, 1), (np.float64(1.0), 2)]),
+    (3.0, []),
+], ids=["float", "integral-float", "numpy-float", "float-n"])
+def test_float_ids_raise_type_error(n, edges):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Graph(n, edges)
 
 
 def stored_edges(pairs):
@@ -189,14 +230,15 @@ def test_derived_edges_match_the_stored_definition(data, n):
 
 
 def test_float_and_bool_arrays_take_the_pairs_path():
-    # As for pairs of numpy floats or bools: the checks pass, but such ids
-    # cannot index the adjacency lists.
+    # numpy floats and bools are not read as integers, but a bad edge is
+    # still named as the pairs reference names it.
     for arr in (np.array([[0.0, 2.0]]), np.array([[True, False]])):
         with pytest.raises(TypeError):
             Graph(3, arr)
     for bad in (np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([[True, True]])):
-        assert build_outcome(3, bad) == build_outcome(3, iter(bad))
-        assert build_outcome(3, bad).startswith("self-loop")
+        outcome = build_outcome(3, bad)
+        assert outcome == build_outcome(3, iter(bad)) == reference_outcome(3, iter(bad))
+        assert outcome.startswith("self-loop")
 
 
 @st.composite
@@ -212,7 +254,8 @@ def small_edge_arrays(draw):
 @given(small_edge_arrays())
 def test_array_and_pairs_builds_agree(case):
     n, arr = case
-    assert build_outcome(n, arr) == build_outcome(n, arr.tolist())
+    pairs = arr.tolist()
+    assert build_outcome(n, arr) == build_outcome(n, pairs) == reference_outcome(n, pairs)
 
 
 @pytest.mark.parametrize("n,pairs", [
@@ -227,7 +270,7 @@ def test_array_and_pairs_builds_agree(case):
         "complete-bipartite-2-5"])
 def test_degree_class_build_on_small_cases(n, pairs):
     g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    assert g.adj == Graph(n, pairs).adj and g.n == n and g.m == len(pairs)
+    assert g.adj == adjacency_by_pairs(n, pairs)[0] and g.n == n and g.m == len(pairs)
     assert_one_int_per_vertex(g)
 
 
@@ -241,7 +284,7 @@ def test_degree_class_build_matches_pairs(data, n):
         pairs = list({(min(u, v), max(u, v)): (u, v)
                       for u, v in pairs + [(hub, v) for v in spokes if v != hub]}.values())
     g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    assert g.adj == Graph(n, pairs).adj
+    assert g.adj == adjacency_by_pairs(n, pairs)[0]
     assert all(type(u) is int for nbrs in g.adj for u in nbrs)
     assert_one_int_per_vertex(g)
 
@@ -401,6 +444,39 @@ def test_induced_invalid_vertex():
         induced_subgraph(c5(), [0, 7])
 
 
+VERTEX_SET_CALLS = {
+    "components": lambda g, s: components(g, s),
+    "components_pass_density": lambda g, s: components_pass_density(g, s, 0.5),
+    "induced_subgraph": lambda g, s: induced_subgraph(g, s),
+    "pipeline_fragment": lambda g, s: pipeline_fragment(g, s, 0.5),
+    "trim_components": lambda g, s: trim_components(g, s, 2),
+    "strip_short_cycles": lambda g, s: strip_short_cycles(g, s, g.n),
+}
+
+
+def returned_ids(out):
+    """The vertex ids in a call's output: a result's sets, or the keys and
+    values of ``induced_subgraph``'s map."""
+    if isinstance(out, FragmentationResult):
+        return out.kept + out.removed
+    if isinstance(out, tuple):
+        return tuple(out[1]) + tuple(out[1].values())
+    return ()
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_SET_CALLS))
+def test_vertex_sets_are_read_as_ints(name):
+    call = VERTEX_SET_CALLS[name]
+    g = gnp(40, 3.0, seed=4)
+    plain = list(range(0, 40, 2)) + [1]
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(g, plain[:-1] + [1.0])
+    mixed = [np.int64(v) if v % 4 else np.int32(v) for v in plain[:-1]] + [True]
+    out = call(g, mixed)
+    assert out == call(g, plain)
+    assert all(type(v) is int for v in returned_ids(out))
+
+
 def test_excess_examples():
     assert excess(path(10)) == 0
     assert excess(c5()) == 1
@@ -517,4 +593,4 @@ def test_edgelist_faults_give_the_pairs_message(tmp_path, pairs):
     p.write_text(f"3 {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
     with pytest.raises(EdgeListFormatError) as exc:
         read_edgelist(p)
-    assert str(exc.value) == build_outcome(3, pairs)
+    assert str(exc.value) == build_outcome(3, pairs) == reference_outcome(3, pairs)
