@@ -142,8 +142,7 @@ def _cmd_fragment(args) -> int:
             res = greedy_fragment(g, args.cap)
         else:
             res = fragment_forest(g, args.cap)
-    for v in res.removed:
-        print(v)
+    sys.stdout.write(("%d\n" * len(res.removed)) % res.removed)  # one write, not a print per vertex
     print(f"nu={_fmt9(res.nu)} max_component={res.max_component}")
     return 0
 

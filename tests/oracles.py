@@ -1,7 +1,8 @@
 """Naive references for the tests: subset enumeration for the exact
 oracles of ``dismantle.exact``, a depth-first search for
-``dismantle.components``, and a pairs loop for the adjacency that
-``dismantle.Graph`` builds in numpy.
+``dismantle.components``, a pairs loop for the adjacency that
+``dismantle.Graph`` builds in numpy, and line-at-a-time edge-list I/O
+for the bulk ``read_edgelist`` and ``write_edgelist``.
 
 The enumerations sweep every vertex subset with their own component
 logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
@@ -213,3 +214,51 @@ def adjacency_by_pairs(
         adj[u].append(v)
         adj[v].append(u)
     return tuple(map(tuple, adj)), tuple(norm)
+
+
+def read_edgelist_by_lines(path, error: type) -> Graph:
+    """Reference for ``read_edgelist``: the file parsed one line at a time.
+
+    Blank lines and ``#`` lines are skipped. A format fault raises
+    ``error`` naming its line, and a ``ValueError`` from ``Graph`` is
+    raised again as ``error`` with the same message.
+    """
+    header = None
+    edges = []
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise error(f"line {lineno}: non-ASCII byte")
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            shape = "header 'n m'" if header is None else "edge 'u v'"
+            if len(parts) != 2:
+                raise error(f"line {lineno}: expected {shape}")
+            try:
+                pair = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                fields = "header fields" if header is None else "edge endpoints"
+                raise error(f"line {lineno}: non-integer {fields}") from None
+            if header is None:
+                header = pair
+            else:
+                edges.append(pair)
+    if header is None:
+        raise error("line 1: missing header 'n m'")
+    n, m = header
+    if len(edges) != m:
+        raise error(f"header declares {m} edges but file contains {len(edges)}")
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+
+
+def write_edgelist_by_edges(g: Graph, path) -> None:
+    """Reference for ``write_edgelist``: the header, then one formatted
+    write per edge of ``g.edges``."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"{g.n} {g.m}\n")
+        for u, v in g.edges:
+            fh.write(f"{u} {v}\n")

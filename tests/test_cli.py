@@ -2,7 +2,16 @@ import re
 
 import pytest
 
-from dismantle import experiments, load_results, read_edgelist
+from dismantle import (
+    experiments,
+    fragment_forest,
+    greedy_fragment,
+    load_results,
+    pipeline_fragment,
+    random_tree,
+    read_edgelist,
+    write_edgelist,
+)
 from dismantle.cli import main
 
 
@@ -125,6 +134,29 @@ def test_malformed_file_exits_3(tmp_path, capsys):
     bad.write_text("3 1\n0 zz\n")
     code, _, err = run(capsys, "exact", "--in", str(bad), "--k", "1")
     assert code == 3 and "format error" in err
+
+
+def test_non_ascii_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.el"
+    bad.write_bytes(b"3 1\n0 \xff1\n")
+    code, _, err = run(capsys, "fragment", "--in", str(bad), "--method", "greedy", "--cap", "2")
+    assert code == 3 and err == "format error: line 2: non-ASCII byte\n"
+
+
+@pytest.mark.parametrize("method,value", [("greedy", 3), ("forest", 50), ("forest", 60),
+                                          ("pipeline", 0.5)])
+def test_fragment_prints_each_removal_then_the_summary(tmp_path, capsys, method, value):
+    p = tmp_path / "t.el"
+    write_edgelist(random_tree(60, 4), p)
+    option = "--eps" if method == "pipeline" else "--cap"
+    code, stdout, _ = run(capsys, "fragment", "--in", str(p), "--method", method, option, str(value))
+    g = read_edgelist(p)
+    fragment = {"greedy": greedy_fragment, "forest": fragment_forest,
+                "pipeline": lambda g, eps: pipeline_fragment(g, range(g.n), eps)}[method]
+    res = fragment(g, value)
+    assert code == 0
+    assert stdout == "".join(f"{v}\n" for v in res.removed) + (
+        f"nu={experiments._fmt9(res.nu)} max_component={res.max_component}\n")
 
 
 def test_unknown_flag_exits_1(capsys):

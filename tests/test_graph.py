@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dismantle.graph
 from dismantle import (
     EdgeListFormatError,
     FragmentationResult,
@@ -22,12 +23,19 @@ from dismantle import (
     induced_subgraph,
     path,
     pipeline_fragment,
+    random_regular,
+    random_tree,
     read_edgelist,
     strip_short_cycles,
     trim_components,
     write_edgelist,
 )
-from oracles import adjacency_by_pairs, components_by_dfs
+from oracles import (
+    adjacency_by_pairs,
+    components_by_dfs,
+    read_edgelist_by_lines,
+    write_edgelist_by_edges,
+)
 
 
 def c5():
@@ -572,6 +580,7 @@ def test_edgelist_comments_and_blanks(tmp_path):
         ("3 1\n0 z\n", "non-integer edge"),
         ("3 2\n0 1\n1 0\n", "duplicate"),
         ("2 1\n0 5\n", "out of range"),
+        ("3 1\n0 \xff1\n", "line 2: non-ASCII byte"),
     ],
 )
 def test_edgelist_format_errors(tmp_path, text, fragment):
@@ -594,3 +603,180 @@ def test_edgelist_faults_give_the_pairs_message(tmp_path, pairs):
     with pytest.raises(EdgeListFormatError) as exc:
         read_edgelist(p)
     assert str(exc.value) == build_outcome(3, pairs) == reference_outcome(3, pairs)
+
+
+def read_outcome(read, p):
+    """``adj``, ``edges`` and the ``_ends`` dtype and bytes of the graph
+    ``read`` makes of file ``p``, or the type and message of what it raises."""
+    try:
+        g = read(p)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g.adj, g.edges, g._ends.dtype, g._ends.tobytes()
+
+
+def reference_read(p):
+    return read_edgelist_by_lines(p, EdgeListFormatError)
+
+
+@pytest.fixture(scope="module")
+def el_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("edgelists") / "g.el"
+
+
+BIG_IDS = [10**17, 10**18 - 1, 10**18, 10**19, 2**63 - 1, 2**63]  # 18, 19 and 20 digits
+
+
+def perturbed(line_list, kind, i, j):
+    """``line_list`` (``n m``, then one ``u v`` per edge, no newlines) as
+    text, with one fault of ``kind`` at line ``i`` (token ``j``)."""
+    lines = [line.split(" ") for line in line_list]
+    tokens = lines[i]
+    if kind == "comment":
+        lines.insert(i, ["#", "note"])
+    elif kind == "blank":
+        lines.insert(i, [""])
+    elif kind == "tab":
+        lines[i] = ["\t".join(tokens)]
+    elif kind == "plus":
+        tokens[j] = "+" + tokens[j]
+    elif kind == "zero":
+        tokens[j] = "0" + tokens[j]
+    elif kind == "pad18":
+        tokens[j] = tokens[j].zfill(18)
+    elif kind == "pad19":
+        tokens[j] = tokens[j].zfill(19)
+    elif kind == "underscore":
+        tokens[j] = tokens[j][0] + "_" + tokens[j][1:]
+    elif kind.startswith("big"):  # an edge id, so that n stays small
+        tokens[j] = str(BIG_IDS[int(kind[3:])])
+    elif kind == "extra":
+        tokens.append("1")
+    elif kind == "missing":
+        del tokens[j]
+    elif kind == "header-only":
+        del lines[1:]
+    text = "".join(" ".join(tokens) + "\n" for tokens in lines)
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "no-final-newline":
+        text = text[:-1]
+    data = text.encode("ascii")
+    if kind == "non-ascii":
+        at = sum(len(" ".join(t)) + 1 for t in lines[:i]) + j
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+PERTURBATIONS = ["none", "comment", "blank", "crlf", "tab", "plus", "zero", "pad18", "pad19",
+                 "underscore", "no-final-newline", "header-only", "extra", "missing",
+                 "non-ascii"] + [f"big{k}" for k in range(len(BIG_IDS))]
+
+
+@st.composite
+def edgelist_texts(draw):
+    """Edge-list bytes: random pairs in any order, sometimes with a fault
+    ``Graph`` refuses, and one perturbation of the canonical layout."""
+    n = draw(st.integers(0, 30))
+    pairs = draw(distinct_pairs(n))
+    if draw(st.booleans()):
+        pairs.append(draw(st.sampled_from([(0, 0), (0, n), (n + 5, 1)] + pairs[:1])))
+    lines = [f"{n} {len(pairs)}"] + [f"{u} {v}" for u, v in pairs]
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    if kind.startswith("big") and not pairs:
+        kind = "none"
+    first = 1 if kind.startswith("big") else 0
+    i = draw(st.integers(first, len(lines) - 1))
+    return perturbed(lines, kind, i, draw(st.integers(0, 1)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(edgelist_texts())
+def test_reader_matches_the_line_reference(el_path, data):
+    el_path.write_bytes(data)
+    assert read_outcome(read_edgelist, el_path) == read_outcome(reference_read, el_path)
+
+
+@pytest.mark.parametrize("data", [
+    b"3 2\n0 1 2\n1\n",  # as many tokens as a canonical file, in the wrong lines
+    b"3 1\n0 1 \n",
+    b"3 1\n 0 1\n",
+    b"3 2\n0 1\n\n",
+    b"0 0\n",
+    b"0 0",
+    b"4 0\n",
+    b"3 0\n0 1\n",
+    b"3 1\n",
+    b"",
+    b"\n",
+    b"3 1\n0 000000000000000001\n",
+    b"3 1\n0 0000000000000000001\n",
+    b"3 1\n0 9223372036854775808\n",
+    b"3 1\n0 99999999999999999999\n",
+    b"3 1\n0 999999999999999999\n",
+])
+def test_reader_matches_the_line_reference_on_edge_cases(tmp_path, data):
+    p = tmp_path / "g.el"
+    p.write_bytes(data)
+    assert read_outcome(read_edgelist, p) == read_outcome(reference_read, p)
+
+
+def star(n):
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
+def writer_graph(model, n, seed):
+    if model == "edgeless":
+        return Graph(n)
+    if model == "path":
+        return path(n)
+    if model == "star":
+        return star(n)
+    if model == "gnp":
+        return gnp(n, 2.0, seed)
+    if model == "regular":
+        return random_regular(n, 3, seed)
+    return random_tree(n, seed)
+
+
+WRITER_CASES = [
+    ("edgeless", 0, 0), ("edgeless", 7, 0), ("path", 1, 0), ("path", 40, 0),
+    ("star", 1, 0), ("star", 300, 0),
+    *(("gnp", n, seed) for n in (3, 50, 2000) for seed in (1, 2, 3)),
+    *(("regular", n, seed) for n in (4, 60, 2000) for seed in (1, 2, 3)),
+    *(("tree", n, seed) for n in (1, 2, 500) for seed in (1, 2)),
+    ("gnp", 100_000, 5),  # more edges than one formatting block
+]
+
+
+@pytest.mark.parametrize("model,n,seed", WRITER_CASES)
+def test_writer_matches_the_per_edge_reference(tmp_path, model, n, seed):
+    g = writer_graph(model, n, seed)
+    ours, theirs = tmp_path / "ours.el", tmp_path / "theirs.el"
+    write_edgelist(g, ours)
+    write_edgelist_by_edges(g, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    back = read_outcome(read_edgelist, ours)
+    assert back == read_outcome(reference_read, ours)
+    assert back == (g.adj, g.edges, g._ends.dtype, g._ends.tobytes())
+
+
+def test_canonical_files_skip_the_line_loop(tmp_path, monkeypatch):
+    # Only the line loop reads the file in text mode; with that refused,
+    # every canonical file must still read.
+    def no_text_reads(file, mode="r", *args, **kwargs):
+        if "r" in mode and "b" not in mode:
+            raise AssertionError(f"text-mode read of {file}")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(dismantle.graph, "open", no_text_reads, raising=False)
+    p = tmp_path / "g.el"
+    for g in [Graph(0), Graph(3), path(9), star(12), gnp(500, 2.0, 1), random_regular(60, 3, 2)]:
+        write_edgelist(g, p)
+        assert read_edgelist(p) == g
+    p.write_bytes(b"3 2\n0 1\n1 0\n")  # canonical layout, refused by Graph
+    with pytest.raises(EdgeListFormatError, match="duplicate edge"):
+        read_edgelist(p)
+    p.write_bytes(b"3 1\n0 1\n# comment\n")
+    with pytest.raises(AssertionError, match="text-mode read"):
+        read_edgelist(p)
