@@ -143,20 +143,24 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _add_back(adj, present: bytearray, order: Iterable[int],
+def _add_back(g: Graph, present: bytearray, order: Iterable[int],
               accept: Callable[[list[int]], bool]) -> list[int]:
-    """Add the vertices of ``order`` to the edgeless set ``present``, through a union-find.
+    """Add the vertices of ``order`` to the induced forest ``present``, through a union-find.
 
-    A vertex with two or more present neighbours joins only if
-    ``accept`` returns true on the roots of their trees, one per
-    neighbour; any other vertex always joins. A joining vertex merges
-    the trees of its present neighbours and is marked in ``present``.
-    Returns, for every vertex, the size of its tree right after it
-    joined, or 0 if it never joined.
+    The union-find starts from the trees of ``present``: each vertex's
+    parent is its label from :func:`_component_roots`, and each label's
+    size is its tree's. A vertex with two or more present neighbours
+    joins only if ``accept`` returns true on the roots of their trees,
+    one per neighbour; any other vertex always joins. A joining vertex
+    merges the trees of its present neighbours and is marked in
+    ``present``. Returns, for every vertex, the size of its tree right
+    after it joined, or 0 if it was present already or never joined.
     """
-    parent = list(range(len(adj)))
-    size = [1] * len(adj)
-    joined = [0] * len(adj)
+    adj = g.adj
+    labels = _component_roots(g, np.frombuffer(present, dtype=bool))
+    parent = labels.tolist()
+    size = np.bincount(labels, minlength=g.n).tolist()
+    joined = [0] * g.n
     for v in order:
         roots = []
         for u in adj[v]:
@@ -264,12 +268,14 @@ def _greedy_cuts(g: Graph) -> list[int]:
        empties the 1-core (see :func:`_empty_core`).
     2. Reverse union-find: the removed vertices go back in reverse order,
        each joining the sets of its present neighbours; the size of its
-       set then is the size of the component it was removed from.
+       set then is the size of the component it was removed from. The
+       vertices left by the elimination are edgeless, so the seed of
+       :func:`_add_back` is the identity: every set starts as one vertex.
     """
     adj = g.adj
     present = bytearray([1]) * g.n
     order = _empty_core(adj, present, [len(a) for a in adj], 1)
-    return _add_back(adj, present, reversed(order), lambda roots: True)
+    return _add_back(g, present, reversed(order), lambda roots: True)
 
 
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
@@ -298,8 +304,8 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
 def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     """A maximal induced forest of the region induced by ``verts``.
 
-    Two passes, O(n + m) filing plus one sort per degree level, then an
-    O(m α) union-find:
+    Two passes, O(n + m) filing plus one sort per degree level, then one
+    numpy components pass and a union-find over the removals only:
 
     1. Elimination: while the region has a 2-core, remove its vertex of
        highest degree in the 2-core (smallest id on ties), then peel the
@@ -307,9 +313,10 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
        CoreHD (Zdeborova, Zhang & Zhou, Sci. Rep. 6, 37954, 2016). A
        removal needs no cycle test: the next pass restores every one
        that closes no cycle.
-    2. Add-back: starting from the surviving forest, the removals go back
-       in reverse order, each only when its present neighbours lie in
-       distinct trees.
+    2. Add-back: one numpy components pass (:func:`_component_roots`)
+       seeds a union-find with the trees of the surviving forest, then
+       the removals alone go back in reverse order, each only when its
+       present neighbours lie in distinct trees.
 
     Every vertex left out has two neighbours in one tree of the final
     forest, so no removal can come back without closing a cycle, and
@@ -322,9 +329,8 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     for v in verts:
         alive[v] = 1
     removed = _empty_core(adj, alive, _region_degrees(adj, alive), 2)
-    order = [v for v in verts if alive[v]] + removed[::-1]
-    joined = _add_back(adj, bytearray(g.n), order, lambda roots: len(set(roots)) == len(roots))
-    return [v for v in verts if joined[v]]
+    _add_back(g, alive, reversed(removed), lambda roots: len(set(roots)) == len(roots))
+    return [v for v in verts if alive[v]]
 
 
 def decycle_heuristic(g: Graph) -> FragmentationResult:

@@ -1,8 +1,9 @@
 """Naive references for the tests: subset enumeration for the exact
 oracles of ``dismantle.exact``, a depth-first search for
 ``dismantle.components``, a pairs loop for the adjacency that
-``dismantle.Graph`` builds in numpy, and line-at-a-time edge-list I/O
-for the bulk ``read_edgelist`` and ``write_edgelist``.
+``dismantle.Graph`` builds in numpy, line-at-a-time edge-list I/O for
+the bulk ``read_edgelist`` and ``write_edgelist``, and a union-find
+started from single vertices for the seeded add-back of the fragmenters.
 
 The enumerations sweep every vertex subset with their own component
 logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
@@ -13,7 +14,7 @@ checks this).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from dismantle import Graph
 
@@ -262,3 +263,38 @@ def write_edgelist_by_edges(g: Graph, path) -> None:
         fh.write(f"{g.n} {g.m}\n")
         for u, v in g.edges:
             fh.write(f"{u} {v}\n")
+
+
+def add_back_from_edgeless(g: Graph, present: bytearray, order: Iterable[int],
+                           accept: Callable[[list[int]], bool]) -> list[int]:
+    """Reference for ``fragmenters._add_back``: the same add-back, with a
+    union-find that starts from one set per vertex, so ``present`` must be
+    edgeless. Feeding a forest's vertices first in ``order`` builds its
+    trees one join at a time, which the library seeds from a components pass.
+    """
+    adj = g.adj
+    parent = list(range(g.n))
+    size = [1] * g.n
+    joined = [0] * g.n
+    for v in order:
+        roots = []
+        for u in adj[v]:
+            if present[u]:
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                roots.append(u)
+        if len(roots) > 1 and not accept(roots):
+            continue
+        present[v] = 1
+        root = v
+        for u in roots:
+            while parent[u] != u:
+                u = parent[u]
+            if u != root:
+                if size[u] > size[root]:
+                    u, root = root, u
+                parent[u] = root
+                size[root] += size[u]
+        joined[v] = size[root]
+    return joined

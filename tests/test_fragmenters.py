@@ -31,6 +31,7 @@ from dismantle import (
 )
 from dismantle import experiments, fragmenters
 from dismantle.fragmenters import (
+    _add_back,
     _decycled_forest,
     _empty_core,
     _forest_order,
@@ -39,7 +40,7 @@ from dismantle.fragmenters import (
     _make_result,
     _region_degrees,
 )
-from oracles import components_by_dfs
+from oracles import add_back_from_edgeless, components_by_dfs
 
 
 def c5():
@@ -734,6 +735,60 @@ def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
     assert _decycled_forest(g, s) == [s[i] for i in _decycled_forest(sub, range(sub.n))]
     whole = trim_components(sub, range(sub.n), target)
     assert trim_components(g, s, target).kept == tuple(s[i] for i in whole.kept)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_graphs, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.randoms(),
+       st.one_of(st.none(), st.integers(0, 2)))
+def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng, cycles):
+    # a random induced forest of a random region seeds the union-find; the
+    # reference builds the same trees by adding the forest's vertices first.
+    # Each accept rule reads only how the roots repeat, never which vertex
+    # is a root, and lets a forest vertex join.
+    region = [v for v in range(g.n) if rng.random() < keep]
+    rng.shuffle(region)
+    present = bytearray(g.n)
+    candidates = [v for v in region if rng.random() < grow]
+    add_back_from_edgeless(g, present, candidates, lambda roots: len(set(roots)) == len(roots))
+    seeds = [v for v in range(g.n) if present[v]]
+    order = [v for v in region if not present[v]]
+    if cycles is None:
+        accept = lambda roots: True
+    else:
+        accept = lambda roots: len(roots) - len(set(roots)) <= cycles
+    ref_present = bytearray(g.n)
+    expected = add_back_from_edgeless(g, ref_present, seeds + order, accept)
+    assert all(expected[v] for v in seeds)
+    for v in seeds:
+        expected[v] = 0
+    assert _add_back(g, present, order, accept) == expected
+    assert present == ref_present
+
+
+def test_decycling_adds_back_only_the_core_removals(monkeypatch):
+    # the 2-core survivors seed the union-find from a components pass, so
+    # only the elimination's removals go through the Python loop
+    calls = []
+
+    def spy(g, present, order, accept):
+        order = list(order)
+        calls.append((bytes(present), order))
+        return _add_back(g, present, order, accept)
+
+    monkeypatch.setattr(fragmenters, "_add_back", spy)
+    g = gnp(2000, 3.0, seed=21)
+    rng = random.Random(21)
+    for region in (range(g.n), [v for v in range(g.n) if rng.random() < 0.7]):
+        calls.clear()
+        alive = bytearray(g.n)
+        for v in region:
+            alive[v] = 1
+        removed = _empty_core(g.adj, alive, _region_degrees(g.adj, alive), 2)
+        forest = _decycled_forest(g, region)
+        [(present, order)] = calls
+        assert removed and order == removed[::-1]
+        assert present == bytes(alive)  # every survivor seeded, none in the order
+        assert set(forest) >= {v for v in region if alive[v]}
 
 
 # ---------------------------------------------------------------------------
