@@ -7,6 +7,7 @@ auditable and graphs can be shared freely across concurrent workers.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator, Optional, Tuple
@@ -21,12 +22,19 @@ class EdgeListFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    ``adj`` is a tuple of ascending neighbor tuples of Python ``int``s,
-    fixed at construction time; :attr:`edges` is derived from it. Vertex
-    ``v`` is one int object, the private ``_ids[v]``, wherever it appears
-    in ``adj`` and in the removal sets certified on the graph. The private
-    ``_ends`` holds the same edges as a ``(2, m)`` numpy array of
-    ``(u, v)`` columns with ``u < v``, for the components pass.
+    A graph is immutable in value. Construction checks the edges and
+    keeps them in numpy only: the private ``_ends``, a ``(2, m)`` array of
+    ``(u, v)`` columns with ``u < v`` in ascending order. :attr:`edges`,
+    ``==``, the components pass and the edge-list writer read it.
+
+    ``adj``, the tuple of ascending neighbor tuples of Python ``int``s, is
+    built on its first use, together with the private ``_ids``: vertex
+    ``v`` is one int object, ``_ids[v]``, wherever it appears in ``adj``
+    and in the removal sets certified on the graph. That build is the
+    only write to a graph after construction. It stores ``_ids`` and
+    ``adj`` in one assignment, under a lock, so threads sharing a graph
+    all see the same ints. A pickled or copied graph carries ``n``, ``m``
+    and ``_ends`` alone and builds its own view when used.
 
     ``edges`` may be an iterable of pairs or an integer ``(m, 2)`` numpy
     array; both are read into one int64 array and built in numpy. ``n``
@@ -36,7 +44,7 @@ class Graph:
     ``ValueError`` naming the first such edge in input order.
     """
 
-    __slots__ = ("n", "m", "adj", "_ends", "_ids")
+    __slots__ = ("n", "m", "_ends", "_view")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         n = index(n)
@@ -60,52 +68,30 @@ class Graph:
         u, v = a
         if a.size and (a.min() < 0 or a.max() >= n or np.any(u == v)):
             _check_edges(n, edges)
-        # Both directions of every edge, sorted as (source, target) keys,
-        # list each vertex's neighbors in ascending order; with no
+        # Each edge as one (u, v) key with u < v, sorted; with no
         # self-loops, two equal keys mean a duplicate edge.
-        half = np.sort(np.concatenate((u * n + v, v * n + u)))
-        if np.any(half[1:] == half[:-1]):
+        key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        if np.any(key[1:] == key[:-1]):
             _check_edges(n, edges)
-        src = half // n
-        deg = np.bincount(src, minlength=n)
-        first = np.cumsum(deg) - deg  # where each vertex's neighbors start
-        ids = np.arange(n).astype(object)  # one int object per vertex, shared by every entry
-        nbr = np.remainder(half, n, out=half)  # in place: the keys are done with
-        up = src < nbr  # each edge once, in sorted (u, v) order
-        self._ends = np.array((src[up], nbr[up]), dtype=np.intp)
-        del src, up
-        # One degree class at a time, then all the tuples put back in vertex
-        # order. A class of ``count`` vertices of degree ``d`` costs
-        # min(d, count) numpy calls: its ``d`` neighbor columns zipped into
-        # tuples in C, or, for hubs rarer than their degree, one slice per
-        # vertex. That is at most n calls in all, however skewed the degrees.
-        by_degree = np.argsort(deg)
-        tuples: list = []
-        for d, count in enumerate(np.bincount(deg).tolist()):
-            if not count:
-                continue
-            start = first[by_degree[len(tuples):len(tuples) + count]]
-            if not d:
-                tuples += [()] * count
-            elif count >= d:
-                tuples += zip(*(ids[nbr[start + i]].tolist() for i in range(d)))
-            else:
-                tuples += (tuple(ids[nbr[s:s + d]].tolist()) for s in start.tolist())
-        # Freed before the n-sized arrays below so that these can reuse the
-        # space; held, they raise the peak of a process that builds many graphs.
-        del half, nbr, first, deg
-        rank = np.empty(n, dtype=np.intp)
-        rank[by_degree] = np.arange(n)
         self.n = n
-        self.m = a.shape[1]
-        self._ids = ids
-        # ``ids[rank]`` lists the shared ints, where ``rank.tolist()`` would make n new ones
-        self.adj = tuple(map(tuples.__getitem__, ids[rank].tolist()))
+        self.m = key.size
+        self._ends = np.array(np.divmod(key, n), dtype=np.intp)
+        self._view = None
+
+    @property
+    def adj(self) -> Tuple[Tuple[int, ...], ...]:
+        """Ascending neighbor tuples, one per vertex, built on first use."""
+        return _view_of(self)[1]
+
+    @property
+    def _ids(self) -> np.ndarray:
+        """Object array of the int objects that ``adj`` is made of."""
+        return _view_of(self)[0]
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Sorted tuple of the ``(u, v)`` edges with ``u < v``, derived from ``adj`` in O(m)."""
-        return tuple((u, v) for u, a in enumerate(self.adj) for v in a if v > u)
+        """Sorted tuple of the ``(u, v)`` edges with ``u < v``, read from ``_ends`` in O(m)."""
+        return tuple(zip(*self._ends.tolist()))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -113,10 +99,68 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and np.array_equal(self._ends, other._ends)
+
+    def __getstate__(self):
+        return self.n, self.m, self._ends
+
+    def __setstate__(self, state) -> None:
+        self.n, self.m, self._ends = state
+        self._view = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+_VIEW_LOCK = threading.Lock()
+
+
+def _view_of(g: Graph) -> Tuple[np.ndarray, tuple]:
+    """``g``'s ``(_ids, adj)``, built by :func:`_python_view` on first use."""
+    view = g._view
+    if view is None:
+        with _VIEW_LOCK:
+            view = g._view
+            if view is None:
+                view = g._view = _python_view(g.n, g._ends)
+    return view
+
+
+def _python_view(n: int, ends: np.ndarray) -> Tuple[np.ndarray, tuple]:
+    """One int object per vertex, and the neighbor tuples made of them,
+    for the graph on ``n`` vertices whose edges are the columns ``ends``."""
+    u, v = ends
+    # Both directions of every edge, sorted as (source, target) keys,
+    # list each vertex's neighbors in ascending order.
+    half = np.sort(np.concatenate((u * n + v, v * n + u)))
+    deg = np.bincount(ends.ravel(), minlength=n)
+    first = np.cumsum(deg) - deg  # where each vertex's neighbors start
+    ids = np.arange(n).astype(object)  # one int object per vertex, shared by every entry
+    nbr = np.remainder(half, n, out=half)  # in place: the keys are done with
+    # One degree class at a time, then all the tuples put back in vertex
+    # order. A class of ``count`` vertices of degree ``d`` costs
+    # min(d, count) numpy calls: its ``d`` neighbor columns zipped into
+    # tuples in C, or, for hubs rarer than their degree, one slice per
+    # vertex. That is at most n calls in all, however skewed the degrees.
+    by_degree = np.argsort(deg)
+    tuples: list = []
+    for d, count in enumerate(np.bincount(deg).tolist()):
+        if not count:
+            continue
+        start = first[by_degree[len(tuples):len(tuples) + count]]
+        if not d:
+            tuples += [()] * count
+        elif count >= d:
+            tuples += zip(*(ids[nbr[start + i]].tolist() for i in range(d)))
+        else:
+            tuples += (tuple(ids[nbr[s:s + d]].tolist()) for s in start.tolist())
+    # Freed before the n-sized arrays below so that these can reuse the
+    # space; held, they raise the peak of a process that builds many graphs.
+    del half, nbr, first, deg
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_degree] = np.arange(n)
+    # ``ids[rank]`` lists the shared ints, where ``rank.tolist()`` would make n new ones
+    return ids, tuple(map(tuples.__getitem__, ids[rank].tolist()))
 
 
 def _check_edges(n: int, edges: Iterable) -> None:
@@ -240,18 +284,15 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:
     """Subgraph induced by ``s`` plus the old->new index map.
 
     New ids follow the sorted order of ``s``, so the map is the unique
-    order-preserving bijection onto ``0..len(s)-1``.
+    order-preserving bijection onto ``0..len(s)-1``. The edges with both
+    ends in ``s`` are picked from ``g._ends`` and relabelled in numpy.
     """
     ids = as_vertex_tuple(g, s)
-    index = {v: i for i, v in enumerate(ids)}
-    member = set(ids)
-    edges = []
-    for v in ids:
-        iv = index[v]
-        for u in g.adj[v]:
-            if u > v and u in member:
-                edges.append((iv, index[u]))
-    return Graph(len(ids), edges), index
+    new = np.full(g.n, -1, dtype=np.intp)
+    new[np.fromiter(ids, np.intp, len(ids))] = np.arange(len(ids))
+    u, v = new[g._ends]
+    both = (u >= 0) & (v >= 0)
+    return Graph(len(ids), np.column_stack((u[both], v[both]))), dict(zip(ids, range(len(ids))))
 
 
 def excess(g: Graph) -> int:

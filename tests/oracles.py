@@ -2,8 +2,9 @@
 oracles of ``dismantle.exact``, a depth-first search for
 ``dismantle.components``, a pairs loop for the adjacency that
 ``dismantle.Graph`` builds in numpy, line-at-a-time edge-list I/O for
-the bulk ``read_edgelist`` and ``write_edgelist``, and a union-find
-started from single vertices for the seeded add-back of the fragmenters.
+the bulk ``read_edgelist`` and ``write_edgelist``, a per-vertex loop
+for the numpy ``induced_subgraph``, and a union-find started from
+single vertices for the seeded add-back of the fragmenters.
 
 The enumerations sweep every vertex subset with their own component
 logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
@@ -14,6 +15,7 @@ checks this).
 
 from __future__ import annotations
 
+from operator import index
 from typing import Callable, Iterable, Optional, Tuple
 
 from dismantle import Graph
@@ -263,6 +265,23 @@ def write_edgelist_by_edges(g: Graph, path) -> None:
         fh.write(f"{g.n} {g.m}\n")
         for u, v in g.edges:
             fh.write(f"{u} {v}\n")
+
+
+def induced_subgraph_by_loop(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:
+    """Reference for ``induced_subgraph``: the edges of ``G[s]`` gathered
+    one neighbor tuple at a time, relabelled through a dict. Ids are read
+    through ``operator.index`` and range-checked with the library's message."""
+    ids = sorted(set(map(index, s)))
+    if ids and (ids[0] < 0 or ids[-1] >= g.n):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise ValueError(f"invalid vertex id {bad} for graph with n={g.n}")
+    new = {v: i for i, v in enumerate(ids)}
+    edges = []
+    for v in ids:
+        for u in g.adj[v]:
+            if u > v and u in new:
+                edges.append((new[v], new[u]))
+    return Graph(len(ids), edges), new
 
 
 def add_back_from_edgeless(g: Graph, present: bytearray, order: Iterable[int],

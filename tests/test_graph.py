@@ -1,8 +1,11 @@
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -19,6 +22,7 @@ from dismantle import (
     components_pass_density,
     count_short_cycles,
     excess,
+    giant_component_fraction,
     gnp,
     induced_subgraph,
     path,
@@ -30,9 +34,11 @@ from dismantle import (
     trim_components,
     write_edgelist,
 )
+from dismantle.cli import main as cli_main
 from oracles import (
     adjacency_by_pairs,
     components_by_dfs,
+    induced_subgraph_by_loop,
     read_edgelist_by_lines,
     write_edgelist_by_edges,
 )
@@ -297,6 +303,101 @@ def test_degree_class_build_matches_pairs(data, n):
     assert_one_int_per_vertex(g)
 
 
+def refuse_adj(monkeypatch):
+    """Make any build of ``adj`` and ``_ids`` fail."""
+    def refuse(n, ends):
+        raise AssertionError(f"adj built for a graph on {n} vertices")
+
+    monkeypatch.setattr(dismantle.graph, "_python_view", refuse)
+
+
+def test_numpy_paths_never_build_adj(tmp_path, monkeypatch):
+    refuse_adj(monkeypatch)
+    p = tmp_path / "g.el"
+    for g in [gnp(2000, 2.0, seed=1), random_regular(600, 3, seed=2), random_tree(500, seed=3),
+              path(300)]:
+        half = range(0, g.n, 2)
+        assert components(g).count >= 1 and components(g, half).count >= 1
+        assert excess(g) >= 0 and 0 < giant_component_fraction(g) <= 1
+        assert components_pass_density(g, half, 0.5) in (True, False)
+        write_edgelist(g, p)
+        back = read_edgelist(p)
+        assert back == g and back.edges == g.edges
+        assert g._view is None and back._view is None
+    for model, extra in [("gnp", ["--c", "2"]), ("regular", ["--d", "3"]), ("tree", []),
+                         ("path", [])]:
+        assert cli_main(["gen", "--model", model, "--n", "400", "--out", str(p), *extra]) == 0
+
+
+def eager_adj(g):
+    """The neighbor tuples of ``g``, gathered from ``_ends`` one edge at a time."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g._ends.T.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
+LAZY_CASES = {
+    "n0": lambda: Graph(0),
+    "edgeless": lambda: Graph(7),
+    "hub": lambda: Graph(12, [(4, v) for v in range(12) if v != 4] + [(0, 1), (2, 3)]),
+    "gnp": lambda: gnp(1000, 3.0, seed=2),
+    "regular": lambda: random_regular(600, 3, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CASES))
+def test_first_use_builds_adj_from_the_graph_ints(name):
+    g = LAZY_CASES[name]()
+    assert g._view is None
+    adj = g.adj
+    assert adj == eager_adj(g)
+    assert g.adj is adj and g._ids is g._ids
+    ids = g._ids
+    assert len(ids) == g.n and all(ids[v] == v for v in range(g.n))
+    assert all(u is ids[u] for nbrs in adj for u in nbrs)
+
+
+def test_threads_share_one_first_use_build():
+    # more threads than cores, switching often, all reading one fresh graph
+    g = gnp(20_000, 3.0, seed=6)
+    workers = min(os.cpu_count() or 1, 16) + 2
+    barrier = threading.Barrier(workers, timeout=60)
+    seen = []
+
+    def read():
+        barrier.wait()
+        seen.append((g.adj, g._ids))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == workers
+    assert all(adj is g.adj and ids is g._ids for adj, ids in seen)
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+def test_copies_round_trip_and_build_their_own_ints(clone, used):
+    for g in (Graph(0), path(5), gnp(1000, 3.0, seed=2)):
+        if used:
+            g.adj
+        c = clone(g)
+        assert c == g and (c.n, c.m, c.edges) == (g.n, g.m, g.edges)
+        assert c.adj == g.adj
+        ids = c._ids
+        assert all(u is ids[u] for nbrs in c.adj for u in nbrs)
+
+
 def test_import_and_generation_leave_heavy_modules_out():
     # numpy.ma (np.unique imports it) and the process pool's modules cost
     # import time and memory on every run that needs neither; only what the
@@ -450,6 +551,57 @@ def test_induced_c5_three_vertices():
 def test_induced_invalid_vertex():
     with pytest.raises(ValueError, match="invalid vertex id"):
         induced_subgraph(c5(), [0, 7])
+
+
+def induced_outcome(induce, g, s):
+    """The vertex count, edges and map of what ``induce`` makes of ``g`` and
+    ``s``, with the types of the map's ids, or the type and message of what
+    it raises."""
+    try:
+        sub, idx = induce(g, s)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return sub.n, sub.edges, idx, [type(v) for v in chain(idx, idx.values())]
+
+
+@st.composite
+def induced_cases(draw):
+    """A random graph and a vertex set: empty, full, with repeats, of
+    numpy ids, as a numpy array, or with one id out of range."""
+    n = draw(st.integers(0, 16))
+    pairs = draw(distinct_pairs(n))
+    g = Graph(n, draw(edge_input(pairs)))
+    kind = draw(st.sampled_from(["empty", "full", "repeats", "numpy", "array", "out-of-range"]))
+    verts = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    if kind == "empty":
+        verts = []
+    elif kind == "full":
+        verts = list(range(n))
+    elif kind == "repeats":
+        verts = verts + verts[: len(verts) // 2]
+    elif kind == "numpy":
+        verts = [np.int32(v) if v % 2 else np.uint16(v) for v in verts]
+    elif kind == "array":
+        verts = np.array(verts, dtype=np.int64)
+    else:
+        verts = verts + [draw(st.sampled_from([-1, n, n + 5]))]
+    return g, verts
+
+
+@settings(max_examples=400, deadline=None)
+@given(induced_cases())
+def test_induced_subgraph_matches_the_loop_reference(case):
+    g, verts = case
+    assert induced_outcome(induced_subgraph, g, verts) == induced_outcome(
+        induced_subgraph_by_loop, g, verts)
+
+
+def test_induced_subgraph_faults_match_the_loop_reference():
+    g = gnp(30, 3.0, seed=1)
+    for verts in ([0, 1.0], [0, np.float64(2.0)], [3, -1], [31, 0], [30]):
+        ours = induced_outcome(induced_subgraph, g, verts)
+        assert ours == induced_outcome(induced_subgraph_by_loop, g, verts)
+        assert ours[0] is (TypeError if any(isinstance(v, float) for v in verts) else ValueError)
 
 
 VERTEX_SET_CALLS = {
