@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,18 +185,15 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int],
     return joined
 
 
-def _region_degrees(adj, alive: bytearray) -> list[int]:
-    """Degrees in the region marked in ``alive``, 0 outside it, from the
-    full degrees less the edges at vertices outside: O(n) plus those edges.
+def _region_degrees(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarray:
+    """Degrees in the subgraph induced by the boolean mask ``inside`` (all
+    of ``g`` when it is ``None``), 0 outside it: one bincount of the edges
+    with both ends inside.
     """
-    deg = list(map(len, adj))
-    outside = [v for v, x in enumerate(alive) if not x]
-    for v in outside:
-        for u in adj[v]:
-            deg[u] -= 1
-    for v in outside:
-        deg[v] = 0
-    return deg
+    ends = g._ends
+    if inside is not None:
+        ends = ends[:, inside[ends[0]] & inside[ends[1]]]
+    return np.bincount(ends.ravel(), minlength=g.n)
 
 
 def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
@@ -216,6 +213,11 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
     when the scan gets there, holds every candidate at that level. The
     cost is O(n + m) filing plus one sort per degree level, over at most
     ``n + 2m`` entries in all.
+
+    Decycling (``j = 2``) is its only caller in the library. For ``j <= 1``
+    no vertex is peeled, and :func:`_lfmis_elimination` finds the same
+    removals in numpy; at ``j = 2`` a removal can start a peel cascade
+    that lowers degrees far beyond its own neighbours.
     """
     core = bytearray(alive)
     levels: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
@@ -252,6 +254,123 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
     return removed
 
 
+def _runs(nbr: np.ndarray, first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``nbr[first[i]:first[i] + count[i]]`` back to back, and the
+    ``i`` of each entry."""
+    end = np.cumsum(count)
+    owner = np.repeat(np.arange(first.size), count)
+    return nbr[np.arange(end[-1] if end.size else 0) + (first - end + count)[owner]], owner
+
+
+def _lfmis(g: Graph, level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """The lexicographically first maximal independent set of the vertices
+    ``level`` (ascending ids), ascending; ``(pa, pb)`` are the positions
+    in ``level`` of the ends of its edges, with ``pb < pa``.
+
+    In each numpy round, an undecided vertex with no undecided smaller
+    neighbour joins, and its larger neighbours drop out. On random id
+    orders the rounds settle the set quickly (Blelloch, Fineman & Shun,
+    SPAA 2012), but an ascending chain settles two vertices a round. So
+    the rounds go on only while each settles at least half of the
+    undecided vertices, and an ascending pass over ``adj`` settles the
+    rest, each joining unless a neighbour joined in that pass before it.
+    """
+    state = np.zeros(level.size, dtype=np.int8)  # 0 undecided, 1 joined, 2 out
+    left = level.size
+    while left:
+        join = state == 0
+        join[pa] = False  # an undecided smaller neighbour blocks
+        state[join] = 1
+        state[pa[join[pb]]] = 2
+        live = (state[pa] == 0) & (state[pb] == 0)
+        pa, pb = pa[live], pb[live]
+        before, left = left, np.count_nonzero(state == 0)
+        if 2 * left > before:
+            break
+    joined = level[state == 1]
+    if left:
+        # No undecided vertex neighbours a vertex the rounds took.
+        adj = g.adj
+        out = bytearray(g.n)
+        late = []
+        for v in g._ids[level[state == 0]]:
+            if not out[v]:
+                late.append(v)
+                for u in adj[v]:
+                    out[u] = 1
+        joined = np.sort(np.concatenate((joined, late)))
+    return joined
+
+
+def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1) -> np.ndarray:
+    """The removals of ``_empty_core`` for ``j`` = 0 or 1, in order, on the
+    region marked by the boolean mask ``inside`` (all of ``g`` when it is
+    ``None``), found in numpy.
+
+    With ``j <= 1`` nothing is peeled: the vertex with the most neighbours
+    left (smallest id on ties) goes until no edge is left, and then, for
+    ``j = 0``, the region's remaining vertices go in ascending order.
+    Degrees only fall, so a vertex at the top degree ``d`` goes exactly
+    when no smaller-id neighbour at degree ``d`` went before it: each
+    level removes the lexicographically first maximal independent set of
+    the vertices at that level (see :func:`_lfmis`), in ascending order.
+    The neighbours of that set then lose degree and are filed under
+    their new degree, so each level reads only its own candidates. The
+    cost is one sort of the ``2m`` edge ends, then work in proportion to
+    the candidates' degrees; an ascending chain pays O(n + m) in Python.
+    """
+    n = g.n
+    deg = _region_degrees(g, inside)
+    if inside is not None:
+        deg[~inside] = -1  # never a candidate; removed vertices get -1 too
+    u, v = g._ends
+    # Both directions of every edge as sorted (source, target) keys: the
+    # neighbours of each vertex, ascending, and where they start. The
+    # ``below[v]`` neighbours smaller than ``v`` come first.
+    nbr = np.sort(np.concatenate((u * n + v, v * n + u)))
+    nbr %= n
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(g._ends.ravel(), minlength=n), out=start[1:])
+    below = np.bincount(v, minlength=n)
+    levels: dict[int, list[np.ndarray]] = {}
+    pos = np.empty(n, dtype=np.intp)  # a level's vertex -> its position in the level
+
+    def file(verts: np.ndarray) -> None:
+        """File ``verts``, in ascending order of degree, under their
+        degrees; those of degree 0 or less are dropped."""
+        if not verts.size:
+            return
+        degs = deg[verts]
+        cut = np.flatnonzero(degs[1:] != degs[:-1]) + 1
+        for part, k in zip(np.split(verts, cut), degs[np.r_[0, cut]].tolist()):
+            if k > 0:
+                levels.setdefault(k, []).append(part)
+
+    file(np.argsort(deg, kind="stable"))
+    order = [np.zeros(0, dtype=np.intp)]
+    while levels:
+        d = max(levels)
+        level = np.concatenate(levels.pop(d))
+        # a vertex filed here may since have fallen, or be filed twice
+        level = np.sort(level[deg[level] == d], kind="stable")  # merges sorted runs
+        level = level[np.diff(level, prepend=-1) > 0]
+        if not level.size:
+            continue
+        b, pa = _runs(nbr, start[level], below[level])
+        pair = deg[b] == d
+        pos[level] = np.arange(level.size)
+        gone = _lfmis(g, level, pa[pair], pos[b[pair]])
+        order.append(gone)
+        deg[gone] = -1
+        b, _ = _runs(nbr, start[gone], start[gone + 1] - start[gone])
+        b = b[deg[b] > 0]
+        np.subtract.at(deg, b, 1)
+        file(b[np.argsort(deg[b], kind="stable")])
+    if j == 0:
+        order.append(np.flatnonzero(deg == 0))
+    return np.concatenate(order)
+
+
 # ---------------------------------------------------------------------------
 # Greedy component-capping
 # ---------------------------------------------------------------------------
@@ -259,23 +378,26 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
 
 def _greedy_cuts(g: Graph) -> list[int]:
     """Every vertex's greedy cut size: the size of the component it was
-    removed from at cap 1, or 0 if it never was. Two passes: a level scan,
-    O(n + m) filing plus one sort per degree level, then an O(m α)
+    removed from at cap 1, or 0 if it never was. Two passes: a numpy
+    elimination, one independent set per degree level, then an O(m α)
     union-find:
 
     1. Cap-1 elimination: while some vertex has a neighbour left, remove
        the one of highest remaining degree, smallest id on ties; this
-       empties the 1-core (see :func:`_empty_core`).
+       empties the 1-core (see :func:`_lfmis_elimination`).
     2. Reverse union-find: the removed vertices go back in reverse order,
        each joining the sets of its present neighbours; the size of its
        set then is the size of the component it was removed from. The
        vertices left by the elimination are edgeless, so the seed of
        :func:`_add_back` is the identity: every set starts as one vertex.
     """
-    adj = g.adj
-    present = bytearray([1]) * g.n
-    order = _empty_core(adj, present, [len(a) for a in adj], 1)
-    return _add_back(g, present, reversed(order), lambda roots: True)
+    # The add-back reads ``adj``. Built first, its build's peak does not add
+    # to that of the elimination's arrays.
+    g.adj
+    order = _lfmis_elimination(g)
+    present = np.ones(g.n, dtype=bool)
+    present[order] = False
+    return _add_back(g, bytearray(present), order[::-1].tolist(), lambda roots: True)
 
 
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
@@ -287,13 +409,14 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     the cap-1 removals made from components of more than ``k`` vertices,
     and removal sets shrink as the cap grows. So the result removes the
     vertices whose cut size (see :func:`_greedy_cuts`) exceeds ``cap``,
-    at the same cost whatever the cap: one level-scan elimination,
-    O(n + m) filing plus one sort per degree level, and a union-find.
+    at the same cost whatever the cap: one numpy elimination, one
+    independent set per degree level, and a union-find. The kept ids are
+    the graph's own int objects.
     """
     if not cap >= 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
-    cut = _greedy_cuts(g)
-    return _make_result(g, (v for v in range(g.n) if cut[v] <= cap), "greedy")
+    cut = np.array(_greedy_cuts(g))
+    return _make_result(g, g._ids[cut <= cap].tolist(), "greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +446,12 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     adding the removals back to the forest raises its excess by at least
     one each: a component loses at most ``excess`` vertices.
     """
-    adj = g.adj
     alive = bytearray(g.n)
     verts = list(verts)
     for v in verts:
         alive[v] = 1
-    removed = _empty_core(adj, alive, _region_degrees(adj, alive), 2)
+    deg = _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist()
+    removed = _empty_core(g.adj, alive, deg, 2)
     _add_back(g, alive, reversed(removed), lambda roots: len(set(roots)) == len(roots))
     return [v for v in verts if alive[v]]
 
@@ -384,26 +507,23 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     A component of size ``t > target`` loses exactly ``t - target``
     vertices: the oversized components are emptied highest degree first
     (degree among the vertices left, smaller id on ties; see
-    :func:`_empty_core`), and each loses its first ``t - target``
-    removals. Smaller components are untouched. Over ``S``, the level
-    scan costs O(n + m) filing plus one sort per degree level.
+    :func:`_lfmis_elimination` with ``j = 0``), and each loses its first
+    ``t - target`` removals. Smaller components are untouched.
     """
     if not target >= 1:
         raise ValueError(f"target size must be >= 1, got {target}")
     s_t = as_vertex_tuple(g, s)
-    adj = g.adj
-    comp = components(g, s_t)
-    quota = [size - target for size in comp.sizes]
-    alive = bytearray(g.n)
-    for v in s_t:
-        alive[v] = quota[comp.labels[v]] > 0
-    gone = set()
-    for v in _empty_core(adj, alive, _region_degrees(adj, alive), 0):
-        c = comp.labels[v]
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(s_t, np.intp, len(s_t))] = True
+    root = _component_roots(g, inside)
+    quota = np.bincount(root[inside], minlength=g.n) - target  # indexed by root
+    order = _lfmis_elimination(g, inside & (quota[root] > 0), 0)
+    quota = quota.tolist()
+    for v, c in zip(order.tolist(), root[order].tolist()):
         if quota[c] > 0:
             quota[c] -= 1
-            gone.add(v)
-    return _make_result(g, (v for v in s_t if v not in gone), "trim")
+            inside[v] = False
+    return _make_result(g, np.flatnonzero(inside).tolist(), "trim")
 
 
 def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResult:

@@ -94,7 +94,13 @@ class Graph:
         return tuple(zip(*self._ends.tolist()))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        """Neighbours of vertex ``v``, counted in ``_ends`` in O(m) without
+        building ``adj``. ``v`` is read through ``operator.index``; an id
+        outside ``0..n-1`` raises ``ValueError``."""
+        v = index(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"invalid vertex id {v} for graph with n={self.n}")
+        return int(np.count_nonzero(self._ends == v))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -257,6 +257,7 @@ def test_greedy_results_share_the_graph_ints(make):
         for v in nbrs:
             shared.setdefault(v, v)
     rows = experiments._method_results(g, [2, 8, 32, 2000], "greedy")
+    rows += [greedy_fragment(g, cap) for cap in (1, 8)]
     assert any(row.removed for row in rows)
     for row in rows:
         for v in row.kept + row.removed:

@@ -1,8 +1,10 @@
+import hashlib
 import heapq
 import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from dismantle.fragmenters import (
     _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
+    _lfmis_elimination,
     _make_result,
     _region_degrees,
 )
@@ -707,6 +710,99 @@ def test_level_scan_matches_heap_at_scale():
         assert_matches_heap(g, [v for v in range(g.n) if rng.random() < 0.7])
 
 
+def lfmis_order(g, region, j):
+    """Removal order of ``_lfmis_elimination`` on ``region``, as a list."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(region)] = True
+    order = _lfmis_elimination(g, inside, j).tolist()
+    if len(set(region)) == g.n:
+        assert _lfmis_elimination(g, None, j).tolist() == order
+    return order
+
+
+def assert_lfmis_matches(g, region):
+    for j in (0, 1):
+        order = lfmis_order(g, region, j)
+        assert order == elimination_outcome(heap_empty_core, g, region, j)[0], (g, j)
+        if g.n <= 60:  # where the from-scratch reference runs in milliseconds
+            assert order == empty_core_reference(g, region, j), (g, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_graphs, st.one_of(st.just(1.0), st.floats(0.0, 1.0)), st.randoms())
+def test_lfmis_elimination_matches_the_references(g, keep, rng):
+    assert_lfmis_matches(g, [v for v in range(g.n) if rng.random() < keep])
+
+
+def relabel(g, label):
+    """``g`` with each vertex ``v`` renamed ``label[v]``."""
+    return Graph(g.n, [tuple(sorted((label[u], label[v]))) for u, v in g.edges])
+
+
+def lfmis_cases():
+    # chains in ascending, descending and zigzag id order, where each
+    # level's independent set is decided one vertex after another
+    for n in (1, 2, 3, 4, 5, 6, 9, 40, 101, 1000):
+        yield path(n)
+        yield relabel(path(n), range(n - 1, -1, -1))
+        yield relabel(path(n), [v // 2 if v % 2 == 0 else n - 1 - v // 2 for v in range(n)])
+    for n in (2, 3, 7, 8, 50):  # stars with the hub at the first or the last id
+        yield Graph(n, [(0, v) for v in range(1, n)])
+        yield Graph(n, [(v, n - 1) for v in range(n - 1)])
+    for n in (2, 3, 5, 8, 13):
+        yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # with the stars and complete graphs above, the graphs of
+    # test_empty_core_ties_at_top_degree_and_largest_id
+    for n in (3, 6, 11):
+        yield Graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+    yield from (c5(), k4(), Graph(1, []))
+    yield from (random_regular(n, d, seed=n + d) for n, d in [(10, 3), (16, 3), (12, 4), (21, 4)])
+
+
+def test_lfmis_elimination_fixed_cases():
+    for g in lfmis_cases():
+        for region in (range(g.n), range(g.n - 1), range(1, g.n), range(0, g.n, 3)):
+            assert_lfmis_matches(g, region)
+
+
+def test_lfmis_elimination_finishes_a_long_chain_in_order():
+    # the rounds settle two vertices each on an ascending chain, so the
+    # ascending pass over ``adj`` decides it; no other step reads ``adj``
+    g = path(100_000)
+    assert g._view is None
+    order = _lfmis_elimination(g)
+    assert g._view is not None
+    alive = bytearray([1]) * g.n
+    assert order.tolist() == heap_empty_core(g.adj, alive, [len(a) for a in g.adj], 1)
+    assert order.tolist() == list(range(1, g.n - 1, 2)) + [g.n - 2]
+
+
+# sha256 digests of the comma-joined outputs, taken with the level-scan
+# elimination (``_empty_core``) before the numpy one replaced it in greedy
+# and trimming: any change of removal order at scale shows here.
+PINNED_AT_SCALE = {
+    "gnp": (lambda: gnp(100_000, 2.0, 1),
+            "88f9830619cb31e1479ba15469d7da2a0dae612113549368194423055507d6f7",
+            "4c934b9590b83425d6ab5c72612ba2532d8ed96170bc0ccbd975ccb7256e7383"),
+    "regular": (lambda: random_regular(100_000, 3, 1),
+                "74b009a176a159183d67f6644c448c19bd8dfb78e83a9dbc02590d770265fb9a",
+                "985c55af87d214c51283af40c2f7ee4a59798c5414c24770eb1ca4d8073d4195"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AT_SCALE))
+def test_greedy_and_trim_match_their_pinned_digests(name):
+    make, cuts, trimmed = PINNED_AT_SCALE[name]
+    g = make()
+    region = np.flatnonzero(np.random.default_rng(7).random(g.n) < 0.7).tolist()
+
+    def digest(ids):
+        return hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
+
+    assert digest(_greedy_cuts(g)) == cuts
+    assert digest(trim_components(g, region, 8).removed) == trimmed
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_graphs())
 def test_decycle_bounds_and_maximality(g):
@@ -730,7 +826,7 @@ def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
     for v in s:
         alive[v] = 1
     deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
-    assert _region_degrees(g.adj, alive) == deg
+    assert _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist() == deg
     sub, _ = induced_subgraph(g, s)
     assert _decycled_forest(g, s) == [s[i] for i in _decycled_forest(sub, range(sub.n))]
     whole = trim_components(sub, range(sub.n), target)
@@ -783,7 +879,8 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
         alive = bytearray(g.n)
         for v in region:
             alive[v] = 1
-        removed = _empty_core(g.adj, alive, _region_degrees(g.adj, alive), 2)
+        deg = _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist()
+        removed = _empty_core(g.adj, alive, deg, 2)
         forest = _decycled_forest(g, region)
         [(present, order)] = calls
         assert removed and order == removed[::-1]

@@ -320,6 +320,7 @@ def test_numpy_paths_never_build_adj(tmp_path, monkeypatch):
         assert components(g).count >= 1 and components(g, half).count >= 1
         assert excess(g) >= 0 and 0 < giant_component_fraction(g) <= 1
         assert components_pass_density(g, half, 0.5) in (True, False)
+        assert sum(map(g.degree, range(g.n))) == 2 * g.m
         write_edgelist(g, p)
         back = read_edgelist(p)
         assert back == g and back.edges == g.edges
@@ -357,6 +358,22 @@ def test_first_use_builds_adj_from_the_graph_ints(name):
     ids = g._ids
     assert len(ids) == g.n and all(ids[v] == v for v in range(g.n))
     assert all(u is ids[u] for nbrs in adj for u in nbrs)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CASES) + ["path"])
+def test_degree_counts_the_neighbours(name):
+    g = path(40) if name == "path" else LAZY_CASES[name]()
+    degrees = [g.degree(v) for v in range(g.n)]
+    assert g._view is None
+    assert degrees == [len(a) for a in g.adj]
+    assert all(type(d) is int for d in degrees)
+    if g.n:
+        assert g.degree(np.int64(g.n - 1)) == degrees[-1]
+    for bad in (-1, g.n, g.n + 5):
+        with pytest.raises(ValueError, match=f"invalid vertex id {bad} "):
+            g.degree(bad)
+    with pytest.raises(TypeError):
+        g.degree(1.0)
 
 
 def test_threads_share_one_first_use_build():
