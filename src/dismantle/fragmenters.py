@@ -192,19 +192,18 @@ def _region_degrees(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarray
     """
     ends = g._ends
     if inside is not None:
-        ends = ends[:, inside[ends[0]] & inside[ends[1]]]
+        ends = np.compress(inside[ends[0]] & inside[ends[1]], ends, axis=1)
     return np.bincount(ends.ravel(), minlength=g.n)
 
 
-def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
-    """Empty the ``j``-core of the region marked in ``alive``; return the removals in order.
+def _empty_core(adj, alive: bytearray, deg: list[int]) -> list[int]:
+    """Empty the 2-core of the region marked in ``alive``; return the removals in order.
 
-    While the ``j``-core is not empty, its vertex with the most core
+    While the 2-core is not empty, its vertex with the most core
     neighbours (smallest id on ties) is removed and cleared in ``alive``,
-    and every vertex left with fewer than ``j`` core neighbours leaves
-    the core. ``deg`` holds degrees in the region on entry and core
-    degrees on exit; for ``j <= 1`` these are degrees among the vertices
-    left.
+    and every vertex left with fewer than two core neighbours leaves the
+    core. ``deg`` holds degrees in the region on entry and core degrees
+    on exit.
 
     A level scan finds the removals. Core degrees only fall, so while
     ``top`` is the largest of them, the next removal is the smallest id
@@ -214,10 +213,9 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
     cost is O(n + m) filing plus one sort per degree level, over at most
     ``n + 2m`` entries in all.
 
-    Decycling (``j = 2``) is its only caller in the library. For ``j <= 1``
-    no vertex is peeled, and :func:`_lfmis_elimination` finds the same
-    removals in numpy; at ``j = 2`` a removal can start a peel cascade
-    that lowers degrees far beyond its own neighbours.
+    Decycling is its only caller in the library. A removal here can start
+    a peel cascade that lowers degrees far beyond its own neighbours;
+    with no peeling, :func:`_lfmis_elimination` finds the order in numpy.
     """
     core = bytearray(alive)
     levels: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
@@ -230,21 +228,21 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
                 for u in adj[v]:
                     if core[u]:
                         d = deg[u] = deg[u] - 1
-                        if d < j:
+                        if d < 2:
                             stack.append(u)
                         else:
                             levels[d].append(u)
 
     # Peel first, then file the core at its degrees: a vertex reaches
     # each degree once, so no level lists it twice.
-    leave([v for v, d in enumerate(deg) if core[v] and d < j])
+    leave([v for v, d in enumerate(deg) if core[v] and d < 2])
     for level in levels:
         level.clear()
     for v, d in enumerate(deg):
         if core[v]:
             levels[d].append(v)
     removed: list[int] = []
-    while len(levels) > j:
+    while len(levels) > 2:
         top = len(levels) - 1
         for v in sorted(levels.pop()):
             if core[v] and deg[v] == top:
@@ -252,14 +250,6 @@ def _empty_core(adj, alive: bytearray, deg: list[int], j: int) -> list[int]:
                 removed.append(v)
                 leave([v])
     return removed
-
-
-def _runs(nbr: np.ndarray, first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The runs ``nbr[first[i]:first[i] + count[i]]`` back to back, and the
-    ``i`` of each entry."""
-    end = np.cumsum(count)
-    owner = np.repeat(np.arange(first.size), count)
-    return nbr[np.arange(end[-1] if end.size else 0) + (first - end + count)[owner]], owner
 
 
 def _lfmis(g: Graph, level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -303,9 +293,9 @@ def _lfmis(g: Graph, level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.nd
 
 
 def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1) -> np.ndarray:
-    """The removals of ``_empty_core`` for ``j`` = 0 or 1, in order, on the
-    region marked by the boolean mask ``inside`` (all of ``g`` when it is
-    ``None``), found in numpy.
+    """The removals, in order, that empty the ``j``-core (``j`` = 0 or 1)
+    of the region marked by the boolean mask ``inside`` (all of ``g`` when
+    it is ``None``), found in numpy.
 
     With ``j <= 1`` nothing is peeled: the vertex with the most neighbours
     left (smallest id on ties) goes until no edge is left, and then, for
@@ -314,60 +304,50 @@ def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1
     when no smaller-id neighbour at degree ``d`` went before it: each
     level removes the lexicographically first maximal independent set of
     the vertices at that level (see :func:`_lfmis`), in ascending order.
-    The neighbours of that set then lose degree and are filed under
-    their new degree, so each level reads only its own candidates. The
-    cost is one sort of the ``2m`` edge ends, then work in proportion to
-    the candidates' degrees; an ascending chain pays O(n + m) in Python.
+
+    Each level scans the edges left. A pass that starts at top degree
+    ``top`` sets aside the edges whose two ends are at degree ``half =
+    top // 2`` or less, and takes them back once the top falls to
+    ``half``: degrees only fall, so such an edge never has an end on a
+    level above ``half``. A pass costs O(n + m); each of its levels costs
+    O(vertices above ``half`` + edges left at them when the pass began).
+    There are at most max-degree levels and 1 + log2(max-degree) passes;
+    an ascending chain pays O(n + m) in Python.
     """
     n = g.n
     deg = _region_degrees(g, inside)
-    if inside is not None:
-        deg[~inside] = -1  # never a candidate; removed vertices get -1 too
-    u, v = g._ends
-    # Both directions of every edge as sorted (source, target) keys: the
-    # neighbours of each vertex, ascending, and where they start. The
-    # ``below[v]`` neighbours smaller than ``v`` come first.
-    nbr = np.sort(np.concatenate((u * n + v, v * n + u)))
-    nbr %= n
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(g._ends.ravel(), minlength=n), out=start[1:])
-    below = np.bincount(v, minlength=n)
-    levels: dict[int, list[np.ndarray]] = {}
+    left = np.ones(n, dtype=bool) if inside is None else inside.copy()
+    # ``np.compress`` picks columns several times faster than a boolean index.
+    rest = np.compress(left[g._ends[0]] & left[g._ends[1]], g._ends, axis=1)
     pos = np.empty(n, dtype=np.intp)  # a level's vertex -> its position in the level
-
-    def file(verts: np.ndarray) -> None:
-        """File ``verts``, in ascending order of degree, under their
-        degrees; those of degree 0 or less are dropped."""
-        if not verts.size:
-            return
-        degs = deg[verts]
-        cut = np.flatnonzero(degs[1:] != degs[:-1]) + 1
-        for part, k in zip(np.split(verts, cut), degs[np.r_[0, cut]].tolist()):
-            if k > 0:
-                levels.setdefault(k, []).append(part)
-
-    file(np.argsort(deg, kind="stable"))
+    mark = np.zeros(n, dtype=bool)  # the level's vertices, while its own edges are picked
     order = [np.zeros(0, dtype=np.intp)]
-    while levels:
-        d = max(levels)
-        level = np.concatenate(levels.pop(d))
-        # a vertex filed here may since have fallen, or be filed twice
-        level = np.sort(level[deg[level] == d], kind="stable")  # merges sorted runs
-        level = level[np.diff(level, prepend=-1) > 0]
-        if not level.size:
-            continue
-        b, pa = _runs(nbr, start[level], below[level])
-        pair = deg[b] == d
-        pos[level] = np.arange(level.size)
-        gone = _lfmis(g, level, pa[pair], pos[b[pair]])
-        order.append(gone)
-        deg[gone] = -1
-        b, _ = _runs(nbr, start[gone], start[gone + 1] - start[gone])
-        b = b[deg[b] > 0]
-        np.subtract.at(deg, b, 1)
-        file(b[np.argsort(deg[b], kind="stable")])
+    while rest.size:
+        top = deg.max()
+        half = top // 2
+        above = deg > half
+        high = above[rest[0]] | above[rest[1]]
+        aside = np.compress(~high, rest, axis=1)
+        rest = np.compress(high, rest, axis=1)
+        hot = np.flatnonzero(above)  # every level of this pass, ascending
+        for d in range(top, half, -1):
+            level = hot[deg[hot] == d]
+            if not level.size:
+                continue
+            pos[level] = np.arange(level.size)
+            mark[level] = True
+            own = mark[rest[0]] & mark[rest[1]]  # the level's own edges
+            mark[level] = False
+            pb, pa = pos[np.compress(own, rest, axis=1)]  # u < v, so pos[u] < pos[v]
+            gone = _lfmis(g, level, pa, pb)
+            order.append(gone)
+            left[gone] = False
+            keep = left[rest[0]] & left[rest[1]]
+            np.subtract.at(deg, np.compress(~keep, rest, axis=1), 1)
+            rest = np.compress(keep, rest, axis=1)
+        rest = np.concatenate((rest, aside), axis=1)
     if j == 0:
-        order.append(np.flatnonzero(deg == 0))
+        order.append(np.flatnonzero(left))
     return np.concatenate(order)
 
 
@@ -451,7 +431,7 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     for v in verts:
         alive[v] = 1
     deg = _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist()
-    removed = _empty_core(g.adj, alive, deg, 2)
+    removed = _empty_core(g.adj, alive, deg)
     _add_back(g, alive, reversed(removed), lambda roots: len(set(roots)) == len(roots))
     return [v for v in verts if alive[v]]
 

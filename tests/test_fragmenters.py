@@ -574,7 +574,7 @@ def test_decycle_restores_a_core_vertex_on_no_cycle():
     g = Graph(10, [(0, 1), (0, 4), (0, 7), (1, 2), (2, 3), (3, 1),
                          (4, 5), (5, 6), (6, 4), (7, 8), (8, 9), (9, 7)])
     alive = bytearray([1]) * g.n
-    assert _empty_core(g.adj, alive, [len(a) for a in g.adj], 2) == [0, 1, 4, 7]
+    assert _empty_core(g.adj, alive, [len(a) for a in g.adj]) == [0, 1, 4, 7]
     assert list(decycle_heuristic(g).removed) == decycle_reference(g) == [1, 4, 7]
 
 
@@ -611,14 +611,15 @@ def test_empty_core_ties_at_top_degree_and_largest_id():
               cycle(3), cycle(6), cycle(11), c5(), k4(), Graph(1, []), Graph(0, [])]
     graphs += [random_regular(n, d, seed=n + d) for n, d in [(10, 3), (16, 3), (12, 4), (21, 4)]]
     for g in graphs:
-        for j in (0, 1, 2):
-            for region in (range(g.n), range(g.n - 1), range(1, g.n)):
-                alive = bytearray(g.n)
-                for v in region:
-                    alive[v] = 1
-                deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
-                order = _empty_core(g.adj, alive, deg, j)
-                assert order == empty_core_reference(g, region, j), (g, j, region)
+        for region in (range(g.n), range(g.n - 1), range(1, g.n)):
+            for j in (0, 1):
+                assert lfmis_order(g, region, j) == empty_core_reference(g, region, j), (g, j)
+            alive = bytearray(g.n)
+            for v in region:
+                alive[v] = 1
+            deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
+            order = _empty_core(g.adj, alive, deg)
+            assert order == empty_core_reference(g, region, 2), (g, region)
 
 
 @settings(max_examples=150, deadline=None)
@@ -629,8 +630,13 @@ def test_empty_core_leaves_no_core(g, data):
         alive = bytearray(g.n)
         for v in region:
             alive[v] = 1
-        deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
-        removed = _empty_core(g.adj, alive, deg, j)
+        if j < 2:
+            removed = lfmis_order(g, region, j)
+            for v in removed:
+                alive[v] = 0
+        else:
+            deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
+            removed = _empty_core(g.adj, alive, deg)
         left = [v for v in range(g.n) if alive[v]]
         assert sorted(removed + left) == sorted(region)
         sub, _ = induced_subgraph(g, left)
@@ -682,9 +688,12 @@ def elimination_outcome(eliminate, g, region, j):
 
 
 def assert_matches_heap(g, region):
-    for j in (0, 1, 2):
-        assert (elimination_outcome(_empty_core, g, region, j)
-                == elimination_outcome(heap_empty_core, g, region, j)), (g, j)
+    for j in (0, 1):
+        assert (lfmis_order(g, region, j)
+                == elimination_outcome(heap_empty_core, g, region, j)[0]), (g, j)
+    level_scan = lambda adj, alive, deg, j: _empty_core(adj, alive, deg)
+    assert (elimination_outcome(level_scan, g, region, 2)
+            == elimination_outcome(heap_empty_core, g, region, 2)), g
 
 
 elimination_graphs = st.one_of(
@@ -739,6 +748,34 @@ def relabel(g, label):
     return Graph(g.n, [tuple(sorted((label[u], label[v]))) for u, v in g.edges])
 
 
+def chung_lu(n, exponent, c, seed):
+    """A seeded Chung–Lu graph: about ``c * n / 2`` edge draws whose ends
+    are picked with weight ``(i + 1) ** (-1 / (exponent - 1))`` for the
+    ``i``-th of a random order of the vertices; loops and repeats are
+    dropped. Its degrees have a power-law tail, so it has many levels."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1) ** (-1.0 / (exponent - 1.0))
+    ends = rng.permutation(n)[rng.choice(n, size=(2, round(c * n / 2)), p=w / w.sum())]
+    u, v = np.minimum(*ends), np.maximum(*ends)
+    key = np.unique((u * n + v)[u != v])
+    return Graph(n, np.stack(np.divmod(key, n), axis=1))
+
+
+def hubs_and_paths(sizes=(40, 17, 7, 3), length=4):
+    """One hub per size, joined to one end of that many paths of ``length``
+    vertices. Each hub is at most half the degree of the one before, so
+    the elimination sets the smaller hubs' edges and the paths aside over
+    several passes and takes them back one pass at a time."""
+    edges, n = [], 0
+    for size in sizes:
+        hub, n = n, n + 1
+        for _ in range(size):
+            edges.append((hub, n))
+            edges += [(v, v + 1) for v in range(n, n + length - 1)]
+            n += length
+    return Graph(n, edges)
+
+
 def lfmis_cases():
     # chains in ascending, descending and zigzag id order, where each
     # level's independent set is decided one vertex after another
@@ -757,6 +794,11 @@ def lfmis_cases():
         yield Graph(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
     yield from (c5(), k4(), Graph(1, []))
     yield from (random_regular(n, d, seed=n + d) for n, d in [(10, 3), (16, 3), (12, 4), (21, 4)])
+    # heavy tails: many levels, and edges set aside over several passes
+    yield chung_lu(2000, 2.5, 4.0, 3)
+    g = hubs_and_paths()
+    yield g
+    yield relabel(g, range(g.n - 1, -1, -1))
 
 
 def test_lfmis_elimination_fixed_cases():
@@ -777,9 +819,12 @@ def test_lfmis_elimination_finishes_a_long_chain_in_order():
     assert order.tolist() == list(range(1, g.n - 1, 2)) + [g.n - 2]
 
 
-# sha256 digests of the comma-joined outputs, taken with the level-scan
-# elimination (``_empty_core``) before the numpy one replaced it in greedy
-# and trimming: any change of removal order at scale shows here.
+# sha256 digests of the comma-joined outputs: any change of removal order
+# at scale shows here. gnp and regular were taken with the level scan
+# (``_empty_core``) before the numpy elimination replaced it in greedy and
+# trimming; Chung–Lu, whose hubs give it hundreds of levels, with the
+# numpy elimination that filed each vertex under its degree, before the
+# per-level edge scan replaced it.
 PINNED_AT_SCALE = {
     "gnp": (lambda: gnp(100_000, 2.0, 1),
             "88f9830619cb31e1479ba15469d7da2a0dae612113549368194423055507d6f7",
@@ -787,6 +832,9 @@ PINNED_AT_SCALE = {
     "regular": (lambda: random_regular(100_000, 3, 1),
                 "74b009a176a159183d67f6644c448c19bd8dfb78e83a9dbc02590d770265fb9a",
                 "985c55af87d214c51283af40c2f7ee4a59798c5414c24770eb1ca4d8073d4195"),
+    "chung-lu": (lambda: chung_lu(100_000, 2.5, 4.0, 1),
+                 "67d8a03b62fcfc048a2b7c9867418b2ae66b2d3daf6a759d556a076adc9db3a7",
+                 "bd649f5ff8d9de15553c5819a63433b1e9ed7e0594721b6ca64e3bf158c58a7a"),
 }
 
 
@@ -880,7 +928,7 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
         for v in region:
             alive[v] = 1
         deg = _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist()
-        removed = _empty_core(g.adj, alive, deg, 2)
+        removed = _empty_core(g.adj, alive, deg)
         forest = _decycled_forest(g, region)
         [(present, order)] = calls
         assert removed and order == removed[::-1]
