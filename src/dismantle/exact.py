@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .fragmenters import FragmentationResult, _make_result
-from .graph import Graph
+from .graph import Graph, _vertex_mask
 
 DEFAULT_ORACLE_LIMIT = 20
 
 
-def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> list[int]:
-    """Largest vertex set whose induced components hold at most ``k``
-    vertices each and, with ``acyclic``, are trees.
+def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> np.ndarray:
+    """The boolean mask of the largest vertex set whose induced components
+    hold at most ``k`` vertices each and, with ``acyclic``, are trees.
 
     Decides include/exclude in id order, include first. Vertex ``i`` may
     join when the distinct components of its kept neighbours, plus ``i``,
@@ -78,7 +80,7 @@ def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> list[int]:
         dfs(i + 1)
 
     dfs(0)
-    return best
+    return _vertex_mask(g, best)
 
 
 def exact_max_induced(g: Graph, k: int, limit: int = DEFAULT_ORACLE_LIMIT) -> FragmentationResult:

@@ -36,7 +36,7 @@ from .fragmenters import (
     pipeline_fragment,
 )
 from .generators import gnp, random_regular
-from .graph import Graph, components
+from .graph import Graph, _vertex_mask, components
 
 METHODS = ("exact", "greedy", "forest-pipeline")
 
@@ -167,7 +167,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[Fragment
         return [exact_max_induced(g, cap) for cap in caps]
     if method == "greedy":
         cut = np.array(_greedy_cuts(g))
-        return [_make_result(g, g._ids[cut <= cap].tolist(), "greedy") for cap in caps]
+        return [_make_result(g, cut <= cap, "greedy") for cap in caps]
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
     largest = components(g).largest
@@ -175,13 +175,14 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[Fragment
     out = []
     for cap in caps:
         if largest <= cap:
-            out.append(_make_result(g, range(g.n), "forest-pipeline"))
+            out.append(_make_result(g, np.ones(g.n, dtype=bool), "forest-pipeline"))
             continue
         if forest is None:
-            forest = decycle_heuristic(g).kept
+            forest = _vertex_mask(g, decycle_heuristic(g).kept)
             order, parent = _forest_order(g, forest)
-        gone = set(_fragment_forest_removals(order, parent, cap))
-        out.append(_make_result(g, [v for v in forest if v not in gone], "forest-pipeline"))
+        kept = forest.copy()
+        kept[_fragment_forest_removals(order, parent, cap)] = False
+        out.append(_make_result(g, kept, "forest-pipeline"))
     return out
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import components_pass_density
-from .graph import Graph, _component_roots, as_vertex_tuple, components, excess
+from .graph import Graph, _component_roots, _vertex_mask, excess
 
 
 class PipelineBudgetError(RuntimeError):
@@ -43,19 +43,16 @@ class FragmentationResult:
     component_count: int = 0
 
 
-def _make_result(g: Graph, kept: Iterable[int], method: str) -> FragmentationResult:
-    """Certify ``kept``, distinct vertex ids in ascending order: its
-    components are recomputed from the graph (see :func:`_component_roots`)."""
-    kept_t = tuple(kept)
-    ids = np.fromiter(kept_t, np.intp, len(kept_t))
-    if ids.size and not (ids[0] >= 0 and ids[-1] < g.n and np.all(ids[1:] > ids[:-1])):
-        raise ValueError(f"kept set is not ascending ids of 0..{g.n - 1}")
-    inside = np.zeros(g.n, dtype=bool)
-    inside[ids] = True
-    sizes = np.bincount(_component_roots(g, inside)[ids])
-    removed = tuple(g._ids[~inside].tolist())  # the graph's own int objects
-    nu = 1.0 if g.n == 0 else len(kept_t) / g.n
-    return FragmentationResult(kept_t, removed, int(sizes.max(initial=0)), method, nu,
+def _make_result(g: Graph, inside: np.ndarray, method: str) -> FragmentationResult:
+    """Certify the kept set, the boolean mask ``inside`` of length ``g.n``:
+    its components are recomputed from the graph (see :func:`_component_roots`)."""
+    if not (isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == (g.n,)):
+        raise ValueError(f"kept set is not a boolean mask of length {g.n}")
+    sizes = np.bincount(_component_roots(g, inside)[inside])
+    kept = tuple(g._ids[inside].tolist())  # the graph's own int objects
+    removed = tuple(g._ids[~inside].tolist())
+    nu = 1.0 if g.n == 0 else len(kept) / g.n
+    return FragmentationResult(kept, removed, int(sizes.max(initial=0)), method, nu,
                                int(np.count_nonzero(sizes)))
 
 
@@ -71,21 +68,18 @@ def component_cap(eps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _forest_order(g: Graph, verts: Iterable[int]) -> tuple[list[int], list[int]]:
-    """A breadth-first order and the parents of the forest induced by ``verts``.
+def _forest_order(g: Graph, inside: np.ndarray) -> tuple[list[int], list[int]]:
+    """A breadth-first order and the parents of the forest induced by the mask ``inside``.
 
     The region must be acyclic. Each tree is rooted at its smallest id,
     so parents precede their children; ``parent`` is -1 at roots and
     outside the region. One orientation serves every cap's cut.
     """
     adj = g.adj
-    state = bytearray(g.n)  # 1 in the region, 2 visited
-    verts = sorted(verts)
-    for v in verts:
-        state[v] = 1
+    state = bytearray(inside)  # 1 in the region, 2 visited
     parent = [-1] * g.n
     order: list[int] = []
-    for root in verts:
+    for root in np.flatnonzero(inside).tolist():
         if state[root] != 1:
             continue
         state[root] = 2
@@ -134,8 +128,9 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
         raise ValueError(f"component cap must be >= 1, got {k}")
     if excess(f) != 0:
         raise ValueError("input graph is not a forest")
-    gone = set(_fragment_forest_removals(*_forest_order(f, range(f.n)), k))
-    return _make_result(f, (v for v in range(f.n) if v not in gone), "forest")
+    kept = np.ones(f.n, dtype=bool)
+    kept[_fragment_forest_removals(*_forest_order(f, kept), k)] = False
+    return _make_result(f, kept, "forest")
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +138,16 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _add_back(g: Graph, present: bytearray, order: Iterable[int],
-              accept: Callable[[list[int]], bool]) -> list[int]:
+def _add_back(g: Graph, present: bytearray, order: Iterable[int], acyclic: bool) -> list[int]:
     """Add the vertices of ``order`` to the induced forest ``present``, through a union-find.
 
     The union-find starts from the trees of ``present``: each vertex's
     parent is its label from :func:`_component_roots`, and each label's
-    size is its tree's. A vertex with two or more present neighbours
-    joins only if ``accept`` returns true on the roots of their trees,
-    one per neighbour; any other vertex always joins. A joining vertex
-    merges the trees of its present neighbours and is marked in
-    ``present``. Returns, for every vertex, the size of its tree right
-    after it joined, or 0 if it was present already or never joined.
+    size is its tree's. A vertex always joins, unless ``acyclic`` and two
+    of its present neighbours lie in one tree, where it would close a
+    cycle. A joining vertex merges the trees of its present neighbours and
+    is marked in ``present``. Returns, for every vertex, the size of its
+    tree right after it joined, or 0 if it was present already or never joined.
     """
     adj = g.adj
     labels = _component_roots(g, np.frombuffer(present, dtype=bool))
@@ -169,7 +162,7 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int],
                     parent[u] = parent[parent[u]]
                     u = parent[u]
                 roots.append(u)
-        if len(roots) > 1 and not accept(roots):
+        if acyclic and len(set(roots)) < len(roots):
             continue
         present[v] = 1
         root = v
@@ -377,7 +370,7 @@ def _greedy_cuts(g: Graph) -> list[int]:
     order = _lfmis_elimination(g)
     present = np.ones(g.n, dtype=bool)
     present[order] = False
-    return _add_back(g, bytearray(present), order[::-1].tolist(), lambda roots: True)
+    return _add_back(g, bytearray(present), order[::-1].tolist(), acyclic=False)
 
 
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
@@ -395,8 +388,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     """
     if not cap >= 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
-    cut = np.array(_greedy_cuts(g))
-    return _make_result(g, g._ids[cut <= cap].tolist(), "greedy")
+    return _make_result(g, np.array(_greedy_cuts(g)) <= cap, "greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +396,8 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
-    """A maximal induced forest of the region induced by ``verts``.
+def _decycled_forest(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """A maximal induced forest of the region marked by ``inside``, as a mask.
 
     Two passes, O(n + m) filing plus one sort per degree level, then one
     numpy components pass and a union-find over the removals only:
@@ -426,14 +418,11 @@ def _decycled_forest(g: Graph, verts: Iterable[int]) -> list[int]:
     adding the removals back to the forest raises its excess by at least
     one each: a component loses at most ``excess`` vertices.
     """
-    alive = bytearray(g.n)
-    verts = list(verts)
-    for v in verts:
-        alive[v] = 1
-    deg = _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist()
+    alive = bytearray(inside)
+    deg = _region_degrees(g, inside).tolist()
     removed = _empty_core(g.adj, alive, deg)
-    _add_back(g, alive, reversed(removed), lambda roots: len(set(roots)) == len(roots))
-    return [v for v in verts if alive[v]]
+    _add_back(g, alive, reversed(removed), acyclic=True)
+    return np.frombuffer(alive, dtype=bool)
 
 
 def decycle_heuristic(g: Graph) -> FragmentationResult:
@@ -444,7 +433,7 @@ def decycle_heuristic(g: Graph) -> FragmentationResult:
     :func:`_decycled_forest`). The forest is maximal, and each component
     loses at most its ``excess``.
     """
-    return _make_result(g, _decycled_forest(g, range(g.n)), "decycle")
+    return _make_result(g, _decycled_forest(g, np.ones(g.n, dtype=bool)), "decycle")
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +452,19 @@ def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationRe
     ``eps * n`` and a violation raises :class:`PipelineBudgetError`.
     """
     cap = component_cap(eps)
-    s_t = as_vertex_tuple(g, s)
-    forest = _decycled_forest(g, s_t)
-    gone = set(_fragment_forest_removals(*_forest_order(g, forest), cap))
-    kept = [v for v in forest if v not in gone]
+    inside = _vertex_mask(g, s)
+    kept = _decycled_forest(g, inside)
+    kept[_fragment_forest_removals(*_forest_order(g, kept), cap)] = False
     result = _make_result(g, kept, "pipeline")
     if result.max_component > cap:
         raise RuntimeError(
             f"internal error: component of size {result.max_component} exceeds cap {cap}"
         )
-    removed_from_s = len(s_t) - len(kept)
-    if removed_from_s > eps * g.n + 1e-9 and components_pass_density(g, s_t, eps):
+    s = np.flatnonzero(inside)
+    removed_from_s = s.size - len(result.kept)
+    if removed_from_s > eps * g.n + 1e-9 and components_pass_density(g, s, eps):
         raise PipelineBudgetError(
-            f"removed {removed_from_s} of {len(s_t)} vertices, over budget "
+            f"removed {removed_from_s} of {s.size} vertices, over budget "
             f"{eps * g.n:.1f} despite the density check passing"
         )
     return result
@@ -492,9 +481,7 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     """
     if not target >= 1:
         raise ValueError(f"target size must be >= 1, got {target}")
-    s_t = as_vertex_tuple(g, s)
-    inside = np.zeros(g.n, dtype=bool)
-    inside[np.fromiter(s_t, np.intp, len(s_t))] = True
+    inside = _vertex_mask(g, s)
     root = _component_roots(g, inside)
     quota = np.bincount(root[inside], minlength=g.n) - target  # indexed by root
     order = _lfmis_elimination(g, inside & (quota[root] > 0), 0)
@@ -503,7 +490,7 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
         if quota[c] > 0:
             quota[c] -= 1
             inside[v] = False
-    return _make_result(g, np.flatnonzero(inside).tolist(), "trim")
+    return _make_result(g, inside, "trim")
 
 
 def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResult:
@@ -514,8 +501,8 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
     component, and the excess of a graph never exceeds its number of
     cycles, so removals stay at most the number of these short cycles.
     """
-    s_t = as_vertex_tuple(g, s)
-    largest = components(g, s_t).largest
+    inside = _vertex_mask(g, s)
+    largest = np.bincount(_component_roots(g, inside)[inside]).max(initial=0)
     if not largest <= k:
         raise ValueError(f"component of size {largest} exceeds the cap {k}")
-    return _make_result(g, _decycled_forest(g, s_t), "strip")
+    return _make_result(g, _decycled_forest(g, inside), "strip")

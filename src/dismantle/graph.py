@@ -265,8 +265,7 @@ def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDeco
         inside = np.ones(n, dtype=bool)
         lab = _component_roots(g)
     else:
-        inside = np.zeros(n, dtype=bool)
-        inside[np.fromiter(as_vertex_tuple(g, verts), np.intp)] = True
+        inside = _vertex_mask(g, verts)
         lab = _component_roots(g, inside)
     roots = inside & (lab == np.arange(n))
     labels = np.where(inside, np.cumsum(roots)[lab] - 1, -1)
@@ -284,6 +283,14 @@ def as_vertex_tuple(g: Graph, s: Iterable[int]) -> Tuple[int, ...]:
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"invalid vertex id {bad} for graph with n={g.n}")
     return tuple(ids)
+
+
+def _vertex_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
+    """The vertex set ``s`` as a boolean mask of length ``g.n``; ids are
+    read and checked by :func:`as_vertex_tuple`."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(as_vertex_tuple(g, s), np.intp)] = True
+    return inside
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:

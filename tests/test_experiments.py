@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from dismantle import (
@@ -14,6 +15,8 @@ from dismantle import (
     empirical_slopes,
     estimate_curve_k,
     estimate_curve_x,
+    exact_max_forest,
+    exact_max_induced,
     experiments,
     fragment_forest,
     gap_demo,
@@ -22,9 +25,12 @@ from dismantle import (
     induced_subgraph,
     load_results,
     monotone_inverse,
+    pipeline_fragment,
     pool_adjacent_violators,
     random_regular,
     save_results,
+    strip_short_cycles,
+    trim_components,
     verify_estimate,
 )
 
@@ -250,18 +256,24 @@ def test_greedy_rows_match_separate_runs(overrides):
                          ids=["gnp", "regular"])
 def test_greedy_results_share_the_graph_ints(make):
     # a replicate holds every cap's result at once: one int object per
-    # vertex, the graph's own, keeps that memory at one pointer an id
+    # vertex, the graph's own, keeps that memory at one pointer an id.
+    # Every fragmenter and both exact oracles certify through the same path.
     g = make()
-    shared = {}
-    for nbrs in g.adj:
-        for v in nbrs:
-            shared.setdefault(v, v)
-    rows = experiments._method_results(g, [2, 8, 32, 2000], "greedy")
-    rows += [greedy_fragment(g, cap) for cap in (1, 8)]
-    assert any(row.removed for row in rows)
-    for row in rows:
-        for v in row.kept + row.removed:
-            assert shared.setdefault(v, v) is v
+    region = range(0, g.n, 3)
+    forest = induced_subgraph(g, decycle_heuristic(g).kept)[0]
+    small = gnp(14, 2.0, 1)
+    rows = [(g, row) for method in ("greedy", "forest-pipeline")
+            for row in experiments._method_results(g, [2, 8, 32, 2000], method)]
+    rows += [(g, greedy_fragment(g, cap)) for cap in (1, 8)]
+    rows += [(g, decycle_heuristic(g)), (g, pipeline_fragment(g, region, 0.5)),
+             (g, trim_components(g, region, 8)),
+             (g, strip_short_cycles(g, np.array(greedy_fragment(g, 12).kept), 12)),
+             (forest, fragment_forest(forest, 8)),
+             (small, exact_max_induced(small, 3)), (small, exact_max_forest(small))]
+    assert all(row.removed for _, row in rows[-9:])
+    for graph, row in rows:
+        ids = graph._ids
+        assert all(ids[v] is v for v in row.kept + row.removed), row.method
 
 
 def count_greedy_calls(monkeypatch):

@@ -43,6 +43,7 @@ from dismantle.fragmenters import (
     _make_result,
     _region_degrees,
 )
+from dismantle.graph import _vertex_mask
 from oracles import add_back_from_edgeless, components_by_dfs
 
 
@@ -211,12 +212,14 @@ def test_cuts_from_one_orientation_match_fragment_forest(case, caps):
     # cut of a forest region of g is the cut of the induced forest
     g, region = case
     region = tuple(region)
-    oriented = _forest_order(g, region)
+    inside = _vertex_mask(g, region)
+    oriented = _forest_order(g, inside)
     forest, _ = induced_subgraph(g, region)
     for cap in caps + caps[:1]:
-        gone = set(_fragment_forest_removals(*oriented, cap))
-        kept = tuple(v for v in region if v not in gone)
-        assert kept == tuple(region[v] for v in fragment_forest(forest, cap).kept)
+        kept = inside.copy()
+        kept[_fragment_forest_removals(*oriented, cap)] = False
+        assert (tuple(np.flatnonzero(kept).tolist())
+                == tuple(region[v] for v in fragment_forest(forest, cap).kept))
 
 
 def test_max_component_size_matches_induced_components():
@@ -443,7 +446,7 @@ def test_greedy_rows_match_make_result(case):
     assert len(results) == len(caps)
     for cap, res in zip(caps, results):
         kept = [v for v in range(g.n) if rank[v] <= cap]
-        assert res == _make_result(g, kept, "greedy")
+        assert res == _make_result(g, _vertex_mask(g, kept), "greedy")
         # the certificate is recomputed from the graph, as the DFS reference finds it
         labels, sizes, _ = components_by_dfs(g, kept)
         assert res.kept == tuple(kept)
@@ -458,19 +461,20 @@ def test_greedy_rows_report_true_sizes():
     g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
     for res in greedy_rows(g, [0] * 9, (1, 2, 9)):
         assert (res.max_component, res.component_count, res.nu) == (5, 2, 1.0)
-        assert res == _make_result(g, range(9), "greedy")
+        assert res == _make_result(g, np.ones(9, dtype=bool), "greedy")
     # a rank that keeps both ends of a path joins them only with the middle
     path5 = path(5)
     rows = greedy_rows(path5, [1, 1, 3, 1, 1], (3, 1, 2))
     assert [(r.max_component, r.component_count, r.removed) for r in rows] == [
         (5, 1, ()), (2, 2, (2,)), (2, 2, (2,))]
-    assert _make_result(path5, [0, 1, 3, 4], "greedy") == rows[1]
+    assert _make_result(path5, _vertex_mask(path5, [0, 1, 3, 4]), "greedy") == rows[1]
 
 
-@pytest.mark.parametrize("kept", [[2, 1], [0, 3, 3], [1, 0, 4], [-1, 2], [0, 5]],
-                         ids=["descending", "repeated", "unsorted", "negative", "too-large"])
-def test_make_result_refuses_a_kept_list_out_of_order(kept):
-    with pytest.raises(ValueError, match="ascending ids"):
+@pytest.mark.parametrize("kept", [np.array([1, 1, 0, 1, 1]), [0, 1, 3, 4], np.ones(4, dtype=bool)],
+                         ids=["int-array", "list", "wrong-length"])
+def test_make_result_refuses_anything_but_a_mask_of_length_n(kept):
+    # unchecked, an int array of the right length would be read as positions
+    with pytest.raises(ValueError, match="boolean mask of length 5"):
         _make_result(path(5), kept, "m")
 
 
@@ -688,9 +692,7 @@ def elimination_outcome(eliminate, g, region, j):
 
 
 def assert_matches_heap(g, region):
-    for j in (0, 1):
-        assert (lfmis_order(g, region, j)
-                == elimination_outcome(heap_empty_core, g, region, j)[0]), (g, j)
+    # j = 0 and 1 are checked against the heap by ``assert_lfmis_matches``
     level_scan = lambda adj, alive, deg, j: _empty_core(adj, alive, deg)
     assert (elimination_outcome(level_scan, g, region, 2)
             == elimination_outcome(heap_empty_core, g, region, 2)), g
@@ -715,8 +717,9 @@ def test_level_scan_matches_heap_at_scale():
     # too large for the from-scratch reference; the heap takes milliseconds
     for g in (gnp(5000, 3.0, seed=13), random_regular(5000, 3, seed=13)):
         rng = random.Random(5)
-        assert_matches_heap(g, range(g.n))
-        assert_matches_heap(g, [v for v in range(g.n) if rng.random() < 0.7])
+        for region in (range(g.n), [v for v in range(g.n) if rng.random() < 0.7]):
+            assert_matches_heap(g, region)
+            assert_lfmis_matches(g, region)
 
 
 def lfmis_order(g, region, j):
@@ -838,17 +841,49 @@ PINNED_AT_SCALE = {
 }
 
 
+def digest(ids):
+    return hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
+
+
+def pinned_region(g):
+    return np.flatnonzero(np.random.default_rng(7).random(g.n) < 0.7).tolist()
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_AT_SCALE))
 def test_greedy_and_trim_match_their_pinned_digests(name):
     make, cuts, trimmed = PINNED_AT_SCALE[name]
     g = make()
-    region = np.flatnonzero(np.random.default_rng(7).random(g.n) < 0.7).tolist()
-
-    def digest(ids):
-        return hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
-
     assert digest(_greedy_cuts(g)) == cuts
-    assert digest(trim_components(g, region, 8).removed) == trimmed
+    assert digest(trim_components(g, pinned_region(g), 8).removed) == trimmed
+
+
+# The removal sets of decycling, the pipeline on the region above and
+# cycle stripping after greedy at cap 12, taken while the fragmenters
+# still passed vertex sets as id lists, before they passed boolean masks.
+PINNED_FOREST_SIDE = {
+    "gnp": (lambda: gnp(100_000, 2.0, 1), (
+        "c8eeeb72a251c0f24998c20eaac8b43594cd8bc4800fb4b657aeed015ff1bcb1",
+        "0fbd7e28c9ed9c4dc6ce9f017f0b57d0f0bf84a458bb7b5af76e1091fe0b65d8",
+        "d8c5762617465312a20e4a0025d684758d63deaf02cf494d42fb77b53bc714c5")),
+    "regular": (lambda: random_regular(100_000, 3, 1), (
+        "2de4c5a3f8e1e87998fda6a67c9e6d852788a36589b38732485dc808c566da52",
+        "4a3c5e11cf1b4859bff242f795d98c316d9754949f6b53ca56e2815f0a8e24f7",
+        "76af50b8d28a650d626d22bed5b53e4921c16a5fee1eba94e8c775f312cdbdc1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FOREST_SIDE))
+def test_forest_side_matches_its_pinned_digests(name):
+    make, digests = PINNED_FOREST_SIDE[name]
+    g = make()
+    assert (digest(decycle_heuristic(g).removed),
+            digest(pipeline_fragment(g, pinned_region(g), 0.5).removed),
+            digest(strip_short_cycles(g, greedy_fragment(g, 12).kept, 12).removed)) == digests
+
+
+def test_forest_cut_matches_its_pinned_digest():
+    assert (digest(fragment_forest(random_tree(100_000, 1), 8).removed)
+            == "455ae09f1967de1219fe4b4744be721da3d8160a2e59ee31e8b2bd5a00b2f8b9")
 
 
 @settings(max_examples=150, deadline=None)
@@ -870,25 +905,25 @@ def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
     # relabelling onto the induced subgraph keeps id order and degrees, so a
     # run on a region of g is the run on G[S], mapped back
     s = [v for v in range(g.n) if rng.random() < keep]
-    alive = bytearray(g.n)
-    for v in s:
-        alive[v] = 1
+    inside = _vertex_mask(g, s)
+    alive = bytearray(inside)
     deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
-    assert _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist() == deg
+    assert _region_degrees(g, inside).tolist() == deg
     sub, _ = induced_subgraph(g, s)
-    assert _decycled_forest(g, s) == [s[i] for i in _decycled_forest(sub, range(sub.n))]
+    whole = np.flatnonzero(_decycled_forest(sub, np.ones(sub.n, dtype=bool))).tolist()
+    assert np.flatnonzero(_decycled_forest(g, inside)).tolist() == [s[i] for i in whole]
     whole = trim_components(sub, range(sub.n), target)
     assert trim_components(g, s, target).kept == tuple(s[i] for i in whole.kept)
 
 
 @settings(max_examples=300, deadline=None)
 @given(elimination_graphs, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.randoms(),
-       st.one_of(st.none(), st.integers(0, 2)))
-def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng, cycles):
+       st.booleans())
+def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng, acyclic):
     # a random induced forest of a random region seeds the union-find; the
     # reference builds the same trees by adding the forest's vertices first.
-    # Each accept rule reads only how the roots repeat, never which vertex
-    # is a root, and lets a forest vertex join.
+    # Both rules read only whether the roots repeat, never which vertex is
+    # a root, and let a forest vertex join.
     region = [v for v in range(g.n) if rng.random() < keep]
     rng.shuffle(region)
     present = bytearray(g.n)
@@ -896,16 +931,16 @@ def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng, cycl
     add_back_from_edgeless(g, present, candidates, lambda roots: len(set(roots)) == len(roots))
     seeds = [v for v in range(g.n) if present[v]]
     order = [v for v in region if not present[v]]
-    if cycles is None:
-        accept = lambda roots: True
+    if acyclic:
+        accept = lambda roots: len(set(roots)) == len(roots)
     else:
-        accept = lambda roots: len(roots) - len(set(roots)) <= cycles
+        accept = lambda roots: True
     ref_present = bytearray(g.n)
     expected = add_back_from_edgeless(g, ref_present, seeds + order, accept)
     assert all(expected[v] for v in seeds)
     for v in seeds:
         expected[v] = 0
-    assert _add_back(g, present, order, accept) == expected
+    assert _add_back(g, present, order, acyclic) == expected
     assert present == ref_present
 
 
@@ -914,26 +949,24 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
     # only the elimination's removals go through the Python loop
     calls = []
 
-    def spy(g, present, order, accept):
+    def spy(g, present, order, acyclic):
         order = list(order)
-        calls.append((bytes(present), order))
-        return _add_back(g, present, order, accept)
+        calls.append((bytes(present), order, acyclic))
+        return _add_back(g, present, order, acyclic)
 
     monkeypatch.setattr(fragmenters, "_add_back", spy)
     g = gnp(2000, 3.0, seed=21)
     rng = random.Random(21)
     for region in (range(g.n), [v for v in range(g.n) if rng.random() < 0.7]):
         calls.clear()
-        alive = bytearray(g.n)
-        for v in region:
-            alive[v] = 1
-        deg = _region_degrees(g, np.frombuffer(alive, dtype=bool)).tolist()
-        removed = _empty_core(g.adj, alive, deg)
-        forest = _decycled_forest(g, region)
-        [(present, order)] = calls
-        assert removed and order == removed[::-1]
+        inside = _vertex_mask(g, region)
+        alive = bytearray(inside)
+        removed = _empty_core(g.adj, alive, _region_degrees(g, inside).tolist())
+        forest = _decycled_forest(g, inside)
+        [(present, order, acyclic)] = calls
+        assert acyclic and removed and order == removed[::-1]
         assert present == bytes(alive)  # every survivor seeded, none in the order
-        assert set(forest) >= {v for v in region if alive[v]}
+        assert forest[np.frombuffer(alive, dtype=bool)].all()
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +1026,8 @@ def test_pipeline_budget_error_is_exposed():
 def test_pipeline_over_budget_raises(monkeypatch):
     # a decycling that drops all of S removes more than eps * n from a
     # forest, which passes the density check
-    monkeypatch.setattr(fragmenters, "_decycled_forest", lambda g, s: [])
+    monkeypatch.setattr(fragmenters, "_decycled_forest",
+                        lambda g, inside: np.zeros(g.n, dtype=bool))
     with pytest.raises(PipelineBudgetError, match="over budget"):
         pipeline_fragment(path(20), range(20), 0.5)
 
