@@ -22,6 +22,7 @@ from dismantle import (
     gnp,
     Graph,
     induced_subgraph,
+    random_regular,
     random_tree,
 )
 
@@ -413,6 +414,43 @@ def test_scan_pinned_at_scale():
     assert rep.violations == ()
 
 
+def test_scan_pinned_three_levels():
+    # the closed form counts sets of sizes 5-7 and 6-8 here; both values
+    # were checked against the scan that counted two levels
+    rep = density_scan(random_regular(3000, 3, 1), 7, 0.5)
+    assert (rep.sets_examined, rep.violations) == (668_154, ())
+    rep = density_scan(gnp(2000, 2.0, 5), 8, 0.5)
+    assert (rep.sets_examined, rep.violations) == (2_024_201, ())
+
+
+@st.composite
+def sparse_graphs_with_short_cycles(draw):
+    n = draw(st.integers(30, 150))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        g = random_regular(n - n % 2, 3, seed)
+    else:
+        g = gnp(n, draw(st.floats(1.5, 4.0)), seed)
+    return g, draw(st.integers(4, 8)), draw(st.sampled_from([0.0, 0.3, 0.5, 2.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graphs_with_short_cycles())
+def test_scan_matches_reference_walk_on_sparse_graphs(case):
+    # the three-level count and its fallback to the walk both run here;
+    # the budget bounds the reference walk on the denser draws
+    g, t_max, eps = case
+    budget = 20_000
+    try:
+        expected = reference_scan(g, t_max, eps, budget)
+    except EnumerationBudgetError:
+        with pytest.raises(EnumerationBudgetError):
+            density_scan(g, t_max, eps, budget=budget)
+        return
+    rep = density_scan(g, t_max, eps, budget=budget)
+    assert (rep.violations, rep.sets_examined) == expected
+
+
 def test_huge_size_cap_costs_nothing_extra():
     # a cap beyond the graph must act as t_max = n: nothing is sized by t_max
     tracemalloc.start()
@@ -534,6 +572,17 @@ def test_scan_validation():
     # eps = inf is allowed: nothing is too dense, and every set is still counted
     rep = density_scan(k4(), 4, math.inf)
     assert (rep.violations, rep.sets_examined) == ((), density_scan(k4(), 4, 0.3).sets_examined)
+
+
+def test_scan_refuses_a_fractional_size_cap():
+    # a cap of 2.5 was never met by a set size, so every set of the graph
+    # was walked and the 4-vertex set reported as a violation
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    for t_max in (2.5, math.inf):
+        with pytest.raises(ValueError, match=f"size cap must be an integer, got {t_max}"):
+            density_scan(g, t_max, 0.5)
+        with pytest.raises(ValueError, match=f"size cap must be an integer, got {t_max}"):
+            connected_vertex_sets(g, t_max)
 
 
 def test_scan_sparse_random_graph_mostly_clean():
