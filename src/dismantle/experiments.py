@@ -18,14 +18,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from statistics import fmean, stdev
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .analysis import admissible_delta, components_pass_density
 from .exact import DEFAULT_ORACLE_LIMIT, exact_max_induced
 from .fragmenters import (
-    FragmentationResult,
+    _component_sizes,
     _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
@@ -153,45 +153,60 @@ def _generate(cfg: ExperimentConfig, r: int) -> Graph:
     return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)  # type: ignore[arg-type]
 
 
-def _method_results(g: Graph, caps: Sequence[int], method: str) -> list[FragmentationResult]:
-    """One witness per cap for replicate graph ``g``.
+def _row(g: Graph, inside: np.ndarray) -> Tuple[float, int]:
+    """The curve row ``(nu, max_component)`` of the kept set, the boolean
+    mask ``inside``, certified from the graph (see :func:`_component_sizes`)."""
+    sizes = _component_sizes(g, inside)
+    return 1.0 if g.n == 0 else int(sizes.sum()) / g.n, int(sizes.max(initial=0))
+
+
+def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tuple[float, int]]:
+    """One certified row ``(nu, max_component)`` per cap for replicate
+    graph ``g``, made as it is read, so a caller holds one row at a time.
 
     ``greedy`` eliminates once: the removals at cap ``k`` are the
     vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`), and
-    each cap's kept set is certified on its own.
+    each cap's kept set is certified on its own by :func:`_row`, with no
+    vertex tuples. A greedy replicate builds ``adj`` only where the
+    elimination takes its ascending pass (see :func:`_lfmis`).
     ``forest-pipeline`` decycles ``g`` and orients the forest (see
     :func:`_forest_order`) at most once, and only when some cap is below
     the largest component; each such cap costs one sweep and one certification.
+    ``exact`` reads each cap's row off the oracle's certified result.
     """
     if method == "exact":
-        return [exact_max_induced(g, cap) for cap in caps]
+        for cap in caps:
+            res = exact_max_induced(g, cap)
+            yield res.nu, res.max_component
+        return
     if method == "greedy":
         cut = np.array(_greedy_cuts(g))
-        return [_make_result(g, cut <= cap, "greedy") for cap in caps]
+        for cap in caps:
+            yield _row(g, cut <= cap)
+        return
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")
+    # ``components``, ``decycle_heuristic`` and the whole graph's
+    # ``_make_result`` stay while the benchmark tracer wraps them here by
+    # name (ROADMAP item 8); only caps at or above the largest component
+    # build that result's tuples.
     largest = components(g).largest
     forest = None
-    out = []
     for cap in caps:
         if largest <= cap:
-            out.append(_make_result(g, np.ones(g.n, dtype=bool), "forest-pipeline"))
+            res = _make_result(g, np.ones(g.n, dtype=bool), "forest-pipeline")
+            yield res.nu, res.max_component
             continue
         if forest is None:
             forest = _vertex_mask(g, decycle_heuristic(g).kept)
             order, parent = _forest_order(g, forest)
         kept = forest.copy()
         kept[_fragment_forest_removals(order, parent, cap)] = False
-        out.append(_make_result(g, kept, "forest-pipeline"))
-    return out
+        yield _row(g, kept)
 
 
-def _replicate_rows(cfg: ExperimentConfig, caps: Sequence[int], r: int):
-    g = _generate(cfg, r)
-    return [
-        (res.nu, res.max_component)
-        for res in _method_results(g, caps, cfg.method)
-    ]
+def _replicate_rows(cfg: ExperimentConfig, caps: Sequence[int], r: int) -> list[Tuple[float, int]]:
+    return list(_method_results(_generate(cfg, r), caps, cfg.method))
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -286,13 +301,12 @@ def verify_estimate(est: CurveEstimate) -> bool:
         for p in est.points
     ]
     for stream in sorted({s for p in est.points for s in p.streams}):
-        g = _generate(cfg, stream)
-        results = _method_results(g, caps, est.method)
-        for p, cap, res in zip(est.points, caps, results):
+        rows = _method_results(_generate(cfg, stream), caps, est.method)
+        for p, cap, (row_nu, row_mc) in zip(est.points, caps, rows):
             for nu, mc, s in zip(p.values, p.max_components, p.streams):
                 if s != stream:
                     continue
-                if res.max_component > cap or res.max_component != mc or abs(res.nu - nu) > 1e-12:
+                if row_mc > cap or row_mc != mc or abs(row_nu - nu) > 1e-12:
                     return False
     return True
 

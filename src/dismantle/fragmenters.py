@@ -43,12 +43,19 @@ class FragmentationResult:
     component_count: int = 0
 
 
+def _component_sizes(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """The certificate of the kept set, the boolean mask ``inside``: its
+    component sizes, recomputed from the graph (see :func:`_component_roots`),
+    at each component's smallest vertex and 0 elsewhere."""
+    return np.bincount(_component_roots(g, inside)[inside])
+
+
 def _make_result(g: Graph, inside: np.ndarray, method: str) -> FragmentationResult:
-    """Certify the kept set, the boolean mask ``inside`` of length ``g.n``:
-    its components are recomputed from the graph (see :func:`_component_roots`)."""
+    """Certify the kept set, the boolean mask ``inside`` of length ``g.n``
+    (see :func:`_component_sizes`), and list its ids and the rest."""
     if not (isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == (g.n,)):
         raise ValueError(f"kept set is not a boolean mask of length {g.n}")
-    sizes = np.bincount(_component_roots(g, inside)[inside])
+    sizes = _component_sizes(g, inside)
     kept = tuple(g._ids[inside].tolist())  # the graph's own int objects
     removed = tuple(g._ids[~inside].tolist())
     nu = 1.0 if g.n == 0 else len(kept) / g.n
@@ -138,16 +145,17 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _add_back(g: Graph, present: bytearray, order: Iterable[int], acyclic: bool) -> list[int]:
-    """Add the vertices of ``order`` to the induced forest ``present``, through a union-find.
+def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> list[int]:
+    """Add each vertex of ``order`` to the induced forest ``present`` that
+    it closes no cycle of, through a union-find.
 
     The union-find starts from the trees of ``present``: each vertex's
     parent is its label from :func:`_component_roots`, and each label's
-    size is its tree's. A vertex always joins, unless ``acyclic`` and two
-    of its present neighbours lie in one tree, where it would close a
-    cycle. A joining vertex merges the trees of its present neighbours and
-    is marked in ``present``. Returns, for every vertex, the size of its
-    tree right after it joined, or 0 if it was present already or never joined.
+    size is its tree's. A vertex joins unless two of its present
+    neighbours lie in one tree; a joining vertex merges the trees of its
+    present neighbours and is marked in ``present``. Returns, for every
+    vertex, the size of its tree right after it joined, or 0 if it was
+    present already or never joined. Decycling is its only caller.
     """
     adj = g.adj
     labels = _component_roots(g, np.frombuffer(present, dtype=bool))
@@ -162,18 +170,15 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int], acyclic: bool)
                     parent[u] = parent[parent[u]]
                     u = parent[u]
                 roots.append(u)
-        if acyclic and len(set(roots)) < len(roots):
+        if len(set(roots)) < len(roots):
             continue
         present[v] = 1
         root = v
-        for u in roots:
-            while parent[u] != u:  # an earlier merge of this vertex may have moved it
-                u = parent[u]
-            if u != root:
-                if size[u] > size[root]:
-                    u, root = root, u
-                parent[u] = root
-                size[root] += size[u]
+        for u in roots:  # distinct roots, so no merge moves another
+            if size[u] > size[root]:
+                u, root = root, u
+            parent[u] = root
+            size[root] += size[u]
         joined[v] = size[root]
     return joined
 
@@ -351,9 +356,9 @@ def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1
 
 def _greedy_cuts(g: Graph) -> list[int]:
     """Every vertex's greedy cut size: the size of the component it was
-    removed from at cap 1, or 0 if it never was. Two passes: a numpy
-    elimination, one independent set per degree level, then an O(m α)
-    union-find:
+    removed from at cap 1, or 0 if it never was. Two passes over the edge
+    array: a numpy elimination, one independent set per degree level,
+    then an O(m α) union-find over the edges:
 
     1. Cap-1 elimination: while some vertex has a neighbour left, remove
        the one of highest remaining degree, smallest id on ties; this
@@ -361,16 +366,38 @@ def _greedy_cuts(g: Graph) -> list[int]:
     2. Reverse union-find: the removed vertices go back in reverse order,
        each joining the sets of its present neighbours; the size of its
        set then is the size of the component it was removed from. The
-       vertices left by the elimination are edgeless, so the seed of
-       :func:`_add_back` is the identity: every set starts as one vertex.
+       vertices left by the elimination are independent, so every edge
+       has a removed end and goes in when its later end goes back: the
+       edges, sorted by that end's add-back position, are joined in one
+       flat loop, each write of a joining vertex's size following its
+       union. Every set starts as one vertex, and the pass reads no ``adj``.
     """
-    # The add-back reads ``adj``. Built first, its build's peak does not add
-    # to that of the elimination's arrays.
-    g.adj
     order = _lfmis_elimination(g)
-    present = np.ones(g.n, dtype=bool)
-    present[order] = False
-    return _add_back(g, bytearray(present), order[::-1].tolist(), acyclic=False)
+    back = np.full(g.n, -1, dtype=np.intp)  # add-back position; -1 for the kept
+    back[order[::-1]] = np.arange(order.size)
+    u, v = g._ends
+    bu, bv = back[u], back[v]
+    later = bu < bv  # v goes back after u
+    edges = np.argsort(np.maximum(bu, bv))  # any order within one vertex's edges will do
+    joins = np.where(later, v, u)[edges].tolist()
+    mates = np.where(later, u, v)[edges].tolist()
+    parent = list(range(g.n))
+    size = [1] * g.n
+    cut = [0] * g.n
+    last = -1
+    for w, x in zip(joins, mates):
+        if w != last:  # w's first edge: w joins as a set of its own
+            last = root = w
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        if x != root:
+            if size[x] > size[root]:
+                x, root = root, x
+            parent[x] = root
+            size[root] += size[x]
+            cut[w] = size[root]
+    return cut
 
 
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
@@ -383,8 +410,10 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     and removal sets shrink as the cap grows. So the result removes the
     vertices whose cut size (see :func:`_greedy_cuts`) exceeds ``cap``,
     at the same cost whatever the cap: one numpy elimination, one
-    independent set per degree level, and a union-find. The kept ids are
-    the graph's own int objects.
+    independent set per degree level, and a union-find over the edges.
+    Only the certificate's id tuples, and the ascending pass on a chain
+    (see :func:`_lfmis`), build ``adj``; the kept and removed ids are the
+    graph's own int objects.
     """
     if not cap >= 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
@@ -421,7 +450,7 @@ def _decycled_forest(g: Graph, inside: np.ndarray) -> np.ndarray:
     alive = bytearray(inside)
     deg = _region_degrees(g, inside).tolist()
     removed = _empty_core(g.adj, alive, deg)
-    _add_back(g, alive, reversed(removed), acyclic=True)
+    _add_back(g, alive, reversed(removed))
     return np.frombuffer(alive, dtype=bool)
 
 
@@ -502,7 +531,7 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
     cycles, so removals stay at most the number of these short cycles.
     """
     inside = _vertex_mask(g, s)
-    largest = np.bincount(_component_roots(g, inside)[inside]).max(initial=0)
+    largest = _component_sizes(g, inside).max(initial=0)
     if not largest <= k:
         raise ValueError(f"component of size {largest} exceeds the cap {k}")
     return _make_result(g, _decycled_forest(g, inside), "strip")

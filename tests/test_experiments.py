@@ -145,8 +145,7 @@ def test_exact_rows_pinned():
         (gnp(20, 2.0, 1), [(0.55, 1), (0.6, 2), (0.75, 3), (0.8, 4), (0.8, 6), (0.8, 7)]),
         (random_regular(20, 3, 1), [(0.4, 1), (0.55, 2), (0.6, 3), (0.65, 4), (0.7, 6), (0.75, 8)]),
     ):
-        rows = experiments._method_results(g, [1, 2, 3, 4, 6, 8], "exact")
-        assert [(r.nu, r.max_component) for r in rows] == want
+        assert list(experiments._method_results(g, [1, 2, 3, 4, 6, 8], "exact")) == want
 
 
 def test_x_grid_keeps_everything_at_one():
@@ -242,10 +241,11 @@ def test_greedy_rows_match_separate_runs(overrides):
         est, caps = estimate_curve_x(cfg), [math.ceil(round(x * cfg.n, 9)) for x in cfg.x_grid]
     for r in range(cfg.replicates):
         g = replicate_graph(cfg, r)
-        rows = experiments._method_results(g, caps, "greedy")
+        rows = list(experiments._method_results(g, caps, "greedy"))
+        assert len(rows) == len(caps)
         for p, cap, row in zip(est.points, caps, rows):
             res = greedy_fragment(g, cap)
-            assert row == res
+            assert row == (res.nu, res.max_component)
             assert p.values[r] == res.nu
             assert p.max_components[r] == res.max_component <= cap
         by_cap = sorted(zip(caps, (p.values[r] for p in est.points)))
@@ -255,16 +255,14 @@ def test_greedy_rows_match_separate_runs(overrides):
 @pytest.mark.parametrize("make", [lambda: gnp(2000, 2.0, 1), lambda: random_regular(2000, 3, 1)],
                          ids=["gnp", "regular"])
 def test_greedy_results_share_the_graph_ints(make):
-    # a replicate holds every cap's result at once: one int object per
-    # vertex, the graph's own, keeps that memory at one pointer an id.
-    # Every fragmenter and both exact oracles certify through the same path.
+    # one int object per vertex, the graph's own, keeps a result's ids at
+    # one pointer each. Every fragmenter and both exact oracles certify
+    # through the same path.
     g = make()
     region = range(0, g.n, 3)
     forest = induced_subgraph(g, decycle_heuristic(g).kept)[0]
     small = gnp(14, 2.0, 1)
-    rows = [(g, row) for method in ("greedy", "forest-pipeline")
-            for row in experiments._method_results(g, [2, 8, 32, 2000], method)]
-    rows += [(g, greedy_fragment(g, cap)) for cap in (1, 8)]
+    rows = [(g, greedy_fragment(g, cap)) for cap in (1, 8)]
     rows += [(g, decycle_heuristic(g)), (g, pipeline_fragment(g, region, 0.5)),
              (g, trim_components(g, region, 8)),
              (g, strip_short_cycles(g, np.array(greedy_fragment(g, 12).kept), 12)),
@@ -274,6 +272,15 @@ def test_greedy_results_share_the_graph_ints(make):
     for graph, row in rows:
         ids = graph._ids
         assert all(ids[v] is v for v in row.kept + row.removed), row.method
+
+
+def test_greedy_rows_build_no_adjacency():
+    # the cut sizes come from the edge array and each row from the
+    # components pass, so a replicate never builds ``adj`` or ``_ids``
+    g = gnp(2000, 2.0, 1)
+    rows = list(experiments._method_results(g, [1, 2, 8, 32, 2000], "greedy"))
+    assert len(rows) == 5 and rows[-1] == (1.0, components(g).largest)
+    assert g._view is None
 
 
 def count_greedy_calls(monkeypatch):
@@ -357,7 +364,7 @@ def test_forest_pipeline_orients_once_per_replicate(monkeypatch):
 def test_forest_pipeline_rows_at_scale():
     # pinned (nu, max_component) rows of one replicate at n = 20,000
     rows = experiments._method_results(gnp(20000, 2.0, 1), [4, 8, 16, 1000], "forest-pipeline")
-    assert [(r.nu, r.max_component) for r in rows] == [
+    assert list(rows) == [
         (0.83065, 4), (0.88475, 8), (0.915, 16), (0.94885, 1000)]
 
 

@@ -435,18 +435,24 @@ def ranked_graphs(draw):
 def greedy_rows(g, rank, caps):
     """``_method_results(g, caps, "greedy")`` with ``rank`` standing in for the cut sizes."""
     with mock.patch.object(experiments, "_greedy_cuts", lambda graph: rank):
-        return experiments._method_results(g, caps, "greedy")
+        return list(experiments._method_results(g, caps, "greedy"))
+
+
+def rank_results(g, rank, caps):
+    """``_make_result`` of each cap's kept set under ``rank``."""
+    return [_make_result(g, _vertex_mask(g, [v for v in range(g.n) if rank[v] <= cap]), "greedy")
+            for cap in caps]
 
 
 @settings(max_examples=300, deadline=None)
 @given(ranked_graphs())
 def test_greedy_rows_match_make_result(case):
     g, rank, caps = case
-    results = greedy_rows(g, rank, caps)
-    assert len(results) == len(caps)
-    for cap, res in zip(caps, results):
+    rows = greedy_rows(g, rank, caps)
+    assert len(rows) == len(caps)
+    for cap, row, res in zip(caps, rows, rank_results(g, rank, caps)):
         kept = [v for v in range(g.n) if rank[v] <= cap]
-        assert res == _make_result(g, _vertex_mask(g, kept), "greedy")
+        assert row == (res.nu, res.max_component)
         # the certificate is recomputed from the graph, as the DFS reference finds it
         labels, sizes, _ = components_by_dfs(g, kept)
         assert res.kept == tuple(kept)
@@ -459,15 +465,18 @@ def test_greedy_rows_report_true_sizes():
     # the ranks claim nothing is cut, so the whole path and cycle survive
     # every cap; the rows must say so rather than echo the cap
     g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
-    for res in greedy_rows(g, [0] * 9, (1, 2, 9)):
-        assert (res.max_component, res.component_count, res.nu) == (5, 2, 1.0)
+    caps = (1, 2, 9)
+    for row, res in zip(greedy_rows(g, [0] * 9, caps), rank_results(g, [0] * 9, caps)):
+        assert row == (res.nu, res.max_component) == (1.0, 5)
+        assert res.component_count == 2
         assert res == _make_result(g, np.ones(9, dtype=bool), "greedy")
     # a rank that keeps both ends of a path joins them only with the middle
-    path5 = path(5)
-    rows = greedy_rows(path5, [1, 1, 3, 1, 1], (3, 1, 2))
-    assert [(r.max_component, r.component_count, r.removed) for r in rows] == [
+    path5, rank, caps = path(5), [1, 1, 3, 1, 1], (3, 1, 2)
+    results = rank_results(path5, rank, caps)
+    assert greedy_rows(path5, rank, caps) == [(r.nu, r.max_component) for r in results]
+    assert [(r.max_component, r.component_count, r.removed) for r in results] == [
         (5, 1, ()), (2, 2, (2,)), (2, 2, (2,))]
-    assert _make_result(path5, _vertex_mask(path5, [0, 1, 3, 4]), "greedy") == rows[1]
+    assert _make_result(path5, _vertex_mask(path5, [0, 1, 3, 4]), "greedy") == results[1]
 
 
 @pytest.mark.parametrize("kept", [np.array([1, 1, 0, 1, 1]), [0, 1, 3, 4], np.ones(4, dtype=bool)],
@@ -857,6 +866,33 @@ def test_greedy_and_trim_match_their_pinned_digests(name):
     assert digest(trim_components(g, pinned_region(g), 8).removed) == trimmed
 
 
+def edgeless_reference_cuts(g):
+    """Greedy cut sizes from the reference add-back: the elimination's
+    removals go back in reverse order, each joining every present
+    neighbour's set. The kept vertices are independent, so the
+    reference's one set per vertex is their seed."""
+    order = _lfmis_elimination(g).tolist()
+    present = bytearray([1]) * g.n
+    for v in order:
+        present[v] = 0
+    return add_back_from_edgeless(g, present, order[::-1], lambda roots: True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_graphs)
+def test_greedy_cuts_match_the_edgeless_reference(g):
+    assert _greedy_cuts(g) == edgeless_reference_cuts(g)
+
+
+@pytest.mark.parametrize("make", [lambda: Graph(0), lambda: Graph(50), lambda: path(1000),
+                                  lambda: chung_lu(2000, 2.5, 4.0, 3)],
+                         ids=["empty", "edgeless", "path", "chung-lu"])
+def test_greedy_cuts_fixed_cases(make):
+    # the path's levels are settled by the elimination's ascending pass
+    g = make()
+    assert _greedy_cuts(g) == edgeless_reference_cuts(g)
+
+
 # The removal sets of decycling, the pipeline on the region above and
 # cycle stripping after greedy at cap 12, taken while the fragmenters
 # still passed vertex sets as id lists, before they passed boolean masks.
@@ -917,30 +953,26 @@ def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
 
 
 @settings(max_examples=300, deadline=None)
-@given(elimination_graphs, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.randoms(),
-       st.booleans())
-def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng, acyclic):
+@given(elimination_graphs, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.randoms())
+def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng):
     # a random induced forest of a random region seeds the union-find; the
     # reference builds the same trees by adding the forest's vertices first.
-    # Both rules read only whether the roots repeat, never which vertex is
-    # a root, and let a forest vertex join.
+    # The rule reads only whether the roots repeat, never which vertex is
+    # a root, and lets a forest vertex join.
+    acyclic = lambda roots: len(set(roots)) == len(roots)
     region = [v for v in range(g.n) if rng.random() < keep]
     rng.shuffle(region)
     present = bytearray(g.n)
     candidates = [v for v in region if rng.random() < grow]
-    add_back_from_edgeless(g, present, candidates, lambda roots: len(set(roots)) == len(roots))
+    add_back_from_edgeless(g, present, candidates, acyclic)
     seeds = [v for v in range(g.n) if present[v]]
     order = [v for v in region if not present[v]]
-    if acyclic:
-        accept = lambda roots: len(set(roots)) == len(roots)
-    else:
-        accept = lambda roots: True
     ref_present = bytearray(g.n)
-    expected = add_back_from_edgeless(g, ref_present, seeds + order, accept)
+    expected = add_back_from_edgeless(g, ref_present, seeds + order, acyclic)
     assert all(expected[v] for v in seeds)
     for v in seeds:
         expected[v] = 0
-    assert _add_back(g, present, order, acyclic) == expected
+    assert _add_back(g, present, order) == expected
     assert present == ref_present
 
 
@@ -949,10 +981,10 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
     # only the elimination's removals go through the Python loop
     calls = []
 
-    def spy(g, present, order, acyclic):
+    def spy(g, present, order):
         order = list(order)
-        calls.append((bytes(present), order, acyclic))
-        return _add_back(g, present, order, acyclic)
+        calls.append((bytes(present), order))
+        return _add_back(g, present, order)
 
     monkeypatch.setattr(fragmenters, "_add_back", spy)
     g = gnp(2000, 3.0, seed=21)
@@ -963,8 +995,8 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
         alive = bytearray(inside)
         removed = _empty_core(g.adj, alive, _region_degrees(g, inside).tolist())
         forest = _decycled_forest(g, inside)
-        [(present, order, acyclic)] = calls
-        assert acyclic and removed and order == removed[::-1]
+        [(present, order)] = calls
+        assert removed and order == removed[::-1]
         assert present == bytes(alive)  # every survivor seeded, none in the order
         assert forest[np.frombuffer(alive, dtype=bool)].all()
 
