@@ -167,8 +167,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
     ``greedy`` eliminates once: the removals at cap ``k`` are the
     vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`), and
     each cap's kept set is certified on its own by :func:`_row`, with no
-    vertex tuples. A greedy replicate builds ``adj`` only where the
-    elimination takes its ascending pass (see :func:`_lfmis`).
+    vertex tuples, and a greedy replicate never builds ``adj``.
     ``forest-pipeline`` decycles ``g`` and orients the forest (see
     :func:`_forest_order`) at most once, and only when some cap is below
     the largest component; each such cap costs one sweep and one certification.
@@ -180,7 +179,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
             yield res.nu, res.max_component
         return
     if method == "greedy":
-        cut = np.array(_greedy_cuts(g))
+        cut = _greedy_cuts(g)
         for cap in caps:
             yield _row(g, cut <= cap)
         return

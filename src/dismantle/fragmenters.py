@@ -12,6 +12,7 @@ keeps results independent of hash or iteration order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -56,8 +57,8 @@ def _make_result(g: Graph, inside: np.ndarray, method: str) -> FragmentationResu
     if not (isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == (g.n,)):
         raise ValueError(f"kept set is not a boolean mask of length {g.n}")
     sizes = _component_sizes(g, inside)
-    kept = tuple(g._ids[inside].tolist())  # the graph's own int objects
-    removed = tuple(g._ids[~inside].tolist())
+    kept = tuple(np.flatnonzero(inside).tolist())
+    removed = tuple(np.flatnonzero(~inside).tolist())
     nu = 1.0 if g.n == 0 else len(kept) / g.n
     return FragmentationResult(kept, removed, int(sizes.max(initial=0)), method, nu,
                                int(np.count_nonzero(sizes)))
@@ -145,7 +146,7 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
 # ---------------------------------------------------------------------------
 
 
-def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> list[int]:
+def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> None:
     """Add each vertex of ``order`` to the induced forest ``present`` that
     it closes no cycle of, through a union-find.
 
@@ -153,15 +154,13 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> list[int]:
     parent is its label from :func:`_component_roots`, and each label's
     size is its tree's. A vertex joins unless two of its present
     neighbours lie in one tree; a joining vertex merges the trees of its
-    present neighbours and is marked in ``present``. Returns, for every
-    vertex, the size of its tree right after it joined, or 0 if it was
-    present already or never joined. Decycling is its only caller.
+    present neighbours and is marked in ``present``. Decycling is its
+    only caller.
     """
     adj = g.adj
     labels = _component_roots(g, np.frombuffer(present, dtype=bool))
     parent = labels.tolist()
     size = np.bincount(labels, minlength=g.n).tolist()
-    joined = [0] * g.n
     for v in order:
         roots = []
         for u in adj[v]:
@@ -179,8 +178,6 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> list[int]:
                 u, root = root, u
             parent[u] = root
             size[root] += size[u]
-        joined[v] = size[root]
-    return joined
 
 
 def _region_degrees(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarray:
@@ -250,18 +247,21 @@ def _empty_core(adj, alive: bytearray, deg: list[int]) -> list[int]:
     return removed
 
 
-def _lfmis(g: Graph, level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+def _lfmis(level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """The lexicographically first maximal independent set of the vertices
     ``level`` (ascending ids), ascending; ``(pa, pb)`` are the positions
     in ``level`` of the ends of its edges, with ``pb < pa``.
 
     In each numpy round, an undecided vertex with no undecided smaller
-    neighbour joins, and its larger neighbours drop out. On random id
-    orders the rounds settle the set quickly (Blelloch, Fineman & Shun,
-    SPAA 2012), but an ascending chain settles two vertices a round. So
-    the rounds go on only while each settles at least half of the
-    undecided vertices, and an ascending pass over ``adj`` settles the
-    rest, each joining unless a neighbour joined in that pass before it.
+    neighbour joins, and its larger neighbours drop out; the edges with
+    both ends undecided stay. On random id orders the rounds settle the
+    set quickly (Blelloch, Fineman & Shun, SPAA 2012), but an ascending
+    chain settles two vertices a round. So the rounds go on only while
+    each settles at least half of the undecided vertices, and one pass
+    over the edges that stay, in ascending order of their smaller end,
+    settles the rest: an edge's larger end drops out unless its smaller
+    end did, and every undecided vertex left joins. No undecided vertex
+    neighbours a vertex the rounds took, so only those edges matter.
     """
     state = np.zeros(level.size, dtype=np.int8)  # 0 undecided, 1 joined, 2 out
     left = level.size
@@ -275,19 +275,12 @@ def _lfmis(g: Graph, level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.nd
         before, left = left, np.count_nonzero(state == 0)
         if 2 * left > before:
             break
-    joined = level[state == 1]
-    if left:
-        # No undecided vertex neighbours a vertex the rounds took.
-        adj = g.adj
-        out = bytearray(g.n)
-        late = []
-        for v in g._ids[level[state == 0]]:
-            if not out[v]:
-                late.append(v)
-                for u in adj[v]:
-                    out[u] = 1
-        joined = np.sort(np.concatenate((joined, late)))
-    return joined
+    out = bytearray(state == 2)
+    by_smaller = np.argsort(pb)  # a vertex's own edges come after those that decide it
+    for b, a in zip(pb[by_smaller].tolist(), pa[by_smaller].tolist()):
+        if not out[b]:
+            out[a] = 1
+    return level[~np.frombuffer(out, dtype=bool)]
 
 
 def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1) -> np.ndarray:
@@ -337,7 +330,7 @@ def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1
             own = mark[rest[0]] & mark[rest[1]]  # the level's own edges
             mark[level] = False
             pb, pa = pos[np.compress(own, rest, axis=1)]  # u < v, so pos[u] < pos[v]
-            gone = _lfmis(g, level, pa, pb)
+            gone = _lfmis(level, pa, pb)
             order.append(gone)
             left[gone] = False
             keep = left[rest[0]] & left[rest[1]]
@@ -354,7 +347,7 @@ def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1
 # ---------------------------------------------------------------------------
 
 
-def _greedy_cuts(g: Graph) -> list[int]:
+def _greedy_cuts(g: Graph) -> np.ndarray:
     """Every vertex's greedy cut size: the size of the component it was
     removed from at cap 1, or 0 if it never was. Two passes over the edge
     array: a numpy elimination, one independent set per degree level,
@@ -383,7 +376,7 @@ def _greedy_cuts(g: Graph) -> list[int]:
     mates = np.where(later, u, v)[edges].tolist()
     parent = list(range(g.n))
     size = [1] * g.n
-    cut = [0] * g.n
+    cut = array("q", bytes(8 * g.n))  # written in the loop, then read as numpy without a copy
     last = -1
     for w, x in zip(joins, mates):
         if w != last:  # w's first edge: w joins as a set of its own
@@ -397,7 +390,7 @@ def _greedy_cuts(g: Graph) -> list[int]:
             parent[x] = root
             size[root] += size[x]
             cut[w] = size[root]
-    return cut
+    return np.frombuffer(cut, dtype=np.int64)
 
 
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
@@ -411,13 +404,11 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     vertices whose cut size (see :func:`_greedy_cuts`) exceeds ``cap``,
     at the same cost whatever the cap: one numpy elimination, one
     independent set per degree level, and a union-find over the edges.
-    Only the certificate's id tuples, and the ascending pass on a chain
-    (see :func:`_lfmis`), build ``adj``; the kept and removed ids are the
-    graph's own int objects.
+    None of it builds ``adj``.
     """
     if not cap >= 1:
         raise ValueError(f"component cap must be >= 1, got {cap}")
-    return _make_result(g, np.array(_greedy_cuts(g)) <= cap, "greedy")
+    return _make_result(g, _greedy_cuts(g) <= cap, "greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +501,8 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     """
     if not target >= 1:
         raise ValueError(f"target size must be >= 1, got {target}")
+    if target < math.inf and target % 1:  # ``inf % 1`` is NaN: inf is no cap
+        raise ValueError(f"target size must be an integer, got {target}")
     inside = _vertex_mask(g, s)
     root = _component_roots(g, inside)
     quota = np.bincount(root[inside], minlength=g.n) - target  # indexed by root

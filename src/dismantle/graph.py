@@ -28,13 +28,12 @@ class Graph:
     ``==``, the components pass and the edge-list writer read it.
 
     ``adj``, the tuple of ascending neighbor tuples of Python ``int``s, is
-    built on its first use, together with the private ``_ids``: vertex
-    ``v`` is one int object, ``_ids[v]``, wherever it appears in ``adj``
-    and in the removal sets certified on the graph. That build is the
-    only write to a graph after construction. It stores ``_ids`` and
-    ``adj`` in one assignment, under a lock, so threads sharing a graph
-    all see the same ints. A pickled or copied graph carries ``n``, ``m``
-    and ``_ends`` alone and builds its own view when used.
+    built on its first use, for the loops that walk it; vertex ``v`` is
+    one int object wherever it appears in ``adj``. That build is the
+    only write to a graph after construction. It runs once, under a
+    lock, so threads sharing a graph all see the same tuples. A pickled
+    or copied graph carries ``n``, ``m`` and ``_ends`` alone and builds
+    its own ``adj`` when used.
 
     ``edges`` may be an iterable of pairs or an integer ``(m, 2)`` numpy
     array; both are read into one int64 array and built in numpy. ``n``
@@ -80,13 +79,15 @@ class Graph:
 
     @property
     def adj(self) -> Tuple[Tuple[int, ...], ...]:
-        """Ascending neighbor tuples, one per vertex, built on first use."""
-        return _view_of(self)[1]
-
-    @property
-    def _ids(self) -> np.ndarray:
-        """Object array of the int objects that ``adj`` is made of."""
-        return _view_of(self)[0]
+        """Ascending neighbor tuples, one per vertex, built by
+        :func:`_python_view` on first use."""
+        adj = self._view
+        if adj is None:
+            with _VIEW_LOCK:
+                adj = self._view
+                if adj is None:
+                    adj = self._view = _python_view(self.n, self._ends)
+        return adj
 
     @property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
@@ -121,20 +122,9 @@ class Graph:
 _VIEW_LOCK = threading.Lock()
 
 
-def _view_of(g: Graph) -> Tuple[np.ndarray, tuple]:
-    """``g``'s ``(_ids, adj)``, built by :func:`_python_view` on first use."""
-    view = g._view
-    if view is None:
-        with _VIEW_LOCK:
-            view = g._view
-            if view is None:
-                view = g._view = _python_view(g.n, g._ends)
-    return view
-
-
-def _python_view(n: int, ends: np.ndarray) -> Tuple[np.ndarray, tuple]:
-    """One int object per vertex, and the neighbor tuples made of them,
-    for the graph on ``n`` vertices whose edges are the columns ``ends``."""
+def _python_view(n: int, ends: np.ndarray) -> tuple:
+    """The neighbor tuples of the graph on ``n`` vertices whose edges are
+    the columns ``ends``, made of one int object per vertex."""
     u, v = ends
     # Both directions of every edge, sorted as (source, target) keys,
     # list each vertex's neighbors in ascending order.
@@ -166,7 +156,7 @@ def _python_view(n: int, ends: np.ndarray) -> Tuple[np.ndarray, tuple]:
     rank = np.empty(n, dtype=np.intp)
     rank[by_degree] = np.arange(n)
     # ``ids[rank]`` lists the shared ints, where ``rank.tolist()`` would make n new ones
-    return ids, tuple(map(tuples.__getitem__, ids[rank].tolist()))
+    return tuple(map(tuples.__getitem__, ids[rank].tolist()))
 
 
 def _check_edges(n: int, edges: Iterable) -> None:

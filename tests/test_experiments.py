@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from dismantle import (
@@ -15,8 +14,6 @@ from dismantle import (
     empirical_slopes,
     estimate_curve_k,
     estimate_curve_x,
-    exact_max_forest,
-    exact_max_induced,
     experiments,
     fragment_forest,
     gap_demo,
@@ -25,12 +22,9 @@ from dismantle import (
     induced_subgraph,
     load_results,
     monotone_inverse,
-    pipeline_fragment,
     pool_adjacent_violators,
     random_regular,
     save_results,
-    strip_short_cycles,
-    trim_components,
     verify_estimate,
 )
 
@@ -252,31 +246,9 @@ def test_greedy_rows_match_separate_runs(overrides):
         assert [nu for _, nu in by_cap] == sorted(nu for _, nu in by_cap)
 
 
-@pytest.mark.parametrize("make", [lambda: gnp(2000, 2.0, 1), lambda: random_regular(2000, 3, 1)],
-                         ids=["gnp", "regular"])
-def test_greedy_results_share_the_graph_ints(make):
-    # one int object per vertex, the graph's own, keeps a result's ids at
-    # one pointer each. Every fragmenter and both exact oracles certify
-    # through the same path.
-    g = make()
-    region = range(0, g.n, 3)
-    forest = induced_subgraph(g, decycle_heuristic(g).kept)[0]
-    small = gnp(14, 2.0, 1)
-    rows = [(g, greedy_fragment(g, cap)) for cap in (1, 8)]
-    rows += [(g, decycle_heuristic(g)), (g, pipeline_fragment(g, region, 0.5)),
-             (g, trim_components(g, region, 8)),
-             (g, strip_short_cycles(g, np.array(greedy_fragment(g, 12).kept), 12)),
-             (forest, fragment_forest(forest, 8)),
-             (small, exact_max_induced(small, 3)), (small, exact_max_forest(small))]
-    assert all(row.removed for _, row in rows[-9:])
-    for graph, row in rows:
-        ids = graph._ids
-        assert all(ids[v] is v for v in row.kept + row.removed), row.method
-
-
 def test_greedy_rows_build_no_adjacency():
     # the cut sizes come from the edge array and each row from the
-    # components pass, so a replicate never builds ``adj`` or ``_ids``
+    # components pass, so a replicate never builds ``adj``
     g = gnp(2000, 2.0, 1)
     rows = list(experiments._method_results(g, [1, 2, 8, 32, 2000], "greedy"))
     assert len(rows) == 5 and rows[-1] == (1.0, components(g).largest)

@@ -39,6 +39,7 @@ from dismantle.fragmenters import (
     _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
+    _lfmis,
     _lfmis_elimination,
     _make_result,
     _region_degrees,
@@ -320,7 +321,7 @@ def test_greedy_without_edges_removes_nothing():
         g = Graph(n, [])
         for cap in (1, 3):
             res = greedy_fragment(g, cap)
-            assert res.removed == () and _greedy_cuts(g) == [0] * n
+            assert res.removed == () and _greedy_cuts(g).tolist() == [0] * n
             assert res.kept == tuple(range(n))
 
 
@@ -434,7 +435,8 @@ def ranked_graphs(draw):
 
 def greedy_rows(g, rank, caps):
     """``_method_results(g, caps, "greedy")`` with ``rank`` standing in for the cut sizes."""
-    with mock.patch.object(experiments, "_greedy_cuts", lambda graph: rank):
+    with mock.patch.object(experiments, "_greedy_cuts",
+                           lambda graph: np.array(rank, dtype=np.int64)):
         return list(experiments._method_results(g, caps, "greedy"))
 
 
@@ -755,6 +757,55 @@ def test_lfmis_elimination_matches_the_references(g, keep, rng):
     assert_lfmis_matches(g, [v for v in range(g.n) if rng.random() < keep])
 
 
+def lfmis_reference(k, pairs):
+    """The lexicographically first maximal independent set of positions
+    ``0..k-1`` under the edges ``pairs``: each position in turn joins
+    unless a neighbour joined before it."""
+    joined = [False] * k
+    smaller = [[] for _ in range(k)]
+    for u, v in pairs:
+        smaller[max(u, v)].append(min(u, v))
+    for v in range(k):
+        joined[v] = not any(joined[u] for u in smaller[v])
+    return [v for v in range(k) if joined[v]]
+
+
+def assert_lfmis_is_first(level, pairs, rng):
+    """``_lfmis`` on the ascending ids ``level`` and the position pairs
+    ``pairs``, handed over in a random order, against the reference."""
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    rng.shuffle(pairs)
+    pb, pa = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    got = _lfmis(np.array(level, dtype=np.intp), pa, pb).tolist()
+    assert got == [level[v] for v in lfmis_reference(len(level), pairs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lfmis_is_the_first_maximal_independent_set(data):
+    # an ascending chain stops the numpy rounds early, so the pass over
+    # the edges left decides part of the set
+    level = sorted(data.draw(st.sets(st.integers(0, 10**6), max_size=50)))
+    k = len(level)
+    ends = st.integers(0, max(k - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=2 * k)) if k else []
+    if data.draw(st.booleans()):
+        start = data.draw(ends)
+        pairs += [(v, v + 1) for v in range(start, k - 1)]
+    assert_lfmis_is_first(level, pairs, data.draw(st.randoms()))
+
+
+def test_lfmis_decides_long_chains_in_order():
+    rng = random.Random(4)
+    for k in (2, 3, 1000, 1001):
+        chain = [(v, v + 1) for v in range(k - 1)]
+        assert_lfmis_is_first(list(range(k)), chain, rng)
+        # a chain with chords and a second chain through every other position
+        assert_lfmis_is_first(list(range(0, 3 * k, 3)),
+                              chain + [(v, v + 2) for v in range(0, k - 2, 2)]
+                              + [(v, rng.randrange(k)) for v in range(0, k, 7)], rng)
+
+
 def relabel(g, label):
     """``g`` with each vertex ``v`` renamed ``label[v]``."""
     return Graph(g.n, [tuple(sorted((label[u], label[v]))) for u, v in g.edges])
@@ -821,11 +872,10 @@ def test_lfmis_elimination_fixed_cases():
 
 def test_lfmis_elimination_finishes_a_long_chain_in_order():
     # the rounds settle two vertices each on an ascending chain, so the
-    # ascending pass over ``adj`` decides it; no other step reads ``adj``
+    # ascending pass over the edges left decides it, without ``adj``
     g = path(100_000)
-    assert g._view is None
     order = _lfmis_elimination(g)
-    assert g._view is not None
+    assert g._view is None
     alive = bytearray([1]) * g.n
     assert order.tolist() == heap_empty_core(g.adj, alive, [len(a) for a in g.adj], 1)
     assert order.tolist() == list(range(1, g.n - 1, 2)) + [g.n - 2]
@@ -881,7 +931,7 @@ def edgeless_reference_cuts(g):
 @settings(max_examples=300, deadline=None)
 @given(elimination_graphs)
 def test_greedy_cuts_match_the_edgeless_reference(g):
-    assert _greedy_cuts(g) == edgeless_reference_cuts(g)
+    assert _greedy_cuts(g).tolist() == edgeless_reference_cuts(g)
 
 
 @pytest.mark.parametrize("make", [lambda: Graph(0), lambda: Graph(50), lambda: path(1000),
@@ -890,7 +940,7 @@ def test_greedy_cuts_match_the_edgeless_reference(g):
 def test_greedy_cuts_fixed_cases(make):
     # the path's levels are settled by the elimination's ascending pass
     g = make()
-    assert _greedy_cuts(g) == edgeless_reference_cuts(g)
+    assert _greedy_cuts(g).tolist() == edgeless_reference_cuts(g)
 
 
 # The removal sets of decycling, the pipeline on the region above and
@@ -970,9 +1020,7 @@ def test_seeded_add_back_matches_the_edgeless_reference(g, keep, grow, rng):
     ref_present = bytearray(g.n)
     expected = add_back_from_edgeless(g, ref_present, seeds + order, acyclic)
     assert all(expected[v] for v in seeds)
-    for v in seeds:
-        expected[v] = 0
-    assert _add_back(g, present, order) == expected
+    _add_back(g, present, order)
     assert present == ref_present
 
 
@@ -984,7 +1032,7 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
     def spy(g, present, order):
         order = list(order)
         calls.append((bytes(present), order))
-        return _add_back(g, present, order)
+        _add_back(g, present, order)
 
     monkeypatch.setattr(fragmenters, "_add_back", spy)
     g = gnp(2000, 3.0, seed=21)
@@ -1127,6 +1175,15 @@ def test_nan_cap_is_refused(run):
         check_result(g, res, forest=True)
     else:
         assert res.removed == ()
+
+
+@pytest.mark.parametrize("target", [2.5, 1.5, 8.25])
+def test_trim_refuses_a_fractional_target(target):
+    # no component can have exactly 2.5 vertices; an integral float still works
+    g = path(4)
+    with pytest.raises(ValueError, match=f"target size must be an integer, got {target}"):
+        trim_components(g, range(4), target)
+    assert trim_components(g, range(4), 2.0).kept == trim_components(g, range(4), 2).kept
 
 
 def test_trim_validation():

@@ -24,6 +24,7 @@ from dismantle import (
     excess,
     giant_component_fraction,
     gnp,
+    greedy_fragment,
     induced_subgraph,
     path,
     pipeline_fragment,
@@ -35,6 +36,7 @@ from dismantle import (
     write_edgelist,
 )
 from dismantle.cli import main as cli_main
+from dismantle.fragmenters import _lfmis_elimination
 from oracles import (
     adjacency_by_pairs,
     components_by_dfs,
@@ -304,7 +306,7 @@ def test_degree_class_build_matches_pairs(data, n):
 
 
 def refuse_adj(monkeypatch):
-    """Make any build of ``adj`` and ``_ids`` fail."""
+    """Make any build of ``adj`` fail."""
     def refuse(n, ends):
         raise AssertionError(f"adj built for a graph on {n} vertices")
 
@@ -324,6 +326,12 @@ def test_numpy_paths_never_build_adj(tmp_path, monkeypatch):
         write_edgelist(g, p)
         back = read_edgelist(p)
         assert back == g and back.edges == g.edges
+        # greedy reads the edge array, trimming's elimination too, and the
+        # certificate lists its ids from the kept mask
+        assert greedy_fragment(g, 8).max_component <= 8
+        assert trim_components(g, half, 8).max_component <= 8
+        assert _lfmis_elimination(g).size > 0
+        assert cli_main(["fragment", "--in", str(p), "--method", "greedy", "--cap", "8"]) == 0
         assert g._view is None and back._view is None
     for model, extra in [("gnp", ["--c", "2"]), ("regular", ["--d", "3"]), ("tree", []),
                          ("path", [])]:
@@ -354,10 +362,8 @@ def test_first_use_builds_adj_from_the_graph_ints(name):
     assert g._view is None
     adj = g.adj
     assert adj == eager_adj(g)
-    assert g.adj is adj and g._ids is g._ids
-    ids = g._ids
-    assert len(ids) == g.n and all(ids[v] == v for v in range(g.n))
-    assert all(u is ids[u] for nbrs in adj for u in nbrs)
+    assert g.adj is adj and g._view is adj
+    assert_one_int_per_vertex(g)
 
 
 @pytest.mark.parametrize("name", sorted(LAZY_CASES) + ["path"])
@@ -385,7 +391,7 @@ def test_threads_share_one_first_use_build():
 
     def read():
         barrier.wait()
-        seen.append((g.adj, g._ids))
+        seen.append(g.adj)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -398,7 +404,8 @@ def test_threads_share_one_first_use_build():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(seen) == workers
-    assert all(adj is g.adj and ids is g._ids for adj, ids in seen)
+    assert all(adj is g.adj for adj in seen)
+    assert_one_int_per_vertex(g)
 
 
 @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
@@ -410,9 +417,9 @@ def test_copies_round_trip_and_build_their_own_ints(clone, used):
             g.adj
         c = clone(g)
         assert c == g and (c.n, c.m, c.edges) == (g.n, g.m, g.edges)
+        assert c._view is None
         assert c.adj == g.adj
-        ids = c._ids
-        assert all(u is ids[u] for nbrs in c.adj for u in nbrs)
+        assert_one_int_per_vertex(c)
 
 
 def test_import_and_generation_leave_heavy_modules_out():
