@@ -69,4 +69,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 invalid arguments, 2 infeasible precondition
 (oracle size limit, odd n*d, out-of-range parameters, exhausted sampling
-budget), 3 I/O or file-format errors. All randomness sits behind
-``--seed`` (default 0); identical invocations produce identical output.
+budget, out of memory), 3 I/O or file-format errors. All randomness
+sits behind ``--seed`` (default 0); identical invocations produce
+identical output.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (
-    EnumerationBudgetError,
-    admissible_delta,
-    delta_sweep,
-    density_scan,
-)
+from .analysis import EnumerationBudgetError, delta_sweep, density_scan
 from .exact import exact_max_forest, exact_max_induced
 from .experiments import (
     ExperimentConfig,
@@ -208,14 +204,14 @@ def _cmd_verify_claim(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    value = admissible_delta(args.c, args.eps)
-    for row in delta_sweep(args.c, args.eps):
+    rows = delta_sweep(args.c, args.eps)
+    for row in rows:
         print(
             f"candidate step={row.step} delta={_fmt9(row.delta)} "
             f"log_tau={_fmt9(row.log_tau)} lhs={_fmt9(row.lhs)} rhs={_fmt9(row.rhs)} "
             f"admissible={int(row.admissible)}"
         )
-    print(f"delta={_fmt9(value)}")
+    print(f"delta={_fmt9(rows[-1].delta)}")
     return 0
 
 
@@ -261,6 +257,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, SamplingBudgetError, EnumerationBudgetError, PipelineBudgetError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. an edge-list header declaring 10**12 vertices
+        print(f"infeasible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -4,7 +4,9 @@ oracles of ``dismantle.exact``, a depth-first search for
 ``dismantle.Graph`` builds in numpy, line-at-a-time edge-list I/O for
 the bulk ``read_edgelist`` and ``write_edgelist``, a per-vertex loop
 for the numpy ``induced_subgraph``, and a union-find started from
-single vertices for the seeded add-back of the fragmenters.
+single vertices for the seeded add-back of the fragmenters. It also
+holds the small graphs several test modules share: ``c5``, ``k4`` and
+``random_graph``.
 
 The enumerations sweep every vertex subset with their own component
 logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
@@ -21,6 +23,25 @@ from typing import Callable, Iterable, Optional, Tuple
 from dismantle import Graph
 
 ENUMERATION_LIMIT = 14
+
+
+def c5() -> Graph:
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+def k4() -> Graph:
+    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+
+
+def random_graph(n: int, m: int, rng) -> Graph:
+    """``m`` distinct edges drawn uniformly by ``rng``, capped at the complete graph."""
+    m = min(m, n * (n - 1) // 2)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
 
 
 def _check_limit(g: Graph, limit: int) -> None:

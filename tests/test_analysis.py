@@ -25,20 +25,7 @@ from dismantle import (
     random_regular,
     random_tree,
 )
-
-
-def k4():
-    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-
-
-def random_graph(n, m, rng):
-    m = min(m, n * (n - 1) // 2)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+from oracles import k4, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +48,18 @@ def test_limit_self_consistency():
         assert abs(rho - (1.0 - math.exp(-c * rho))) <= 1e-10
     rho10 = giant_fraction_limit(10.0)
     assert abs(rho10 - (1.0 - math.exp(-10.0 * rho10))) <= 1e-4
+
+
+@pytest.mark.parametrize("c, root, rel", [
+    (1 + 1e-9, 2.0000001628140751e-09, 1e-6),
+    (1.01, 0.019736410439591772, 1e-12),
+    (2.0, 0.79681213002002005, 1e-12),
+    (10.0, 0.99995457944465349, 1e-12),
+])
+def test_limit_matches_the_exact_root(c, root, rel):
+    # root = 1 + W(-c exp(-c)) / c, evaluated at 50 digits; the relative
+    # error of the bisection grows like 1e-16 / (c - 1) near criticality
+    assert giant_fraction_limit(c) == pytest.approx(root, rel=rel)
 
 
 def test_limit_strictly_increasing():
@@ -146,6 +145,17 @@ def test_bound_is_finite_in_log_space_and_clamped():
     assert tb.log_bound > 0 and tb.bound == 1.0
 
 
+@pytest.mark.parametrize("t, n", [
+    (2, 10**9), (100, 10**16), (3000, 30_092_046_279_294_677), (3000, 3 * 10**17),
+])
+def test_bound_is_the_exponential_of_its_logarithm(t, n):
+    # below 1 the bound is exp(log_bound): the smallest subnormal at
+    # log_bound = -745.06 (the third case), and 0.0 once exp underflows
+    tb = dense_set_probability_bound(t, n, 2.0, 0.3)
+    assert tb.log_bound < 0 and tb.bound == math.exp(tb.log_bound)
+    assert (tb.bound == 0.0) == (tb.log_bound < -745.2)
+
+
 def test_log_bound_monotone_in_t():
     values = [
         dense_set_probability_bound(t, 10**6, 2.0, 0.3).log_bound
@@ -225,6 +235,11 @@ def test_delta_underflow_boundary():
     assert 0.0 < admissible_delta(2.0, 0.03) < 1e-300
     with pytest.raises(ValueError, match="underflows"):
         admissible_delta(2.0, 0.029)
+    # far below, the sweep stops at the first candidate that underflows,
+    # about 1,075 halvings down, instead of running on
+    for eps in (1e-4, 1e-300):
+        with pytest.raises(ValueError, match="underflows"):
+            delta_sweep(2.0, eps)
 
 
 def test_simplified_exponent_dominates_below_delta_n():
@@ -624,6 +639,7 @@ def test_density_checks_agree_at_the_boundary():
 def test_giant_fraction_edgeless():
     g = Graph(50, [])
     assert giant_component_fraction(g) == 1 / 50
+    assert giant_component_fraction(Graph(0)) == 0.0
 
 
 def test_giant_fraction_subcritical_small():

@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
 import re
 
 import pytest
 
+import dismantle
 from dismantle import (
+    cli,
     experiments,
     fragment_forest,
     greedy_fragment,
@@ -47,6 +51,9 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
 def test_gen_requires_model_parameter(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--model", "gnp", "--n", "10", "--out", str(tmp_path / "x.el"))
     assert code == 1 and "requires --c" in err
+    code, _, err = run(capsys, "gen", "--model", "regular", "--n", "10", "--out", str(tmp_path / "x.el"))
+    assert code == 1 and "requires --d" in err
+    assert not (tmp_path / "x.el").exists()
 
 
 def test_gen_regular_odd_product_exits_2(tmp_path, capsys):
@@ -121,6 +128,12 @@ def test_fragment_pipeline_needs_eps(tmp_path, capsys):
                           "--method", "pipeline", "--eps", "0.5")
     assert code == 0
     assert stdout.strip().splitlines()[-1] == "nu=0.8 max_component=4"
+
+
+@pytest.mark.parametrize("method", ["greedy", "forest"])
+def test_fragment_cap_methods_need_cap(tmp_path, capsys, method):
+    code, _, err = run(capsys, "fragment", "--in", write_c5(tmp_path), "--method", method)
+    assert code == 1 and err == f"error: {method} method requires --cap\n"
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -225,6 +238,20 @@ def test_curve_bad_grid_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "50",
                        "--grid", "a,b", "--reps", "2", "--out", str(tmp_path / "x.csv"))
     assert code == 1
+    code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "50",
+                       "--grid", ",", "--reps", "2", "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and err == "error: empty --grid\n"
+
+
+def test_curve_requires_model_parameter(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "curve", "--model", "gnp", "--n", "50", "--grid", "2",
+                       "--reps", "2", "--out", str(out))
+    assert code == 1 and "requires --c" in err
+    code, _, err = run(capsys, "curve", "--model", "regular", "--n", "50", "--grid", "2",
+                       "--reps", "2", "--out", str(out))
+    assert code == 1 and "requires --d" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -275,6 +302,76 @@ def test_delta_output(capsys):
 def test_delta_subcritical_exits_2(capsys):
     code, _, err = run(capsys, "delta", "--c", "0.9", "--eps", "0.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "delta --c 2 --eps 0.0001",
+    "demo --c 2 --eps 0.0001 --n 100 --reps 1",
+])
+def test_underflowing_delta_exits_2(capsys, argv):
+    # the sweep stops at the first candidate delta that underflows to zero
+    code, stdout, err = run(capsys, *argv.split())
+    assert code == 2 and stdout == ""
+    assert err == "infeasible: admissible delta underflows double precision for c=2.0, eps=0.0001\n"
+
+
+# main's documented exit code for each exception class the package defines;
+# a new class fails test_every_package_exception_has_an_exit_code until listed
+EXIT_CODES = {
+    "UsageError": 1,
+    "EnumerationBudgetError": 2,
+    "PipelineBudgetError": 2,
+    "SamplingBudgetError": 2,
+    "EdgeListFormatError": 3,
+    "ResultsFormatError": 3,
+}
+PREFIXES = {1: "error: ", 2: "infeasible: ", 3: "format error: "}
+
+
+def package_exceptions():
+    found = {}
+    for info in pkgutil.iter_modules(dismantle.__path__):
+        module = importlib.import_module(f"dismantle.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[obj.__name__] = obj
+    return found
+
+
+def test_every_package_exception_has_an_exit_code():
+    assert sorted(package_exceptions()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", [*sorted(EXIT_CODES), "MemoryError"])
+def test_main_maps_each_exception_to_its_exit_code(tmp_path, capsys, monkeypatch, name):
+    # raised from the callee that reads the edge list; a traceback fails the call
+    exc = MemoryError if name == "MemoryError" else package_exceptions()[name]
+
+    def read_edgelist(path):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "read_edgelist", read_edgelist)
+    code, stdout, err = run(capsys, "fragment", "--in", str(tmp_path / "g.el"),
+                            "--method", "greedy", "--cap", "2")
+    expected = EXIT_CODES.get(name, 2)
+    assert code == expected and stdout == ""
+    assert err.splitlines() == [err.rstrip("\n")] and err.startswith(PREFIXES[expected])
+    assert "boom" in err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # an edge-list header declaring 10**12 vertices fails to allocate; the
+    # failure is raised here rather than allocated, which on a host with
+    # heuristic overcommit could be let through and thrash instead
+    def read_edgelist(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_edgelist", read_edgelist)
+    for argv in (["fragment", "--in", "g.el", "--method", "greedy", "--cap", "2"],
+                 ["verify-claim", "--in", "g.el", "--eps", "0.5", "--tmax", "4"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and err == "infeasible: out of memory\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -16,25 +16,7 @@ from dismantle import (
     random_tree,
 )
 
-from oracles import max_forest_by_enumeration, max_induced_by_enumeration
-
-
-def c5():
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-
-
-def k4():
-    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-
-
-def random_graph(n, m, rng):
-    m = min(m, n * (n - 1) // 2)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+from oracles import c5, k4, max_forest_by_enumeration, max_induced_by_enumeration, random_graph
 
 
 def test_independence_number_of_c5():

@@ -96,6 +96,13 @@ def test_x_grid_range_checked():
         cfg_small(k_grid=None, x_grid=(1.2,)).validate()
 
 
+def test_estimate_refuses_the_other_grid_kind():
+    with pytest.raises(ValueError, match="no k grid"):
+        estimate_curve_k(cfg_small(k_grid=None, x_grid=(0.5,)))
+    with pytest.raises(ValueError, match="no x grid"):
+        estimate_curve_x(cfg_small())
+
+
 # ---------------------------------------------------------------------------
 # curve estimation
 # ---------------------------------------------------------------------------
@@ -348,6 +355,8 @@ def test_verify_requires_metadata():
     )
     with pytest.raises(ValueError):
         verify_estimate(stripped)
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        verify_estimate(dataclasses.replace(est, method="magic"))
 
 
 def test_verify_exact_estimate_keeps_the_oracle_limit():
@@ -573,6 +582,34 @@ def test_load_rejects_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
     with pytest.raises(ResultsFormatError, match="line 1"):
+        load_results(p)
+    p.write_text("model,param,n,grid_value,replicate,nu,max_component,seed_stream\n")
+    with pytest.raises(ResultsFormatError, match="line 2: no data rows"):
+        load_results(p)
+
+
+def test_load_skips_blank_lines(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text(
+        "model,param,n,grid_value,replicate,nu,max_component,seed_stream\n"
+        "gnp,2,10,2,0,0.5,2,0\n"
+        "\n"
+        "gnp,2,10,2,1,0.6,2,1\n"
+    )
+    (point,) = load_results(p).points
+    assert point.values == (0.5, 0.6) and point.streams == (0, 1)
+
+
+@pytest.mark.parametrize("row", [
+    "gnp,2,10,2,1,0.6,-1,1", "gnp,2,10,2,-1,0.6,2,1", "gnp,2,10,2,1,0.6,2,-1", "gnp,2,0,2,1,0.6,2,1",
+], ids=["max_component", "replicate", "seed_stream", "n"])
+def test_load_rejects_negative_count_field(tmp_path, row):
+    p = tmp_path / "neg.csv"
+    p.write_text(
+        "model,param,n,grid_value,replicate,nu,max_component,seed_stream\n"
+        f"gnp,2,10,2,0,0.5,2,0\n{row}\n"
+    )
+    with pytest.raises(ResultsFormatError, match="line 3: negative count field"):
         load_results(p)
 
 

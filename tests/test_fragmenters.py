@@ -45,29 +45,11 @@ from dismantle.fragmenters import (
     _region_degrees,
 )
 from dismantle.graph import _vertex_mask
-from oracles import add_back_from_edgeless, components_by_dfs
-
-
-def c5():
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+from oracles import add_back_from_edgeless, c5, components_by_dfs, k4, random_graph
 
 
 def c6():
     return Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-
-
-def k4():
-    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-
-
-def random_graph(n, m, rng):
-    m = min(m, n * (n - 1) // 2)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
 
 
 def check_result(g, res, cap=None, forest=False):

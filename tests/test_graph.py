@@ -39,29 +39,14 @@ from dismantle.cli import main as cli_main
 from dismantle.fragmenters import _lfmis_elimination
 from oracles import (
     adjacency_by_pairs,
+    c5,
     components_by_dfs,
     induced_subgraph_by_loop,
+    k4,
+    random_graph,
     read_edgelist_by_lines,
     write_edgelist_by_edges,
 )
-
-
-def c5():
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-
-
-def k4():
-    return Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
-
-
-def random_graph(n, m, rng):
-    m = min(m, n * (n - 1) // 2)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
 
 
 class UnionFind:
