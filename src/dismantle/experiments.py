@@ -103,7 +103,7 @@ class ExperimentConfig:
         if len(grids) != 1:
             raise ValueError("exactly one non-empty grid (k or x) must be given")
         if self.k_grid:
-            if any(int(k) != k or k < 1 for k in self.k_grid):
+            if not all(k >= 1 and k % 1 == 0 for k in self.k_grid):  # refuses inf and NaN
                 raise ValueError(f"k grid must hold integers >= 1: {self.k_grid}")
         if self.x_grid:
             if any(not 0 < x <= 1 for x in self.x_grid):

@@ -200,20 +200,24 @@ def _empty_core(adj, alive: bytearray, deg: list[int]) -> list[int]:
     core. ``deg`` holds degrees in the region on entry and core degrees
     on exit.
 
-    A level scan finds the removals. Core degrees only fall, so while
-    ``top`` is the largest of them, the next removal is the smallest id
-    still at degree ``top``, and no vertex climbs back to it. A vertex is
-    filed under each degree it reaches, so each level's list, sorted once
-    when the scan gets there, holds every candidate at that level. The
-    cost is O(n + m) filing plus one sort per degree level, over at most
-    ``n + 2m`` entries in all.
+    A level scan finds the removals. Each vertex of the region is filed
+    once, under its degree there; the peel files nothing. Core degrees
+    only fall, so a core vertex always sits in the list of a level at or
+    above its degree, and the list of the top level ``top``, sorted once
+    when the scan pops it, holds every core vertex at degree ``top``,
+    smallest id first: the order of the removals. One whose degree fell
+    below ``top`` moves down to its level. The cost is O(n + m) plus one
+    sort per degree level, over at most ``n + 2m`` entries in all.
 
     Decycling is its only caller in the library. A removal here can start
     a peel cascade that lowers degrees far beyond its own neighbours;
     with no peeling, :func:`_lfmis_elimination` finds the order in numpy.
     """
     core = bytearray(alive)
-    levels: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    levels: list[list[int]] = [[] for _ in range(max(max(deg, default=0), 1) + 1)]
+    for v, d in enumerate(deg):
+        if core[v]:
+            levels[d].append(v)
 
     def leave(stack: list[int]) -> None:
         while stack:
@@ -225,25 +229,19 @@ def _empty_core(adj, alive: bytearray, deg: list[int]) -> list[int]:
                         d = deg[u] = deg[u] - 1
                         if d < 2:
                             stack.append(u)
-                        else:
-                            levels[d].append(u)
 
-    # Peel first, then file the core at its degrees: a vertex reaches
-    # each degree once, so no level lists it twice.
-    leave([v for v, d in enumerate(deg) if core[v] and d < 2])
-    for level in levels:
-        level.clear()
-    for v, d in enumerate(deg):
-        if core[v]:
-            levels[d].append(v)
+    leave(levels[0] + levels[1])
     removed: list[int] = []
     while len(levels) > 2:
         top = len(levels) - 1
         for v in sorted(levels.pop()):
-            if core[v] and deg[v] == top:
-                alive[v] = 0
-                removed.append(v)
-                leave([v])
+            if core[v]:
+                if deg[v] < top:
+                    levels[deg[v]].append(v)
+                else:
+                    alive[v] = 0
+                    removed.append(v)
+                    leave([v])
     return removed
 
 

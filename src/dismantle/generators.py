@@ -50,8 +50,6 @@ def gnp(n: int, c: float, seed: int, stream: int = 0) -> Graph:
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph(n)
-    if p >= 1.0:
-        return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
     rng = rng_for(seed, stream)
     chunks = []
@@ -126,8 +124,6 @@ def random_tree(n: int, seed: int, stream: int = 0) -> Graph:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     seq = rng_for(seed, stream).integers(0, n, size=n - 2)
     degree = [1] * n
     for x in seq:

@@ -266,6 +266,18 @@ def test_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     assert code == 1 and "--jobs" in err
 
 
+def test_two_jobs_print_what_one_job_prints(tmp_path, capsys):
+    curve = ["curve", "--model", "gnp", "--c", "2", "--n", "80", "--grid", "2,4",
+             "--reps", "3", "--seed", "1"]
+    demo = ["demo", "--c", "2", "--eps", "0.5", "--n", "80", "--reps", "3", "--seed", "1"]
+    one = run(capsys, *curve, "--out", str(tmp_path / "1.csv"), "--jobs", "1")
+    two = run(capsys, *curve, "--out", str(tmp_path / "2.csv"), "--jobs", "2")
+    assert one == two and one[0] == 0
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    one, two = run(capsys, *demo, "--jobs", "1"), run(capsys, *demo, "--jobs", "2")
+    assert one == two and one[0] == 0
+
+
 def test_verify_claim_k4(tmp_path, capsys):
     k4 = tmp_path / "k4.el"
     k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

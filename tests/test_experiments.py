@@ -62,6 +62,8 @@ def cfg_small(**overrides):
         dict(k_grid=(1,), x_grid=(0.5,)),
         dict(model="regular", c=None, d=3, n=13),
         dict(model="regular", c=None, d=None),
+        dict(k_grid=(math.inf,)),
+        dict(k_grid=(2, math.nan)),
     ],
 )
 def test_config_rejections(overrides):
@@ -75,8 +77,9 @@ def test_config_rejections(overrides):
         (dict(n=math.nan), "need n >= 1"),
         (dict(replicates=math.nan), "replicate"),
         (dict(model="regular", c=None, d=math.nan, n=20), "invalid degree"),
+        (dict(k_grid=(math.nan,)), "k grid must hold integers >= 1"),
     ],
-    ids=["n", "replicates", "d"],
+    ids=["n", "replicates", "d", "k_grid"],
 )
 def test_config_nan_names_its_field(overrides, message):
     with pytest.raises(ValueError, match=message):

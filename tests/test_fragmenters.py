@@ -1094,6 +1094,16 @@ def test_pipeline_over_budget_raises(monkeypatch):
         pipeline_fragment(path(20), range(20), 0.5)
 
 
+def test_pipeline_certifies_its_cap(monkeypatch):
+    # a forest cut that removes nothing leaves the path of 20 whole; the
+    # certificate, not the budget check, must refuse it
+    monkeypatch.setattr(fragmenters, "_fragment_forest_removals", lambda order, parent, k: [])
+    message = "internal error: component of size 20 exceeds cap 6"
+    with pytest.raises(RuntimeError, match=message) as err:
+        pipeline_fragment(path(20), range(20), 0.5)
+    assert err.type is RuntimeError
+
+
 def test_pipeline_density_pass_runs_only_over_budget(monkeypatch):
     def unexpected(g, s, eps):
         raise AssertionError("density pass on an in-budget call")

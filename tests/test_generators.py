@@ -44,8 +44,11 @@ def test_gnp_zero_c_is_edgeless():
 
 
 def test_gnp_full_c_is_complete():
-    g = gnp(8, 8, seed=0)
-    assert g.m == 28
+    assert gnp(8, 8, seed=0).m == 28
+    for n in (2, 3, 7, 60, 300):
+        complete = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        for seed, stream in [(0, 0), (1, 3), (2**64 - 1, 9)]:
+            assert gnp(n, n, seed, stream) == complete, (n, seed, stream)
 
 
 def test_gnp_determinism():
@@ -123,6 +126,8 @@ def test_regular_budget_exhaustion_signalled():
 def test_tree_tiny():
     assert random_tree(1, seed=0).m == 0
     assert random_tree(2, seed=0).edges == ((0, 1),)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        random_tree(0, seed=0)
 
 
 def test_tree_invariants():

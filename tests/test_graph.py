@@ -83,6 +83,12 @@ def test_build_k4():
     assert k4().m == 6
 
 
+def test_graph_equals_only_graphs_and_reprs_its_size():
+    assert Graph(3).__eq__(5) is NotImplemented
+    assert Graph(3) != 5
+    assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
+
+
 def test_build_zero_vertices():
     g = Graph(0, [])
     assert g.n == 0 and g.m == 0 and components(g).count == 0
