@@ -69,4 +69,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

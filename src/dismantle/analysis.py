@@ -2,8 +2,9 @@
 
 Covers the supercritical giant-component fixed point, the Chernoff
 upper tail used to bound edge counts of small vertex sets, the search
-for an admissible set-size fraction ``delta``, and an exhaustive scanner
-for connected sets that are denser than ``(1 + eps/3)`` edges per vertex.
+for an admissible set-size fraction ``delta``, and a scanner that finds
+every connected set denser than ``(1 + eps/3)`` edges per vertex by
+walking only the sets around short cycles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .graph import Graph, components
+import numpy as np
+
+from .graph import Graph, _arcs, components
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -201,7 +204,11 @@ class DensityReport:
 
     ``violations`` lists every connected set of at most ``t_max``
     vertices spanning more than ``(1 + eps/3)`` times its size in edges,
-    as ``(sorted vertex tuple, edge count)`` pairs in enumeration order.
+    as ``(sorted vertex tuple, edge count)`` pairs, sorted. That order
+    does not depend on which sets the scan visits. ``sets_examined``
+    counts the connected sets of at most ``t_max`` vertices, in
+    components of excess at least 2, that hold a vertex marked by the
+    short-cycle search of :func:`density_scan`, whether walked or counted.
     """
 
     eps: float
@@ -211,24 +218,27 @@ class DensityReport:
 
 
 def _connected_sets(
-    adj, roots, t_max: int, inside: list[int]
+    adj, roots, t_max: int, inside: list[int], marked
 ) -> Iterator[Tuple[int, list[int], int, Optional[list[int]]]]:
-    """Walk every connected set of at most ``t_max`` vertices.
+    """Walk every connected set of at most ``t_max`` vertices that holds a
+    marked vertex, once, from the smallest marked vertex in it.
 
-    Yields ``(root, s_list, edges, ext)`` for every set whose smallest
-    vertex is a root, grouped by root in the order of ``roots``, each
-    before the sets that extend it. ``ext`` lists the vertices the walk
-    tries next to add to the set, and is ``None`` for a set of ``t_max``
-    vertices. A consumer that empties ``ext`` in place skips every larger
-    set built on this one. Each extension candidate is
+    ``roots`` lists the marked vertices, ascending. A candidate that is
+    marked and not above the root is refused. With every vertex marked,
+    that is the rule ``u > root``, and every set is met from its smallest
+    vertex. Yields ``(root, s_list, edges, ext)`` for every set, grouped
+    by root, each before the sets that extend it. ``ext`` lists the
+    vertices the walk tries next to add to the set, and is ``None`` for a
+    set of ``t_max`` vertices. A consumer that empties ``ext`` in place
+    skips every larger set built on this one. Each extension candidate is
     considered once, taken or excluded for the whole branch, which makes
     every set unique without storing the sets already seen.
 
     ``inside`` must hold zeros on entry; while a set of fewer than
     ``t_max`` vertices is yielded, ``inside[u]`` counts the neighbours
     ``u`` has in it. A joining vertex ``w`` adds ``inside[w]`` edges, and
-    a vertex above the root is a new candidate exactly when its count is
-    0, because every set vertex but the root has a neighbour in the set.
+    an allowed vertex is a new candidate exactly when its count is 0,
+    because every set vertex but the root has a neighbour in the set.
     The walk keeps an explicit stack of candidate lists, so it needs O(n)
     extra memory and no recursion, and adding or removing a vertex costs
     O(degree). ``s_list`` is a scratch list, valid until the walk resumes.
@@ -253,7 +263,7 @@ def _connected_sets(
                 continue
             new_ext = ext.copy()
             for u in adj[w]:
-                if u > root and not inside[u]:
+                if not inside[u] and (u > root or not marked[u]):
                     new_ext.append(u)
                 inside[u] += 1
             yield root, s_list, e2, new_ext
@@ -276,65 +286,60 @@ def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...
     :class:`ValueError` at call time, before iteration.
     """
     _check_size_cap(t_max)
-    walk = _connected_sets(g.adj, range(g.n), t_max, [0] * g.n)
+    walk = _connected_sets(g.adj, range(g.n), t_max, [0] * g.n, b"\x01" * g.n)
     return ((tuple(sorted(s_list)), e_count) for _, s_list, e_count, _ in walk)
-
-
-def _edge_limit(size: int, eps: float) -> float:
-    """The most edges a set of ``size`` vertices spans without being too dense."""
-    return (1.0 + eps / 3.0) * size + 1e-12  # float noise is not density
 
 
 def _too_dense(edges: int, size: int, eps: float) -> bool:
     """Whether ``edges`` exceeds ``(1+eps/3)`` times ``size``, beyond float noise."""
-    return edges > _edge_limit(size, eps)
+    return edges > (1.0 + eps / 3.0) * size + 1e-12
 
 
-def _three_levels(
-    adj, root: int, cands: list[int], inside: list[int], mark: bytearray
-) -> Optional[int]:
-    """Count the sets one, two and three vertices larger than the walk's set, or ``None``.
+_BLOCK = 1024  # starts whose walks are held at once; bounds the marking's memory
 
-    ``cands`` is the set's candidate list ``c_0 ... c_{k-1}`` (the walk
-    pops from the end) and ``inside`` holds the set's neighbour counts.
-    ``f_j``, the new neighbours of ``c_j``, are its neighbours above the
-    root with no neighbour in the set, and ``a(x)`` counts the same for
-    ``x`` in ``f_j``. In a clean neighbourhood, where no candidate is
-    adjacent to another, no two candidates share a new neighbour and no
-    vertex counted in an ``a(x)`` is a new neighbour, the walk meets
-    ``k``, then ``k(k-1)/2 + sum |f_j|``, then
-    ``sum_j [C(j + |f_j|, 2) + sum_{i<j} |f_i| + sum_{x in f_j} a(x)]``
-    sets. ``None`` means a dirty neighbour was found, at the first one.
-    ``mark`` must be zero on entry and is zero again on return.
+
+def _short_cycle_mask(g: Graph, starts: np.ndarray, t_max: int) -> np.ndarray:
+    """Mark every start that lies on a cycle of at most ``t_max`` vertices.
+
+    Non-backtracking walks grow from each start, one step a round, for
+    ``ceil(t_max / 2)`` rounds. A start is marked when two of its walks
+    end at the same vertex (the walk of no steps counts), and its walks
+    then stop. A start on a cycle of ``L`` vertices is marked by round
+    ``ceil(L / 2)``, where its two walks round the cycle meet; a start
+    near a short cycle may be marked too. Until a start's first meeting,
+    its walks are shortest paths, one per vertex, so that meeting pairs
+    a walk of this round with one of this round or the last: only those
+    two rounds' ``(start, end)`` keys are compared. A walk never leaves
+    its start's component. The starts are walked ``_BLOCK`` at a time,
+    so the walks held stay few however many starts there are.
     """
-    for c in cands:
-        mark[c] = 1
-    new: list[int] = []  # f_0, f_1, ... one after another
-    k = len(cands)
-    total = k + k * (k - 1) // 2
-    try:
-        for j, c in enumerate(cands):
-            before = len(new)  # sum of |f_i| for i < j
-            for u in adj[c]:
-                if mark[u]:  # another candidate, or a new neighbour already taken
-                    return None
-                if u > root and not inside[u]:
-                    mark[u] = 1
-                    new.append(u)
-            f = len(new) - before
-            total += f + (j + f) * (j + f - 1) // 2 + before
-        for x in new:
-            for u in adj[x]:
-                if u > root and not inside[u]:
-                    if mark[u]:
-                        return None
-                    total += 1
-        return total
-    finally:
-        for c in cands:
-            mark[c] = 0
-        for u in new:
-            mark[u] = 0
+    n = g.n
+    nbr, first, deg = _arcs(n, g._ends)
+    mask = np.zeros(n, dtype=bool)
+    rounds = (int(t_max) + 1) // 2
+    for lo in range(0, starts.size, _BLOCK):
+        src = cur = starts[lo:lo + _BLOCK]
+        prev = np.full(src.size, -1)
+        last = src * n + cur  # the keys of the walks of no steps
+        for _ in range(rounds):
+            # every step from each walk's end but the one back
+            k = deg[cur]
+            walk = np.repeat(np.arange(cur.size), k)
+            nxt = nbr[np.arange(walk.size) + np.repeat(first[cur] - (np.cumsum(k) - k), k)]
+            ahead = nxt != prev[walk]
+            walk = walk[ahead]
+            src, prev, cur = src[walk], cur[walk], nxt[ahead]
+            keys = src * n + cur
+            both = np.sort(np.concatenate((last, keys)))
+            met = both[1:][both[1:] == both[:-1]] // n
+            if met.size:
+                mask[met] = True
+                live = ~mask[src]
+                src, prev, cur, keys = src[live], prev[live], cur[live], keys[live]
+            if not cur.size:
+                break
+            last = keys
+    return mask
 
 
 def density_scan(
@@ -342,30 +347,25 @@ def density_scan(
 ) -> DensityReport:
     """Find all connected sets of size <= ``t_max`` denser than ``(1+eps/3)``.
 
-    A violating set spans at least one more edge than it has vertices, so
-    components of the graph with excess at most 1 provably contain no
-    violator and are skipped wholesale; ``sets_examined`` counts the
-    connected sets of at most ``t_max`` vertices in the other components.
+    A violator T spans at least ``|T| + 1`` edges, so ``G[T]`` holds a
+    cycle of at most ``|T|`` vertices, all of them in T, and T lies in a
+    component of excess at least 2. The scan therefore marks the vertices
+    on or near a cycle of at most ``t_max`` vertices in those components
+    (``_short_cycle_mask``) and walks only the connected sets that hold a
+    marked vertex, each once, from its smallest marked vertex. That walk
+    meets every violator. ``sets_examined`` counts the sets it meets,
+    whether walked or counted, and the budget counts the same sets.
 
-    At each set S of ``t_max - 3`` vertices the scan counts the sets one,
-    two and three vertices larger in closed form from the candidate list
-    (``_three_levels``) and empties the list, so the walk skips them. The
-    count needs a clean neighbourhood: no candidate adjacent to another,
-    no new neighbour shared by two candidates, and no neighbour of a new
-    neighbour that is itself a candidate's new neighbour. Then a set
-    ``j`` vertices larger spans at most ``e(S) + j top`` edges, with
-    ``top`` the largest neighbour count of a candidate in S, and each of
-    these bounds must be within the edge limit of its size. Otherwise
-    the walk goes on, and at each set of ``t_max - 2`` vertices with
-    ``k`` candidates it counts the ``k`` sets one larger and the
-    ``k(k-1)/2`` plus the candidates' new neighbours sets two larger,
-    unless ``e + top`` or ``e + 2 top + 1`` exceeds its limit. On gnp
-    c = 2 at ``t_max`` 6, 95% of the sets are counted without a visit
-    (89% with the two-level count alone), and the scan of gnp(20000, 2)
-    takes 0.18-0.20 s against 0.24-0.26 s on a 2-core machine. The scan
-    holds O(n) extra memory and uses no recursion, so ``t_max`` may be
-    as large as the graph. Exceeding ``budget`` examined sets raises
-    :class:`EnumerationBudgetError`.
+    At each set S of ``t_max - 2`` vertices with ``k`` candidates the
+    scan counts the ``k`` sets one larger and the ``k(k-1)/2`` plus the
+    candidates' new neighbours (by the walk's candidate rule) sets two
+    larger, and empties the list, so the walk skips them. It does so
+    unless ``e(S) + top`` or ``e(S) + 2 top + 1``, with ``top`` the most
+    neighbours in S a candidate has, is too dense for its size, since
+    then a counted set might be a violator. ``violations`` come back
+    sorted. The scan holds O(n + m) extra memory and uses no recursion,
+    so ``t_max`` may be as large as the graph. Exceeding ``budget``
+    examined sets raises :class:`EnumerationBudgetError`.
     """
     _check_size_cap(t_max)
     if not eps >= 0:
@@ -373,33 +373,20 @@ def density_scan(
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     comp = components(g)
-    roots = (
-        v
-        for members, size, edges in zip(comp.members(), comp.sizes, comp.edge_counts(g))
-        if edges > size  # excess <= 1: every connected subset has e(T) <= |T|
-        for v in members
-    )
-    adj = g.adj
-    inside = [0] * g.n
-    mark = bytearray(g.n)
-    # the edge limits of sizes t_max - 2, t_max - 1 and t_max
-    lim1, lim2, lim3 = (_edge_limit(t_max - j, eps) for j in (2, 1, 0))
+    # excess <= 1: every connected subset has e(T) <= |T|
+    dense = np.greater(comp.edge_counts(g), comp.sizes)
+    mask = _short_cycle_mask(g, np.flatnonzero(dense[list(comp.labels)]), t_max)
+    adj, inside, marked = g.adj, [0] * g.n, bytearray(mask)
+    roots = np.flatnonzero(mask).tolist()
     violations: list[Tuple[Tuple[int, ...], int]] = []
     examined = 0
-    for root, s_list, e_count, ext in _connected_sets(adj, roots, t_max, inside):
+    for root, s_list, e_count, ext in _connected_sets(adj, roots, t_max, inside, marked):
         size = len(s_list)
         examined += 1
         # e(T) <= |T| is never too dense; the integer test skips the call
         if e_count > size and _too_dense(e_count, size, eps):
             violations.append((tuple(sorted(s_list)), e_count))
-        if size == t_max - 3:
-            top = max(map(inside.__getitem__, ext), default=0)
-            if e_count + top <= lim1 and e_count + 2 * top <= lim2 and e_count + 3 * top <= lim3:
-                count = _three_levels(adj, root, ext, inside, mark)
-                if count is not None:
-                    examined += count
-                    ext.clear()
-        elif size == t_max - 2:
+        if size == t_max - 2:
             # len(ext) sets one vertex larger, and below each the
             # candidates before it plus its new neighbours
             top = fresh = 0
@@ -407,15 +394,18 @@ def density_scan(
                 if inside[w] > top:
                     top = inside[w]
                 for u in adj[w]:
-                    if u > root and not inside[u]:
+                    if not inside[u] and (u > root or not marked[u]):
                         fresh += 1
-            if e_count + top <= lim2 and e_count + 2 * top + 1 <= lim3:
+            if not (
+                _too_dense(e_count + top, size + 1, eps)
+                or _too_dense(e_count + 2 * top + 1, size + 2, eps)
+            ):
                 k = len(ext)
                 examined += k + k * (k - 1) // 2 + fresh
                 ext.clear()
         if examined > budget:
             raise EnumerationBudgetError(f"examined more than {budget} connected sets")
-    return DensityReport(eps, t_max, tuple(violations), examined)
+    return DensityReport(eps, t_max, tuple(sorted(violations)), examined)
 
 
 def components_pass_density(g: Graph, s: Iterable[int], eps: float) -> bool:

@@ -48,10 +48,9 @@ def gnp(n: int, c: float, seed: int, stream: int = 0) -> Graph:
         raise ValueError(f"mean-degree parameter out of range: c={c}, n={n}")
     p = c / n
     total = n * (n - 1) // 2
+    rng = rng_for(seed, stream)  # checks the seed even where nothing is drawn
     if p == 0.0 or total == 0:
         return Graph(n)
-
-    rng = rng_for(seed, stream)
     chunks = []
     cur = -1
     block = max(1024, int(p * total * 1.1) + 16)
@@ -122,9 +121,10 @@ def random_tree(n: int, seed: int, stream: int = 0) -> Graph:
     """Uniform random labelled tree (Pruefer-sequence decoding)."""
     if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
+    rng = rng_for(seed, stream)  # checks the seed even where nothing is drawn
     if n == 1:
         return Graph(1)
-    seq = rng_for(seed, stream).integers(0, n, size=n - 2)
+    seq = rng.integers(0, n, size=n - 2)
     degree = [1] * n
     for x in seq:
         degree[x] += 1

@@ -122,17 +122,24 @@ class Graph:
 _VIEW_LOCK = threading.Lock()
 
 
-def _python_view(n: int, ends: np.ndarray) -> tuple:
-    """The neighbor tuples of the graph on ``n`` vertices whose edges are
-    the columns ``ends``, made of one int object per vertex."""
+def _arcs(n: int, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nbr, first, deg)``: the neighbors of the graph on ``n`` vertices
+    whose edges are the columns ``ends``, with vertex ``v``'s ascending
+    neighbors at ``nbr[first[v]:first[v] + deg[v]]``."""
     u, v = ends
     # Both directions of every edge, sorted as (source, target) keys,
     # list each vertex's neighbors in ascending order.
     half = np.sort(np.concatenate((u * n + v, v * n + u)))
     deg = np.bincount(ends.ravel(), minlength=n)
-    first = np.cumsum(deg) - deg  # where each vertex's neighbors start
+    first = np.cumsum(deg) - deg
+    return np.remainder(half, n, out=half), first, deg  # in place: the keys are done with
+
+
+def _python_view(n: int, ends: np.ndarray) -> tuple:
+    """The neighbor tuples of the graph on ``n`` vertices whose edges are
+    the columns ``ends``, made of one int object per vertex."""
+    nbr, first, deg = _arcs(n, ends)
     ids = np.arange(n).astype(object)  # one int object per vertex, shared by every entry
-    nbr = np.remainder(half, n, out=half)  # in place: the keys are done with
     # One degree class at a time, then all the tuples put back in vertex
     # order. A class of ``count`` vertices of degree ``d`` costs
     # min(d, count) numpy calls: its ``d`` neighbor columns zipped into
@@ -152,7 +159,7 @@ def _python_view(n: int, ends: np.ndarray) -> tuple:
             tuples += (tuple(ids[nbr[s:s + d]].tolist()) for s in start.tolist())
     # Freed before the n-sized arrays below so that these can reuse the
     # space; held, they raise the peak of a process that builds many graphs.
-    del half, nbr, first, deg
+    del nbr, first, deg
     rank = np.empty(n, dtype=np.intp)
     rank[by_degree] = np.arange(n)
     # ``ids[rank]`` lists the shared ints, where ``rank.tolist()`` would make n new ones

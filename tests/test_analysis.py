@@ -4,8 +4,9 @@ import tracemalloc
 from contextlib import nullcontext
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dismantle import (
@@ -25,6 +26,7 @@ from dismantle import (
     random_regular,
     random_tree,
 )
+from dismantle.analysis import _short_cycle_mask
 from oracles import k4, random_graph
 
 
@@ -322,20 +324,55 @@ def test_enumeration_property(case):
     assert set(sets) == brute_connected_sets(g, t_max)
     for verts, edge_count in got:
         assert edge_count == induced_subgraph(g, verts)[0].m
-    # density_scan enumerates exactly the sets in components of excess >= 2
-    dense = set()
+    # density_scan counts exactly the sets in components of excess >= 2
+    # that hold a marked vertex
+    dense = dense_component_vertices(g)
+    marked = reference_short_cycle_mask(g, t_max)
+    expected = sum(s[0] in dense and any(marked[v] for v in s) for s in sets)
+    assert density_scan(g, t_max, 0.5).sets_examined == expected
+
+
+def dense_component_vertices(g):
+    """The vertices of the components of excess >= 2, the only ones that can hold a violator."""
+    dense, seen = set(), set()
     for v in range(g.n):
-        comp = component_of(g, v)
-        if induced_subgraph(g, comp)[0].m > len(comp):
-            dense |= comp
-    assert density_scan(g, t_max, 0.5).sets_examined == sum(s[0] in dense for s in sets)
+        if v not in seen:
+            comp = component_of(g, v)
+            seen |= comp
+            if induced_subgraph(g, comp)[0].m > len(comp):
+                dense |= comp
+    return dense
 
 
-def reference_connected_sets(adj, roots, t_max):
-    """The one-set-at-a-time walk the scan used before it counted its last two levels.
+def reference_short_cycle_mask(g, t_max):
+    """The marking by its definition: a start in a component of excess >= 2
+    is marked when two of its non-backtracking walks of at most
+    ``ceil(t_max / 2)`` steps end at the same vertex.
+
+    Each new end is compared with every earlier end of the start, of any
+    round, and the walks of a start stop at its first meeting.
+    """
+    marked = [False] * g.n
+    for s in dense_component_vertices(g):
+        ends = {s}
+        walks = [(None, s)]  # (previous vertex, end)
+        for _ in range((t_max + 1) // 2):
+            walks = [(w, u) for p, w in walks for u in g.adj[w] if u != p]
+            for _, u in walks:
+                if u in ends:
+                    marked[s] = True
+                ends.add(u)
+            if marked[s]:
+                break
+    return marked
+
+
+def reference_connected_sets(adj, roots, t_max, marked=None):
+    """The one-set-at-a-time walk, with no sets counted in closed form.
 
     Yields each connected set of at most ``t_max`` vertices whose smallest
-    vertex is a root, as a scratch list with its induced edge count.
+    marked vertex is a root, as a scratch list with its induced edge
+    count. With ``marked`` left out every vertex is marked.
     """
     inside = [0] * len(adj)
     s_list = []
@@ -358,29 +395,46 @@ def reference_connected_sets(adj, roots, t_max):
                 continue
             new_ext = ext.copy()
             for u in adj[w]:
-                if u > root and not inside[u]:
+                if (u > root or (marked is not None and not marked[u])) and not inside[u]:
                     new_ext.append(u)
                 inside[u] += 1
             stack.append((new_ext, e2))
 
 
+def is_violator(e_count, size, eps):
+    return e_count > (1.0 + eps / 3.0) * size + 1e-12
+
+
 def reference_scan(g, t_max, eps, budget):
-    """``(violations, sets_examined)`` of a scan over every set of the reference walk."""
-    roots, seen = [], set()
-    for v in range(g.n):  # components by smallest vertex, members ascending
-        if v not in seen:
-            comp = component_of(g, v)
-            seen |= comp
-            if induced_subgraph(g, comp)[0].m > len(comp):
-                roots += sorted(comp)
+    """``(violations, sets_examined)`` of a scan over every set of the reference
+    walk rooted at the reference marking, the violations sorted."""
+    marked = reference_short_cycle_mask(g, t_max)
+    roots = [v for v in range(g.n) if marked[v]]
     violations, examined = [], 0
-    for s_list, e_count in reference_connected_sets(g.adj, roots, t_max):
+    for s_list, e_count in reference_connected_sets(g.adj, roots, t_max, marked):
         examined += 1
         if examined > budget:
             raise EnumerationBudgetError(f"examined more than {budget} connected sets")
-        if e_count > (1.0 + eps / 3.0) * len(s_list) + 1e-12:
+        if is_violator(e_count, len(s_list), eps):
             violations.append((tuple(sorted(s_list)), e_count))
-    return tuple(violations), examined
+    return tuple(sorted(violations)), examined
+
+
+def unrooted_scan(g, t_max, eps, budget):
+    """``(violations, sets)`` of the full walk over the components of excess
+    >= 2: every violator, sorted, and the number of sets that hold a vertex
+    of the reference marking. More than ``budget`` sets walked raises."""
+    marked = reference_short_cycle_mask(g, t_max)
+    dense = sorted(dense_component_vertices(g))
+    violations, walked, counted = [], 0, 0
+    for s_list, e_count in reference_connected_sets(g.adj, dense, t_max):
+        walked += 1
+        if walked > budget:
+            raise EnumerationBudgetError(f"walked more than {budget} connected sets")
+        counted += any(marked[v] for v in s_list)
+        if is_violator(e_count, len(s_list), eps):
+            violations.append((tuple(sorted(s_list)), e_count))
+    return tuple(sorted(violations)), counted
 
 
 @st.composite
@@ -404,6 +458,8 @@ def test_scan_matches_reference_walk(case, data):
     rep = density_scan(g, t_max, eps)
     assert rep.violations == violations
     assert rep.sets_examined == examined
+    # the rooted walk misses no violator and meets each marked set once
+    assert unrooted_scan(g, t_max, eps, math.inf) == (violations, examined)
     budget = data.draw(st.integers(0, examined + 1))
     for b in {budget, examined, max(examined - 1, 0)}:
         with pytest.raises(EnumerationBudgetError) if examined > b else nullcontext():
@@ -421,21 +477,22 @@ def test_scan_bounds_the_level_below_a_leaf_on_its_own():
 
 
 def test_scan_pinned_at_scale():
+    # each count was checked once against reference_scan
     rep = density_scan(gnp(3000, 3.0, seed=1), 6, 0.3)
-    assert rep.sets_examined == 1_554_769
+    assert rep.sets_examined == 1_231_251
     assert rep.violations == (((650, 817, 859, 952, 1865, 2103), 7),)
     rep = density_scan(gnp(20_000, 2.0, seed=1), 6, 0.5)
-    assert rep.sets_examined == 1_613_879
+    assert rep.sets_examined == 39_710
     assert rep.violations == ()
 
 
-def test_scan_pinned_three_levels():
-    # the closed form counts sets of sizes 5-7 and 6-8 here; both values
-    # were checked against the scan that counted two levels
+def test_scan_pinned_at_odd_and_even_larger_caps():
+    # the marking runs four rounds at t_max 7 and 8; both counts were
+    # checked once against reference_scan
     rep = density_scan(random_regular(3000, 3, 1), 7, 0.5)
-    assert (rep.sets_examined, rep.violations) == (668_154, ())
+    assert (rep.sets_examined, rep.violations) == (186_216, ())
     rep = density_scan(gnp(2000, 2.0, 5), 8, 0.5)
-    assert (rep.sets_examined, rep.violations) == (2_024_201, ())
+    assert (rep.sets_examined, rep.violations) == (1_583_867, ())
 
 
 @st.composite
@@ -452,8 +509,8 @@ def sparse_graphs_with_short_cycles(draw):
 @settings(max_examples=100, deadline=None)
 @given(sparse_graphs_with_short_cycles())
 def test_scan_matches_reference_walk_on_sparse_graphs(case):
-    # the three-level count and its fallback to the walk both run here;
-    # the budget bounds the reference walk on the denser draws
+    # the two-level count and its fallback to the walk both run here;
+    # the budget bounds the reference walks on the denser draws
     g, t_max, eps = case
     budget = 20_000
     try:
@@ -464,6 +521,53 @@ def test_scan_matches_reference_walk_on_sparse_graphs(case):
         return
     rep = density_scan(g, t_max, eps, budget=budget)
     assert (rep.violations, rep.sets_examined) == expected
+    try:
+        full = unrooted_scan(g, t_max, eps, budget)
+    except EnumerationBudgetError:
+        return  # the full walk is too long to compare here
+    assert full == expected
+
+
+def shortest_cycle_through(g, v):
+    """Vertices on a shortest cycle through ``v``, or ``math.inf``: one more
+    than a shortest path to ``v`` from a neighbour ``u`` that avoids the
+    edge ``(u, v)``."""
+    best = math.inf
+    for u in g.adj[v]:
+        dist, queue = {u: 0}, [u]
+        for x in queue:
+            for y in g.adj[x]:
+                if y not in dist and {x, y} != {u, v}:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        best = min(best, dist.get(v, math.inf) + 1)
+    return best
+
+
+def check_short_cycle_mask(g, t_max):
+    starts = np.array(sorted(dense_component_vertices(g)), dtype=np.intp)
+    mask = _short_cycle_mask(g, starts, t_max).tolist()
+    assert mask == reference_short_cycle_mask(g, t_max)
+    for v in starts.tolist():
+        if shortest_cycle_through(g, v) <= t_max:
+            assert mask[v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_of_any_density())
+# two 5-cycles through vertex 0: only walks of ceil(5/2) steps meet
+@example((Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                    (0, 5), (5, 6), (6, 7), (7, 8), (0, 8)]), 5, 0.0))
+def test_short_cycle_mask_matches_its_definition(case):
+    g, t_max, _ = case
+    check_short_cycle_mask(g, t_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graphs_with_short_cycles())
+def test_short_cycle_mask_matches_its_definition_on_sparse_graphs(case):
+    g, t_max, _ = case
+    check_short_cycle_mask(g, t_max)
 
 
 def test_huge_size_cap_costs_nothing_extra():
@@ -546,13 +650,12 @@ def test_scan_deep_sets_need_no_recursion():
     g = Graph(1004, edges + [(v, v + 1) for v in range(3, 1003)])
     rep = density_scan(g, g.n, 0.5)
     assert len(rep.violations) == 8  # K4 plus the first 0..7 path vertices
-    assert rep.violations[-1] == ((0, 1, 2, 3), 6)
-    assert rep.sets_examined == 508_515
+    assert rep.violations[0] == ((0, 1, 2, 3), 6)
+    assert rep.sets_examined == 383_265
 
 
 def test_scan_extra_memory_is_linear():
-    # width-n bitmasks per set put the traced peak near 31 MiB on this
-    # graph; the neighbour counts and candidate stacks need about 1.4 MiB
+    # the neighbour counts and candidate stacks need about 1.4 MiB
     g = gnp(20_000, 2.0, seed=1)
     tracemalloc.start()
     try:

@@ -298,7 +298,7 @@ def test_verify_claim_deep_sets(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify-claim", "--in", str(gfile), "--eps", "0.5",
                           "--tmax", "1004")
     assert code == 0
-    assert stdout.strip().splitlines()[-1] == "violations=8 sets_examined=508515"
+    assert stdout.strip().splitlines()[-1] == "violations=8 sets_examined=383265"
 
 
 def test_delta_output(capsys):

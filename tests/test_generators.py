@@ -31,6 +31,20 @@ def test_rng_for_validation():
         rng_for(0, stream=-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gnp(10, 0.0, seed=-1),
+    lambda: gnp(1, 0.5, seed=2**64),
+    lambda: random_tree(1, seed=-1),
+    lambda: random_tree(1, seed=2**64),
+    lambda: gnp(10, 0.0, seed=1, stream=-1),
+])
+def test_generators_check_the_seed_before_any_shortcut(make):
+    # an edgeless gnp and a one-vertex tree draw nothing, yet a bad seed
+    # or stream must be refused as it is everywhere else
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_rng_streams_independent_and_reproducible():
     a = rng_for(7, 0).integers(0, 1 << 30, size=8)
     b = rng_for(7, 0).integers(0, 1 << 30, size=8)
