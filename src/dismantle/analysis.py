@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .graph import Graph, _arcs, components
+from .graph import Graph, _arcs, _component_roots, components
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -372,10 +372,10 @@ def density_scan(
         raise ValueError(f"tolerance must be >= 0, got {eps}")
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    comp = components(g)
-    # excess <= 1: every connected subset has e(T) <= |T|
-    dense = np.greater(comp.edge_counts(g), comp.sizes)
-    mask = _short_cycle_mask(g, np.flatnonzero(dense[list(comp.labels)]), t_max)
+    root = _component_roots(g, np.ones(g.n, dtype=bool))
+    # excess <= 1: every connected subset has e(T) <= |T|; counts by root
+    dense = np.bincount(root[g._ends[0]], minlength=g.n) > np.bincount(root, minlength=g.n)
+    mask = _short_cycle_mask(g, np.flatnonzero(dense[root]), t_max)
     adj, inside, marked = g.adj, [0] * g.n, bytearray(mask)
     roots = np.flatnonzero(mask).tolist()
     violations: list[Tuple[Tuple[int, ...], int]] = []

@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     except (ValueError, SamplingBudgetError, EnumerationBudgetError, PipelineBudgetError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # e.g. an edge-list header declaring 10**12 vertices
+    except MemoryError as exc:  # e.g. an edge-list header declaring 3e9 vertices
         print(f"infeasible: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

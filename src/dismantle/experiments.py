@@ -102,6 +102,8 @@ class ExperimentConfig:
         grids = [g for g in (self.k_grid, self.x_grid) if g]
         if len(grids) != 1:
             raise ValueError("exactly one non-empty grid (k or x) must be given")
+        if len(set(grids[0])) != len(grids[0]):
+            raise ValueError(f"grid repeats a value: {grids[0]}")
         if self.k_grid:
             if not all(k >= 1 and k % 1 == 0 for k in self.k_grid):  # refuses inf and NaN
                 raise ValueError(f"k grid must hold integers >= 1: {self.k_grid}")
@@ -441,7 +443,8 @@ def empirical_slopes(est: CurveEstimate) -> Tuple[Tuple[float, float, float], ..
 
     Purely descriptive: returns ``(lo, hi, slope)`` per consecutive grid
     pair, computed from per-point means. Whether the underlying curve is
-    strictly increasing is left open; no conclusion is drawn here.
+    strictly increasing is left open; no conclusion is drawn here. Two
+    points at one grid value raise ``ValueError``.
     """
     pts = sorted(est.points, key=lambda p: p.grid_value)
     if len(pts) < 2:
@@ -449,6 +452,8 @@ def empirical_slopes(est: CurveEstimate) -> Tuple[Tuple[float, float, float], ..
     out = []
     for a, b in zip(pts, pts[1:]):
         lo, hi = float(a.grid_value), float(b.grid_value)
+        if lo == hi:
+            raise ValueError(f"two grid points at {lo}: no slope between them")
         out.append((lo, hi, (b.mean - a.mean) / (hi - lo)))
     return tuple(out)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -180,14 +180,10 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> None:
             size[root] += size[u]
 
 
-def _region_degrees(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarray:
-    """Degrees in the subgraph induced by the boolean mask ``inside`` (all
-    of ``g`` when it is ``None``), 0 outside it: one bincount of the edges
-    with both ends inside.
-    """
-    ends = g._ends
-    if inside is not None:
-        ends = np.compress(inside[ends[0]] & inside[ends[1]], ends, axis=1)
+def _region_degrees(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """Degrees in the subgraph induced by the boolean mask ``inside``, 0
+    outside it: one bincount of the edges with both ends inside."""
+    ends = np.compress(inside[g._ends[0]] & inside[g._ends[1]], g._ends, axis=1)
     return np.bincount(ends.ravel(), minlength=g.n)
 
 
@@ -281,18 +277,17 @@ def _lfmis(level: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return level[~np.frombuffer(out, dtype=bool)]
 
 
-def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1) -> np.ndarray:
-    """The removals, in order, that empty the ``j``-core (``j`` = 0 or 1)
-    of the region marked by the boolean mask ``inside`` (all of ``g`` when
-    it is ``None``), found in numpy.
+def _lfmis_elimination(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """The removals, in order, that empty the 1-core of the region marked
+    by the boolean mask ``inside``, found in numpy.
 
-    With ``j <= 1`` nothing is peeled: the vertex with the most neighbours
-    left (smallest id on ties) goes until no edge is left, and then, for
-    ``j = 0``, the region's remaining vertices go in ascending order.
-    Degrees only fall, so a vertex at the top degree ``d`` goes exactly
-    when no smaller-id neighbour at degree ``d`` went before it: each
-    level removes the lexicographically first maximal independent set of
-    the vertices at that level (see :func:`_lfmis`), in ascending order.
+    Nothing is peeled: the vertex with the most neighbours left (smallest
+    id on ties) goes until no edge is left; the independent set left is
+    not listed. Degrees only fall, so a vertex at the top degree ``d``
+    goes exactly when no smaller-id neighbour at degree ``d`` went before
+    it: each level removes the lexicographically first maximal
+    independent set of the vertices at that level (see :func:`_lfmis`),
+    in ascending order.
 
     Each level scans the edges left. A pass that starts at top degree
     ``top`` sets aside the edges whose two ends are at degree ``half =
@@ -304,10 +299,10 @@ def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1
     an ascending chain pays O(n + m) in Python.
     """
     n = g.n
-    deg = _region_degrees(g, inside)
-    left = np.ones(n, dtype=bool) if inside is None else inside.copy()
+    left = inside.copy()
     # ``np.compress`` picks columns several times faster than a boolean index.
     rest = np.compress(left[g._ends[0]] & left[g._ends[1]], g._ends, axis=1)
+    deg = np.bincount(rest.ravel(), minlength=n)
     pos = np.empty(n, dtype=np.intp)  # a level's vertex -> its position in the level
     mark = np.zeros(n, dtype=bool)  # the level's vertices, while its own edges are picked
     order = [np.zeros(0, dtype=np.intp)]
@@ -335,8 +330,6 @@ def _lfmis_elimination(g: Graph, inside: Optional[np.ndarray] = None, j: int = 1
             np.subtract.at(deg, np.compress(~keep, rest, axis=1), 1)
             rest = np.compress(keep, rest, axis=1)
         rest = np.concatenate((rest, aside), axis=1)
-    if j == 0:
-        order.append(np.flatnonzero(left))
     return np.concatenate(order)
 
 
@@ -363,7 +356,7 @@ def _greedy_cuts(g: Graph) -> np.ndarray:
        flat loop, each write of a joining vertex's size following its
        union. Every set starts as one vertex, and the pass reads no ``adj``.
     """
-    order = _lfmis_elimination(g)
+    order = _lfmis_elimination(g, np.ones(g.n, dtype=bool))
     back = np.full(g.n, -1, dtype=np.intp)  # add-back position; -1 for the kept
     back[order[::-1]] = np.arange(order.size)
     u, v = g._ends
@@ -493,9 +486,9 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
 
     A component of size ``t > target`` loses exactly ``t - target``
     vertices: the oversized components are emptied highest degree first
-    (degree among the vertices left, smaller id on ties; see
-    :func:`_lfmis_elimination` with ``j = 0``), and each loses its first
-    ``t - target`` removals. Smaller components are untouched.
+    (degree among the vertices left, smaller id on ties): the 1-core by
+    :func:`_lfmis_elimination`, then the vertices it leaves, ascending.
+    Each loses its first ``t - target`` removals; smaller ones, none.
     """
     if not target >= 1:
         raise ValueError(f"target size must be >= 1, got {target}")
@@ -504,7 +497,10 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     inside = _vertex_mask(g, s)
     root = _component_roots(g, inside)
     quota = np.bincount(root[inside], minlength=g.n) - target  # indexed by root
-    order = _lfmis_elimination(g, inside & (quota[root] > 0), 0)
+    over = inside & (quota[root] > 0)
+    order = _lfmis_elimination(g, over)
+    over[order] = False  # left independent: each at degree 0, so in id order
+    order = np.concatenate((order, np.flatnonzero(over)))
     quota = quota.tolist()
     for v, c in zip(order.tolist(), root[order].tolist()):
         if quota[c] > 0:

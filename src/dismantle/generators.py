@@ -152,4 +152,4 @@ def path(n: int) -> Graph:
     """Path on vertices ``0..n-1`` with edges ``(i, i+1)``."""
     if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))

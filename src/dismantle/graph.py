@@ -40,7 +40,8 @@ class Graph:
     and every id are read as integers (``operator.index``): a float
     raises ``TypeError``, and a numpy or bool id becomes a Python
     ``int``. An edge out of range, a self-loop or a repeated edge raises
-    ``ValueError`` naming the first such edge in input order.
+    ``ValueError`` naming the first such edge in input order. ``n`` is
+    at most 3,037,000,499, so that ``n * n`` fits in int64.
     """
 
     __slots__ = ("n", "m", "_ends", "_view")
@@ -49,6 +50,8 @@ class Graph:
         n = index(n)
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
+        if n > 3_037_000_499:  # the largest n with n * n < 2**63: edges are keyed u * n + v
+            raise ValueError(f"vertex count must be at most 3037000499 (n * n < 2**63), got {n}")
         if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
             # uint64 ids of 2**63 and above wrap to negative: out of range too.
             a = edges.astype(np.int64, copy=False).T
@@ -219,9 +222,9 @@ class ComponentDecomposition:
         return np.bincount(ends, minlength=len(self.sizes)).tolist()
 
 
-def _component_roots(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each vertex's smallest component-mate in ``g``, or in the subgraph
-    induced by the boolean mask ``inside``; a vertex outside keeps its id.
+def _component_roots(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """Each vertex's smallest component-mate in the subgraph of ``g`` induced
+    by the boolean mask ``inside``; a vertex outside keeps its id.
 
     Min-label hooking plus pointer jumping (Shiloach & Vishkin, J.
     Algorithms 3, 1982) over the edges with both ends inside. Each round
@@ -232,9 +235,8 @@ def _component_roots(g: Graph, inside: Optional[np.ndarray] = None) -> np.ndarra
     """
     lab = np.arange(g.n)
     u, v = g._ends
-    if inside is not None:
-        both = inside[u] & inside[v]
-        u, v = u[both], v[both]
+    both = inside[u] & inside[v]
+    u, v = u[both], v[both]
     while True:
         lu, lv = lab[u], lab[v]
         split = lu != lv
@@ -253,17 +255,13 @@ def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDeco
     """Decompose ``g``, or ``G[verts]`` when ``verts`` is given.
 
     Component ids follow each component's smallest vertex; vertices
-    outside ``verts`` get label -1. Ids in ``verts`` are validated by
-    :func:`as_vertex_tuple`. Induced edge counts come from
-    :meth:`ComponentDecomposition.edge_counts`, a separate pass.
+    outside ``verts`` get label -1. :func:`_component_roots` reads all
+    ones, or ``verts`` as a mask, checked by :func:`as_vertex_tuple`.
+    Induced edge counts come from :meth:`ComponentDecomposition.edge_counts`.
     """
     n = g.n
-    if verts is None:
-        inside = np.ones(n, dtype=bool)
-        lab = _component_roots(g)
-    else:
-        inside = _vertex_mask(g, verts)
-        lab = _component_roots(g, inside)
+    inside = np.ones(n, dtype=bool) if verts is None else _vertex_mask(g, verts)
+    lab = _component_roots(g, inside)
     roots = inside & (lab == np.arange(n))
     labels = np.where(inside, np.cumsum(roots)[lab] - 1, -1)
     sizes = np.bincount(lab[inside], minlength=n)[roots]

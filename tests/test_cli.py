@@ -149,6 +149,14 @@ def test_malformed_file_exits_3(tmp_path, capsys):
     assert code == 3 and "format error" in err
 
 
+def test_vertex_count_past_int64_keys_exits_3(tmp_path, capsys):
+    bad = tmp_path / "big.el"
+    bad.write_text("9223372036854775808 0\n")
+    code, out, err = run(capsys, "fragment", "--in", str(bad), "--method", "greedy", "--cap", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("format error: ") and err.count("\n") == 1
+
+
 def test_non_ascii_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_bytes(b"3 1\n0 \xff1\n")
@@ -373,7 +381,7 @@ def test_main_maps_each_exception_to_its_exit_code(tmp_path, capsys, monkeypatch
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # an edge-list header declaring 10**12 vertices fails to allocate; the
+    # an edge-list header declaring 3e9 vertices fails to allocate; the
     # failure is raised here rather than allocated, which on a host with
     # heuristic overcommit could be let through and thrash instead
     def read_edgelist(path):

@@ -64,6 +64,8 @@ def cfg_small(**overrides):
         dict(model="regular", c=None, d=None),
         dict(k_grid=(math.inf,)),
         dict(k_grid=(2, math.nan)),
+        dict(k_grid=(2, 4, 2)),
+        dict(k_grid=None, x_grid=(0.5, 0.25, 0.5)),
     ],
 )
 def test_config_rejections(overrides):
@@ -228,16 +230,17 @@ def replicate_graph(cfg, r):
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(k_grid=(8, 2, 5, 2, 1, 300, 500)),
-        dict(k_grid=None, x_grid=(0.2, 0.01, 1.0, 0.05, 0.01)),
-        dict(model="regular", c=None, d=3, k_grid=(3, 300, 1, 3, 12)),
+        dict(k_grid=(8, 2, 5, 3, 1, 300, 500)),
+        dict(k_grid=None, x_grid=(0.2, 0.01, 1.0, 0.05, 0.0095)),
+        dict(model="regular", c=None, d=3, k_grid=(3, 300, 1, 4, 12)),
         dict(model="regular", c=None, d=4, k_grid=None, x_grid=(0.5, 0.02, 0.1)),
     ],
 )
 def test_greedy_rows_match_separate_runs(overrides):
     # one greedy run per replicate serves the whole grid: unsorted grids,
     # repeated caps and caps >= n give the rows, and the certified results,
-    # of separate runs per cap
+    # of separate runs per cap. A grid may not repeat a value, but two x
+    # values may share a cap: 0.01 and 0.0095 both give 3 at n = 300.
     cfg = cfg_small(method="greedy", n=300, replicates=3, **overrides)
     if cfg.k_grid:
         est, caps = estimate_curve_k(cfg), list(cfg.k_grid)
@@ -336,7 +339,7 @@ def test_forest_pipeline_orients_once_per_replicate(monkeypatch):
 
     monkeypatch.setattr(experiments, "_forest_order", counted)
     estimate_curve_k(cfg_small(method="forest-pipeline", n=300, replicates=3,
-                               k_grid=(8, 300, 2, 4, 2)))
+                               k_grid=(8, 300, 2, 4, 3)))
     assert calls == [300] * 3
     calls.clear()
     estimate_curve_k(cfg_small(method="forest-pipeline", n=300, replicates=3, k_grid=(300,)))
@@ -491,6 +494,12 @@ def test_empirical_slopes():
     )
     with pytest.raises(ValueError):
         empirical_slopes(single)
+    repeated = CurveEstimate(  # built by hand: ``validate`` refuses such a grid
+        model="gnp", param=2.0, n=10, grid_kind="k",
+        points=(CurvePoint(2, (0.2,), (1,), (0,)), CurvePoint(2, (0.4,), (1,), (0,))),
+    )
+    with pytest.raises(ValueError, match="two grid points"):
+        empirical_slopes(repeated)
 
 
 def test_result_component_count_descriptive():
@@ -567,7 +576,12 @@ def test_saved_file_shape(tmp_path):
                                   dict(k_grid=None, x_grid=(0.1, 0.1000000001, 0.5))])
 def test_save_rejects_grid_values_written_alike(tmp_path, grid):
     cfg = cfg_small(method="greedy", n=30, replicates=2, **grid)
-    est = estimate_curve_k(cfg) if cfg.k_grid else estimate_curve_x(cfg)
+    if cfg.k_grid:  # ``validate`` refuses a repeated value: repeat a point by hand
+        est = estimate_curve_k(dataclasses.replace(cfg, k_grid=tuple(sorted(set(cfg.k_grid)))))
+        at = {p.grid_value: p for p in est.points}
+        est = dataclasses.replace(est, points=tuple(at[k] for k in cfg.k_grid))
+    else:
+        est = estimate_curve_x(cfg)
     p = tmp_path / "dup.csv"
     with pytest.raises(ValueError, match="repeat"):
         save_results(est, p)

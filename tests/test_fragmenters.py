@@ -716,12 +716,13 @@ def test_level_scan_matches_heap_at_scale():
 
 
 def lfmis_order(g, region, j):
-    """Removal order of ``_lfmis_elimination`` on ``region``, as a list."""
+    """Removal order of ``_lfmis_elimination`` on ``region``, as a list;
+    for ``j = 0`` the vertices it leaves follow, in ascending order."""
     inside = np.zeros(g.n, dtype=bool)
     inside[list(region)] = True
-    order = _lfmis_elimination(g, inside, j).tolist()
-    if len(set(region)) == g.n:
-        assert _lfmis_elimination(g, None, j).tolist() == order
+    order = _lfmis_elimination(g, inside).tolist()
+    if j == 0:
+        order += sorted(set(region).difference(order))
     return order
 
 
@@ -856,7 +857,7 @@ def test_lfmis_elimination_finishes_a_long_chain_in_order():
     # the rounds settle two vertices each on an ascending chain, so the
     # ascending pass over the edges left decides it, without ``adj``
     g = path(100_000)
-    order = _lfmis_elimination(g)
+    order = _lfmis_elimination(g, np.ones(g.n, dtype=bool))
     assert g._view is None
     alive = bytearray([1]) * g.n
     assert order.tolist() == heap_empty_core(g.adj, alive, [len(a) for a in g.adj], 1)
@@ -903,7 +904,7 @@ def edgeless_reference_cuts(g):
     removals go back in reverse order, each joining every present
     neighbour's set. The kept vertices are independent, so the
     reference's one set per vertex is their seed."""
-    order = _lfmis_elimination(g).tolist()
+    order = _lfmis_elimination(g, np.ones(g.n, dtype=bool)).tolist()
     present = bytearray([1]) * g.n
     for v in order:
         present[v] = 0

@@ -175,6 +175,12 @@ def test_path_properties():
         path(0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_path_matches_the_pairs_build(n):
+    pairs = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert path(n) == pairs and path(n).edges == pairs.edges and path(n).adj == pairs.adj
+
+
 # ---------------------------------------------------------------------------
 # Reference generators: per-edge Python loops that make the same random draws
 # as ``gnp`` and ``random_regular``, so they must give the same graphs.

@@ -106,6 +106,20 @@ def test_build_rejections_are_distinct():
         Graph(-1, [])
 
 
+@pytest.mark.parametrize("n,edges", [(3_037_000_500, []), (2**64, []),
+                                     (4_000_000_000, [(3_999_999_998, 3_999_999_999)])])
+def test_vertex_counts_whose_edge_keys_overflow_int64_are_refused(n, edges):
+    # an edge is keyed as u * n + v in int64: at 4e9 the key wrapped and the
+    # edge came back as (-611686020, 2290448383); at 2**64, OverflowError
+    with pytest.raises(ValueError, match="at most 3037000499"):
+        Graph(n, edges)
+
+
+def test_largest_vertex_count_keeps_its_edges():
+    g = Graph(3_037_000_499, [(3_037_000_497, 3_037_000_498)])  # nothing n-sized is built
+    assert g.edges == ((3_037_000_497, 3_037_000_498),)
+
+
 def build_outcome(n, edges):
     """``(edges, adj)`` of the built graph, or the ``ValueError`` message."""
     try:
@@ -321,7 +335,7 @@ def test_numpy_paths_never_build_adj(tmp_path, monkeypatch):
         # certificate lists its ids from the kept mask
         assert greedy_fragment(g, 8).max_component <= 8
         assert trim_components(g, half, 8).max_component <= 8
-        assert _lfmis_elimination(g).size > 0
+        assert _lfmis_elimination(g, np.ones(g.n, dtype=bool)).size > 0
         assert cli_main(["fragment", "--in", str(p), "--method", "greedy", "--cap", "8"]) == 0
         assert g._view is None and back._view is None
     for model, extra in [("gnp", ["--c", "2"]), ("regular", ["--d", "3"]), ("tree", []),
