@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .graph import Graph, _arcs, _component_roots, components
+from .graph import Graph, _arcs, _component_roots, _vertex_mask, components
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -409,13 +409,19 @@ def density_scan(
 
 
 def components_pass_density(g: Graph, s: Iterable[int], eps: float) -> bool:
-    """Whether every component of ``G[S]`` spans at most ``(1+eps/3)`` times its size."""
+    """Whether every component of ``G[S]`` spans at most ``(1+eps/3)`` times its size.
+
+    Sizes and induced edge counts are two ``bincount``s over the roots of
+    :func:`_component_roots`."""
     if not eps >= 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
-    comp = components(g, s)
-    return not any(
-        _too_dense(edges, size, eps) for edges, size in zip(comp.edge_counts(g), comp.sizes)
-    )
+    inside = _vertex_mask(g, s)
+    root = _component_roots(g, inside)
+    u, v = g._ends
+    sizes = np.bincount(root[inside], minlength=g.n)
+    edges = np.bincount(root[u[inside[u] & inside[v]]], minlength=g.n)
+    dense = edges > sizes  # no other component can exceed (1+eps/3) times its size
+    return not _too_dense(edges[dense], sizes[dense], eps).any()
 
 
 def giant_component_fraction(g: Graph) -> float:

@@ -36,7 +36,7 @@ from .fragmenters import (
     pipeline_fragment,
 )
 from .generators import gnp, random_regular
-from .graph import Graph, _vertex_mask, components
+from .graph import Graph, _component_roots, _vertex_mask, components
 
 METHODS = ("exact", "greedy", "forest-pipeline")
 
@@ -155,25 +155,29 @@ def _generate(cfg: ExperimentConfig, r: int) -> Graph:
     return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)  # type: ignore[arg-type]
 
 
-def _row(g: Graph, inside: np.ndarray) -> Tuple[float, int]:
+def _row(g: Graph, inside: np.ndarray, roots: Optional[np.ndarray] = None) -> Tuple[float, int]:
     """The curve row ``(nu, max_component)`` of the kept set, the boolean
-    mask ``inside``, certified from the graph (see :func:`_component_sizes`)."""
-    sizes = _component_sizes(g, inside)
+    mask ``inside``, certified from the graph: its component sizes are
+    counted over ``roots``, its :func:`_component_roots` labels, or a fresh pass."""
+    sizes = _component_sizes(g, inside) if roots is None else np.bincount(roots[inside])
     return 1.0 if g.n == 0 else int(sizes.sum()) / g.n, int(sizes.max(initial=0))
 
 
 def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tuple[float, int]]:
     """One certified row ``(nu, max_component)`` per cap for replicate
-    graph ``g``, made as it is read, so a caller holds one row at a time.
+    graph ``g``, in the order of ``caps``.
 
     ``greedy`` eliminates once: the removals at cap ``k`` are the
-    vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`), and
-    each cap's kept set is certified on its own by :func:`_row`, with no
-    vertex tuples, and a greedy replicate never builds ``adj``.
+    vertices whose cut size exceeds ``k`` (see :func:`_greedy_cuts`). The
+    distinct caps' kept sets are certified by :func:`_row` in ascending
+    order, with no vertex tuples and no ``adj``; each components pass
+    starts from the last cap's labels when its mask contains the last
+    mask, a check on the masks alone, and from fresh labels otherwise.
     ``forest-pipeline`` decycles ``g`` and orients the forest (see
     :func:`_forest_order`) at most once, and only when some cap is below
-    the largest component; each such cap costs one sweep and one certification.
-    ``exact`` reads each cap's row off the oracle's certified result.
+    the largest component; each such cap costs one sweep and one
+    certification. ``exact`` reads each cap's row off the oracle's
+    certified result.
     """
     if method == "exact":
         for cap in caps:
@@ -182,8 +186,12 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
         return
     if method == "greedy":
         cut = _greedy_cuts(g)
-        for cap in caps:
-            yield _row(g, cut <= cap)
+        rows, lab, last = {}, None, np.zeros(g.n, dtype=bool)
+        for cap in sorted(set(caps)):
+            inside = cut <= cap
+            lab = _component_roots(g, inside, None if (last > inside).any() else lab)
+            rows[cap], last = _row(g, inside, lab), inside
+        yield from map(rows.__getitem__, caps)
         return
     if method != "forest-pipeline":
         raise ValueError(f"unknown method {method!r}")

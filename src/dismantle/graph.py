@@ -222,27 +222,30 @@ class ComponentDecomposition:
         return np.bincount(ends, minlength=len(self.sizes)).tolist()
 
 
-def _component_roots(g: Graph, inside: np.ndarray) -> np.ndarray:
+def _component_roots(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] = None) -> np.ndarray:
     """Each vertex's smallest component-mate in the subgraph of ``g`` induced
     by the boolean mask ``inside``; a vertex outside keeps its id.
 
     Min-label hooking plus pointer jumping (Shiloach & Vishkin, J.
-    Algorithms 3, 1982) over the edges with both ends inside. Each round
-    hooks the larger label of every edge whose ends differ onto the
-    smaller, jumps pointers until every label is a root, and drops the
-    edges whose ends now agree. Labels only fall, never below the
-    smallest vertex of their component, so they end there.
+    Algorithms 3, 1982) over the edges with both ends inside, one ``(2, k)``
+    array. Each round hooks the larger label of every edge whose ends
+    differ onto the smaller, jumps pointers until every label is a root,
+    and compresses away the edges whose ends now agree. Labels only fall,
+    never below the smallest vertex of their component, so they end there.
+    ``start``, the labels returned for a mask contained in ``inside``, may
+    replace the vertex ids: components only merge as vertices join, so
+    each start label is a root in its vertex's component, and the old
+    mask's edges drop out in the first round.
     """
-    lab = np.arange(g.n)
-    u, v = g._ends
-    both = inside[u] & inside[v]
-    u, v = u[both], v[both]
+    lab = np.arange(g.n) if start is None else start.copy()
+    ends = np.compress(inside[g._ends[0]] & inside[g._ends[1]], g._ends, axis=1)
     while True:
-        lu, lv = lab[u], lab[v]
-        split = lu != lv
+        le = lab[ends]
+        split = le[0] != le[1]
         if not split.any():
             return lab
-        u, v, lu, lv = u[split], v[split], lu[split], lv[split]
+        ends = np.compress(split, ends, axis=1)
+        lu, lv = np.compress(split, le, axis=1)
         np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             up = lab[lab]

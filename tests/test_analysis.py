@@ -13,6 +13,7 @@ from dismantle import (
     EnumerationBudgetError,
     admissible_delta,
     chernoff_upper_tail,
+    components,
     components_pass_density,
     connected_vertex_sets,
     delta_sweep,
@@ -725,6 +726,23 @@ def test_components_pass_density_cases():
     assert components_pass_density(k4(), range(4), math.inf)
     with pytest.raises(ValueError, match="nan"):
         components_pass_density(k4(), range(4), math.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_components_pass_density_matches_the_decomposition(data):
+    # the two bincounts over the roots agree with the sizes and induced
+    # edge counts of ``components``, tested one component at a time
+    n = data.draw(st.integers(0, 12))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
+    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    s = data.draw(st.sets(vertex)) if n else set()
+    eps = data.draw(st.sampled_from([0.0, 0.48, 0.5, 1.0, 3.0, math.inf]))
+    comp = components(g, s)
+    expected = all(e <= (1.0 + eps / 3.0) * size + 1e-12
+                   for e, size in zip(comp.edge_counts(g), comp.sizes))
+    assert components_pass_density(g, s, eps) is expected
 
 
 def test_density_checks_agree_at_the_boundary():

@@ -1,12 +1,17 @@
 import dataclasses
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dismantle import (
     CurveEstimate,
     CurvePoint,
     ExperimentConfig,
+    Graph,
     ResultsFormatError,
     components,
     concentration_report,
@@ -22,6 +27,7 @@ from dismantle import (
     induced_subgraph,
     load_results,
     monotone_inverse,
+    path,
     pool_adjacent_violators,
     random_regular,
     save_results,
@@ -266,6 +272,65 @@ def test_greedy_rows_build_no_adjacency():
     rows = list(experiments._method_results(g, [1, 2, 8, 32, 2000], "greedy"))
     assert len(rows) == 5 and rows[-1] == (1.0, components(g).largest)
     assert g._view is None
+
+
+def test_greedy_rows_certify_each_distinct_cap_once_from_the_last_labels(monkeypatch):
+    # unsorted caps with a repeat: the distinct caps are certified in
+    # ascending order, every pass after the first starts from the last
+    # labels, and the rows come back in the caller's order, each equal to
+    # a fresh certification of its kept set
+    starts = []
+    real = experiments._component_roots
+
+    def spy(g, inside, start=None):
+        starts.append(start is not None)
+        return real(g, inside, start)
+
+    monkeypatch.setattr(experiments, "_component_roots", spy)
+    caps = [64, 1, 8, 8, 2, 10_000]
+    for g in (gnp(2000, 2.0, 1), random_regular(2000, 3, 1), path(50)):
+        cut = experiments._greedy_cuts(g)
+        starts.clear()
+        rows = list(experiments._method_results(g, caps, "greedy"))
+        assert starts == [False, True, True, True, True]
+        assert rows == [experiments._row(g, cut <= cap) for cap in caps]
+
+
+class MaskTable:
+    """Stands in for greedy's cut sizes: ``cut <= cap`` reads mask ``cap``
+    off a table, so ``_method_results`` certifies any family of masks."""
+
+    def __init__(self, masks):
+        self.masks = masks
+
+    def __le__(self, cap):
+        return self.masks[cap]
+
+
+def test_greedy_rows_fall_back_to_fresh_labels_when_a_mask_drops_a_vertex():
+    # on the path 0-1-2, the labels of {0, 1, 2} would join 0 and 2 of
+    # {0, 2}, which are two components
+    masks = [np.ones(3, dtype=bool), np.array([True, False, True])]
+    with mock.patch.object(experiments, "_greedy_cuts", lambda g: MaskTable(masks)):
+        rows = list(experiments._method_results(path(3), [1, 0], "greedy"))
+    assert rows == [(2 / 3, 1), (1.0, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_greedy_rows_of_any_mask_family_match_fresh_passes(data):
+    # the containment check reads the masks alone, so a family that is
+    # not nested still gives each mask's fresh row
+    n = data.draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    masks = data.draw(st.lists(mask, min_size=1, max_size=4))
+    caps = data.draw(st.lists(st.integers(0, len(masks) - 1), min_size=1, max_size=6))
+    with mock.patch.object(experiments, "_greedy_cuts", lambda g: MaskTable(masks)):
+        rows = list(experiments._method_results(g, caps, "greedy"))
+    assert rows == [experiments._row(g, masks[cap]) for cap in caps]
 
 
 def count_greedy_calls(monkeypatch):

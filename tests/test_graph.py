@@ -560,6 +560,32 @@ def test_masked_components_match_induced_subgraph(case):
         components(g, verts | {0.5})
 
 
+@st.composite
+def nested_mask_families(draw):
+    """A graph as in :func:`graphs_and_regions` and one to five masks, each
+    containing the last: vertex ``v`` joins at step ``join[v]``, or never."""
+    g, _ = draw(graphs_and_regions())
+    steps = draw(st.integers(1, 5))
+    join = np.array(draw(st.lists(st.integers(0, steps), min_size=g.n, max_size=g.n)), dtype=np.intp)
+    return g, [join <= step for step in range(steps)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(nested_mask_families())
+def test_component_roots_from_a_contained_masks_labels_match_a_fresh_pass(case):
+    # the labels of a contained mask are a valid start: a chain of passes,
+    # each from the last one's labels, gives every mask's fresh labels,
+    # and the start is read, never written
+    g, masks = case
+    lab = None
+    for inside in masks:
+        held = None if lab is None else lab.copy()
+        new = dismantle.graph._component_roots(g, inside, lab)
+        assert np.array_equal(new, dismantle.graph._component_roots(g, inside))
+        assert lab is None or np.array_equal(lab, held)
+        lab = new
+
+
 def test_induced_k4_pair():
     sub, idx = induced_subgraph(k4(), [0, 1])
     assert sub.n == 2 and sub.edges == ((0, 1),)

@@ -1,4 +1,4 @@
-"""sha256 digests of the package's removal sets, orders, labels and scans.
+"""sha256 digests of the package's removal sets, orders, rows, labels and scans.
 
 Each case runs one function on one seeded graph, on the whole graph or on
 a seeded 70% region, and writes one JSON line: function, graph, n,
@@ -43,6 +43,7 @@ GRAPHS = [
 ]
 TRIM_TARGETS = (1, 3, 8)
 FOREST_CAPS = [1, 2, 8, 64, 10_000]
+GREEDY_CAPS = [64, 1, 8, 8, 2, 10_000]  # unsorted, with a repeat
 
 
 def sha(items) -> str:
@@ -59,6 +60,8 @@ def cases(g, t_max: int, region):
     for target in TRIM_TARGETS:
         yield f"trim_components target={target}", sha(trim_components(g, s, target).removed)
     yield "_decycled_forest", sha(np.flatnonzero(_decycled_forest(g, _vertex_mask(g, s))).tolist())
+    rows = experiments._method_results(sub, GREEDY_CAPS, "greedy")
+    yield f"_method_results greedy caps={GREEDY_CAPS}", sha(json.dumps(list(rows)))
     rows = experiments._method_results(sub, FOREST_CAPS, "forest-pipeline")
     yield f"_method_results forest-pipeline caps={FOREST_CAPS}", sha(json.dumps(list(rows)))
     yield "components labels", sha(components(g, region).labels)
