@@ -60,7 +60,6 @@ from .graph import (
     ComponentDecomposition,
     EdgeListFormatError,
     Graph,
-    as_vertex_tuple,
     components,
     count_short_cycles,
     excess,
@@ -69,4 +68,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -409,13 +409,15 @@ def density_scan(
 
 
 def components_pass_density(g: Graph, s: Iterable[int], eps: float) -> bool:
-    """Whether every component of ``G[S]`` spans at most ``(1+eps/3)`` times its size.
-
-    Sizes and induced edge counts are two ``bincount``s over the roots of
-    :func:`_component_roots`."""
+    """Whether every component of ``G[S]`` spans at most ``(1+eps/3)`` times its size."""
     if not eps >= 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
-    inside = _vertex_mask(g, s)
+    return _components_pass_density(g, _vertex_mask(g, s), eps)
+
+
+def _components_pass_density(g: Graph, inside: np.ndarray, eps: float) -> bool:
+    """:func:`components_pass_density` of the boolean mask ``inside``: two
+    ``bincount``s over the roots of :func:`_component_roots`."""
     root = _component_roots(g, inside)
     u, v = g._ends
     sizes = np.bincount(root[inside], minlength=g.n)

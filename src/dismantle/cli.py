@@ -18,7 +18,6 @@ from .experiments import (
     ExperimentConfig,
     ResultsFormatError,
     _fmt9,
-    _grid_tokens,
     estimate_curve_k,
     estimate_curve_x,
     gap_demo,
@@ -183,7 +182,6 @@ def _cmd_curve(args) -> int:
         k_grid=grid if kind == "k" else None,
         x_grid=grid if kind == "x" else None,
     )
-    _grid_tokens(kind, grid)  # a repeat fails the CSV: refuse it before estimating
     est = estimate_curve_k(cfg, jobs=args.jobs) if kind == "k" else estimate_curve_x(cfg, jobs=args.jobs)
     save_results(est, args.out)
     for pt in est.points:

@@ -17,6 +17,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from operator import index
 from statistics import fmean, stdev
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
@@ -79,6 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if not self.n >= 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        index(self.n)  # a float raises TypeError, as the generators do
         if not self.replicates >= 1:
             raise ValueError(f"need at least 1 replicate, got {self.replicates}")
         if self.method not in METHODS:
@@ -93,6 +95,7 @@ class ExperimentConfig:
                 raise ValueError("regular model requires d")
             if not (self.d >= 1 and self.n > self.d):
                 raise ValueError(f"invalid degree {self.d} for n={self.n}")
+            index(self.d)
             if (self.n * self.d) % 2 != 0:
                 raise ValueError(f"n*d must be even, got n={self.n}, d={self.d}")
         if self.method == "exact" and self.n > DEFAULT_ORACLE_LIMIT:
@@ -102,14 +105,13 @@ class ExperimentConfig:
         grids = [g for g in (self.k_grid, self.x_grid) if g]
         if len(grids) != 1:
             raise ValueError("exactly one non-empty grid (k or x) must be given")
-        if len(set(grids[0])) != len(grids[0]):
-            raise ValueError(f"grid repeats a value: {grids[0]}")
         if self.k_grid:
             if not all(k >= 1 and k % 1 == 0 for k in self.k_grid):  # refuses inf and NaN
                 raise ValueError(f"k grid must hold integers >= 1: {self.k_grid}")
         if self.x_grid:
             if any(not 0 < x <= 1 for x in self.x_grid):
                 raise ValueError(f"x grid must lie in (0, 1]: {self.x_grid}")
+        _grid_tokens("k" if self.k_grid else "x", grids[0])  # values written alike fail the CSV
 
 
 @dataclass(frozen=True)

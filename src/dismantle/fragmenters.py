@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import components_pass_density
+from .analysis import _components_pass_density
 from .graph import Graph, _component_roots, _vertex_mask, excess
 
 
@@ -458,9 +458,9 @@ def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationRe
     Stage one keeps a maximal induced forest of ``G[S]`` (see
     :func:`_decycled_forest`; at most ``excess`` removals per component);
     stage two applies :func:`fragment_forest` to that forest. When every
-    component of ``G[S]`` spans at most ``(1 + eps/3)`` times its size in
-    edges, the total number of removals is certified to stay within
-    ``eps * n`` and a violation raises :class:`PipelineBudgetError`.
+    component of ``G[S]`` (checked on the mask ``s`` is read into) spans
+    at most ``(1 + eps/3)`` times its size in edges, the removals are
+    certified to stay within ``eps * n``; more raise :class:`PipelineBudgetError`.
     """
     cap = component_cap(eps)
     inside = _vertex_mask(g, s)
@@ -471,11 +471,11 @@ def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationRe
         raise RuntimeError(
             f"internal error: component of size {result.max_component} exceeds cap {cap}"
         )
-    s = np.flatnonzero(inside)
-    removed_from_s = s.size - len(result.kept)
-    if removed_from_s > eps * g.n + 1e-9 and components_pass_density(g, s, eps):
+    size = np.count_nonzero(inside)
+    removed_from_s = size - len(result.kept)
+    if removed_from_s > eps * g.n + 1e-9 and _components_pass_density(g, inside, eps):
         raise PipelineBudgetError(
-            f"removed {removed_from_s} of {s.size} vertices, over budget "
+            f"removed {removed_from_s} of {size} vertices, over budget "
             f"{eps * g.n:.1f} despite the density check passing"
         )
     return result

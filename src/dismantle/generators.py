@@ -8,6 +8,8 @@ be regenerated in isolation, bit for bit, on the same build.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from .graph import Graph
@@ -96,6 +98,7 @@ def random_regular(
         raise ValueError(f"degree must be >= 1, got {d}")
     if not n > d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
+    n, d = index(n), index(d)  # a float raises TypeError, as in ``Graph``
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = rng_for(seed, stream)
@@ -121,6 +124,7 @@ def random_tree(n: int, seed: int, stream: int = 0) -> Graph:
     """Uniform random labelled tree (Pruefer-sequence decoding)."""
     if not n >= 1:
         raise ValueError(f"need n >= 1, got {n}")
+    n = index(n)
     rng = rng_for(seed, stream)  # checks the seed even where nothing is drawn
     if n == 1:
         return Graph(1)

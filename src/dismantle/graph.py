@@ -259,8 +259,8 @@ def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDeco
 
     Component ids follow each component's smallest vertex; vertices
     outside ``verts`` get label -1. :func:`_component_roots` reads all
-    ones, or ``verts`` as a mask, checked by :func:`as_vertex_tuple`.
-    Induced edge counts come from :meth:`ComponentDecomposition.edge_counts`.
+    ones, or ``verts`` as read by :func:`_vertex_mask`. Induced edge
+    counts come from :meth:`ComponentDecomposition.edge_counts`.
     """
     n = g.n
     inside = np.ones(n, dtype=bool) if verts is None else _vertex_mask(g, verts)
@@ -271,44 +271,46 @@ def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDeco
     return ComponentDecomposition(tuple(labels.tolist()), tuple(sizes.tolist()))
 
 
-def as_vertex_tuple(g: Graph, s: Iterable[int]) -> Tuple[int, ...]:
-    """Normalize a vertex set to a sorted tuple of Python ints, checking the
-    id range. Ids are read through ``operator.index``, so a float raises
-    ``TypeError`` (numpy would truncate it) and a numpy or bool id becomes
-    a Python ``int``."""
-    ids = sorted(set(map(index, s)))
-    if ids and (ids[0] < 0 or ids[-1] >= g.n):
-        bad = ids[0] if ids[0] < 0 else ids[-1]
-        raise ValueError(f"invalid vertex id {bad} for graph with n={g.n}")
-    return tuple(ids)
-
-
 def _vertex_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
-    """The vertex set ``s`` as a boolean mask of length ``g.n``; ids are
-    read and checked by :func:`as_vertex_tuple`."""
+    """The vertex set ``s`` as a boolean mask of length ``g.n``. ``s`` is
+    iterated once, each id read through ``operator.index``: a float raises
+    ``TypeError`` (numpy would truncate it). An id outside ``0..n-1`` raises
+    ``ValueError`` naming the smallest id if negative, else the largest."""
+    ids = list(map(index, s))
+    try:
+        a = np.array(ids, dtype=np.int64)
+        lo, hi = a.min(initial=0), a.max(initial=-1)
+    except OverflowError:  # an id beyond int64, so out of range
+        lo, hi = min(ids), max(ids)
+    if lo < 0 or hi >= g.n:
+        raise ValueError(f"invalid vertex id {lo if lo < 0 else hi} for graph with n={g.n}")
     inside = np.zeros(g.n, dtype=bool)
-    inside[np.fromiter(as_vertex_tuple(g, s), np.intp)] = True
+    inside[a] = True
     return inside
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:
     """Subgraph induced by ``s`` plus the old->new index map.
 
-    New ids follow the sorted order of ``s``, so the map is the unique
-    order-preserving bijection onto ``0..len(s)-1``. The edges with both
-    ends in ``s`` are picked from ``g._ends`` and relabelled in numpy.
+    New ids follow the ascending order of ``s``'s distinct ids, read by
+    :func:`_vertex_mask`, so the map is the unique order-preserving
+    bijection onto ``0..k-1``. The edges with both ends in ``s`` are
+    picked from ``g._ends`` and relabelled in numpy.
     """
-    ids = as_vertex_tuple(g, s)
+    ids = np.flatnonzero(_vertex_mask(g, s))
+    k = ids.size
     new = np.full(g.n, -1, dtype=np.intp)
-    new[np.fromiter(ids, np.intp, len(ids))] = np.arange(len(ids))
+    new[ids] = np.arange(k)
     u, v = new[g._ends]
     both = (u >= 0) & (v >= 0)
-    return Graph(len(ids), np.column_stack((u[both], v[both]))), dict(zip(ids, range(len(ids))))
+    return Graph(k, np.column_stack((u[both], v[both]))), dict(zip(ids.tolist(), range(k)))
 
 
 def excess(g: Graph) -> int:
-    """Edges minus vertices plus components; 0 exactly for forests."""
-    return g.m - g.n + components(g).count
+    """Edges minus vertices plus components; 0 exactly for forests. A
+    component is counted at its root: the vertex whose label is its own."""
+    roots = _component_roots(g, np.ones(g.n, dtype=bool)) == np.arange(g.n)
+    return g.m - g.n + int(np.count_nonzero(roots))
 
 
 def count_short_cycles(g: Graph, k: int) -> int:

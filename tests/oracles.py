@@ -2,7 +2,8 @@
 oracles of ``dismantle.exact``, a depth-first search for
 ``dismantle.components``, a pairs loop for the adjacency that
 ``dismantle.Graph`` builds in numpy, line-at-a-time edge-list I/O for
-the bulk ``read_edgelist`` and ``write_edgelist``, a per-vertex loop
+the bulk ``read_edgelist`` and ``write_edgelist``, a sort of the
+distinct ids for the numpy reading of a vertex set, a per-vertex loop
 for the numpy ``induced_subgraph``, and a union-find started from
 single vertices for the seeded add-back of the fragmenters. It also
 holds the small graphs several test modules share: ``c5``, ``k4`` and
@@ -288,14 +289,32 @@ def write_edgelist_by_edges(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def induced_subgraph_by_loop(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:
-    """Reference for ``induced_subgraph``: the edges of ``G[s]`` gathered
-    one neighbor tuple at a time, relabelled through a dict. Ids are read
-    through ``operator.index`` and range-checked with the library's message."""
+def sorted_vertex_ids(g: Graph, s: Iterable[int]) -> list[int]:
+    """Reference reading of a vertex set: the distinct ids of ``s``, each
+    read through ``operator.index``, sorted, and range-checked with the
+    library's message, which names the smallest id if negative, else the
+    largest."""
     ids = sorted(set(map(index, s)))
     if ids and (ids[0] < 0 or ids[-1] >= g.n):
         bad = ids[0] if ids[0] < 0 else ids[-1]
         raise ValueError(f"invalid vertex id {bad} for graph with n={g.n}")
+    return ids
+
+
+def vertex_mask_by_sorting(g: Graph, s: Iterable[int]) -> list[bool]:
+    """Reference for ``graph._vertex_mask``: the ids of
+    :func:`sorted_vertex_ids` flagged in a list of ``g.n`` booleans."""
+    mask = [False] * g.n
+    for v in sorted_vertex_ids(g, s):
+        mask[v] = True
+    return mask
+
+
+def induced_subgraph_by_loop(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:
+    """Reference for ``induced_subgraph``: the edges of ``G[s]`` gathered
+    one neighbor tuple at a time, relabelled through a dict. Ids are read
+    by :func:`sorted_vertex_ids`."""
+    ids = sorted_vertex_ids(g, s)
     new = {v: i for i, v in enumerate(ids)}
     edges = []
     for v in ids:

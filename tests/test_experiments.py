@@ -72,6 +72,7 @@ def cfg_small(**overrides):
         dict(k_grid=(2, math.nan)),
         dict(k_grid=(2, 4, 2)),
         dict(k_grid=None, x_grid=(0.5, 0.25, 0.5)),
+        dict(k_grid=None, x_grid=(0.1, 0.1000000001, 0.5)),
     ],
 )
 def test_config_rejections(overrides):
@@ -91,6 +92,17 @@ def test_config_rejections(overrides):
 )
 def test_config_nan_names_its_field(overrides, message):
     with pytest.raises(ValueError, match=message):
+        cfg_small(**overrides).validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n=10.0),
+    dict(model="regular", c=None, d=3, n=10.0),
+    dict(model="regular", c=None, d=3.0, n=10),
+    dict(model="regular", c=None, d=2.5, n=4),
+])
+def test_config_refuses_a_float_count(overrides):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         cfg_small(**overrides).validate()
 
 
@@ -640,13 +652,17 @@ def test_saved_file_shape(tmp_path):
 @pytest.mark.parametrize("grid", [dict(k_grid=(4, 4, 8)),
                                   dict(k_grid=None, x_grid=(0.1, 0.1000000001, 0.5))])
 def test_save_rejects_grid_values_written_alike(tmp_path, grid):
+    # ``validate`` refuses values written alike: repeat a point by hand
     cfg = cfg_small(method="greedy", n=30, replicates=2, **grid)
-    if cfg.k_grid:  # ``validate`` refuses a repeated value: repeat a point by hand
+    if cfg.k_grid:
         est = estimate_curve_k(dataclasses.replace(cfg, k_grid=tuple(sorted(set(cfg.k_grid)))))
         at = {p.grid_value: p for p in est.points}
         est = dataclasses.replace(est, points=tuple(at[k] for k in cfg.k_grid))
     else:
-        est = estimate_curve_x(cfg)
+        est = estimate_curve_x(dataclasses.replace(cfg, x_grid=(0.1, 0.5)))
+        first, last = est.points
+        alike = dataclasses.replace(first, grid_value=0.1000000001)
+        est = dataclasses.replace(est, points=(first, alike, last))
     p = tmp_path / "dup.csv"
     with pytest.raises(ValueError, match="repeat"):
         save_results(est, p)

@@ -1106,12 +1106,24 @@ def test_pipeline_certifies_its_cap(monkeypatch):
 
 
 def test_pipeline_density_pass_runs_only_over_budget(monkeypatch):
-    def unexpected(g, s, eps):
+    def unexpected(g, inside, eps):
         raise AssertionError("density pass on an in-budget call")
 
-    monkeypatch.setattr(fragmenters, "components_pass_density", unexpected)
+    monkeypatch.setattr(fragmenters, "_components_pass_density", unexpected)
     g = gnp(300, 2.0, seed=4)
     check_result(g, pipeline_fragment(g, greedy_fragment(g, 40).kept, 0.5), cap=6)
+
+
+def test_pipeline_over_budget_checks_the_density_of_its_input():
+    # decycling four disjoint K5s keeps an edge of each: 12 of 20 removed,
+    # over the budget of 10. The input fails the density check, so no error
+    # is due; the kept forest passes it, so checking that would raise.
+    g = Graph(20, [(5 * i + a, 5 * i + b) for i in range(4) for a in range(5) for b in range(a)])
+    res = pipeline_fragment(g, range(20), 0.5)
+    check_result(g, res, cap=6)
+    assert len(res.removed) == 12
+    assert not components_pass_density(g, range(20), 0.5)
+    assert components_pass_density(g, res.kept, 0.5)
 
 
 # ---------------------------------------------------------------------------

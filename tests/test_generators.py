@@ -18,6 +18,7 @@ from dismantle import (
     random_tree,
     rng_for,
 )
+from dismantle import generators
 
 CHI2_DF15_P999 = 37.697  # critical value, chi-square with 15 dof at 0.001
 
@@ -130,6 +131,23 @@ def test_regular_rejects_small_n():
         random_regular(20, math.nan, seed=1)
     with pytest.raises(ValueError, match="need n > d"):
         random_regular(math.nan, 3, seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_regular(10, 3.0, seed=1),
+    lambda: random_regular(10.0, 3, seed=1),
+    lambda: random_regular(10, 2.5, seed=1),
+    lambda: random_tree(5.5, seed=1),
+    lambda: random_tree(3.0, seed=1),
+    lambda: random_tree(10.0, seed=1),
+])
+def test_float_counts_raise_type_error_before_any_draw(make, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(generators, "rng_for", unexpected)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        make()
 
 
 def test_regular_budget_exhaustion_signalled():

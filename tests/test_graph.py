@@ -45,6 +45,7 @@ from oracles import (
     k4,
     random_graph,
     read_edgelist_by_lines,
+    vertex_mask_by_sorting,
     write_edgelist_by_edges,
 )
 
@@ -657,6 +658,82 @@ def test_induced_subgraph_faults_match_the_loop_reference():
         ours = induced_outcome(induced_subgraph, g, verts)
         assert ours == induced_outcome(induced_subgraph_by_loop, g, verts)
         assert ours[0] is (TypeError if any(isinstance(v, float) for v in verts) else ValueError)
+
+
+BEYOND_INT64 = [2**63 - 1, 2**63, 2**64, 2**70, -2**63, -2**63 - 1, -2**70]
+
+
+@st.composite
+def vertex_set_inputs(draw):
+    """A graph and a maker of a fresh vertex set: a list, tuple, set, range,
+    one-shot generator, numpy array of int8, int64 or uint64, or a bare numpy
+    scalar, of ids that may repeat, be empty, negative, at or past ``n``,
+    beyond int64, bools, numpy scalars or floats."""
+    n = draw(st.integers(0, 12))
+    g = Graph(n, draw(distinct_pairs(n)))
+    near = st.integers(-3, n + 3)
+    kind = draw(st.sampled_from(["list", "tuple", "set", "range", "generator", "int8", "int64",
+                                 "uint64", "scalar"]))
+    if kind == "range":
+        bounds = draw(st.tuples(near, near, st.sampled_from([1, 2, 3, -1, -2])))
+        return g, lambda: range(*bounds)
+    if kind in ("int8", "int64", "uint64"):
+        low, high = np.iinfo(kind).min, np.iinfo(kind).max
+        values = st.one_of(near, st.sampled_from(BEYOND_INT64)).filter(lambda v: low <= v <= high)
+        ids = draw(st.lists(values, max_size=2 * n + 2))
+        return g, lambda: np.array(ids, dtype=kind)
+    if kind == "scalar":
+        v = draw(st.integers(0, max(n - 1, 0)))
+        scalar = draw(st.sampled_from([np.int64(v), np.uint8(v), np.array(v)]))
+        return g, lambda: scalar
+    element = st.one_of(
+        near, near, near,
+        st.sampled_from(BEYOND_INT64),
+        st.booleans(),
+        near.filter(lambda v: v >= 0).map(np.uint64),
+        st.sampled_from([2**63, 2**64 - 1]).map(np.uint64),
+        near.filter(lambda v: -128 <= v <= 127).map(np.int8),
+        near.map(np.int64),
+        st.sampled_from([1.0, 0.5, np.float64(2.0), np.float32(0.0)]),
+    )
+    ids = draw(st.lists(element, max_size=2 * n + 2))
+    ids += ids[: draw(st.integers(0, len(ids)))]  # repeats
+    make = {"list": list, "tuple": tuple, "set": set, "generator": lambda x: (v for v in x)}[kind]
+    return g, lambda: make(ids)
+
+
+def mask_outcome(read, g, s):
+    """The mask ``read`` makes of ``s`` as a list of bools, or the type and
+    message of what it raises."""
+    try:
+        return [bool(x) for x in read(g, s)]
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(vertex_set_inputs())
+def test_vertex_mask_matches_the_sorting_reference(case):
+    g, make = case
+    ours = mask_outcome(dismantle.graph._vertex_mask, g, make())
+    assert ours == mask_outcome(vertex_mask_by_sorting, g, make())
+
+
+def test_vertex_mask_iterates_its_input_once():
+    class Once:
+        def __init__(self, ids):
+            self.ids, self.passes = ids, 0
+
+        def __iter__(self):
+            self.passes += 1
+            return iter(self.ids)
+
+    g = path(10)
+    for ids in ([7, 2, 2, 9], [], [3, 10], [-1, 4]):
+        s = Once(ids)
+        assert mask_outcome(dismantle.graph._vertex_mask, g, s) == mask_outcome(
+            vertex_mask_by_sorting, g, ids)
+        assert s.passes == 1
 
 
 VERTEX_SET_CALLS = {

@@ -9,9 +9,10 @@ exactly when their files are identical, so a rewrite is checked with
     diff old.jsonl new.jsonl
 
 The package is imported from the ``src/`` of the checkout that holds
-this file. Functions that take a region (trimming, decycling,
-``components``) get it as a vertex set; the others run on the subgraph
-it induces. ``--quick`` runs at n = 20,000; the default is n = 100,000.
+this file. Functions that take a region (trimming, decycling, the
+pipeline, ``components``) get it as a vertex set; the others run on the
+subgraph it induces, whose edges are digested too. ``--quick`` runs at
+n = 20,000; the default is n = 100,000.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dismantle import experiments  # noqa: E402
 from dismantle.analysis import density_scan  # noqa: E402
-from dismantle.fragmenters import _decycled_forest, _greedy_cuts, trim_components  # noqa: E402
+from dismantle.fragmenters import (  # noqa: E402
+    _decycled_forest,
+    _greedy_cuts,
+    pipeline_fragment,
+    trim_components,
+)
 from dismantle.generators import gnp, path, random_regular, random_tree  # noqa: E402
 from dismantle.graph import _vertex_mask, components, induced_subgraph  # noqa: E402
 
@@ -60,6 +66,8 @@ def cases(g, t_max: int, region):
     for target in TRIM_TARGETS:
         yield f"trim_components target={target}", sha(trim_components(g, s, target).removed)
     yield "_decycled_forest", sha(np.flatnonzero(_decycled_forest(g, _vertex_mask(g, s))).tolist())
+    yield "pipeline_fragment eps=0.5", sha(pipeline_fragment(g, s, 0.5).removed)
+    yield "induced_subgraph edges", sha(sub.edges)
     rows = experiments._method_results(sub, GREEDY_CAPS, "greedy")
     yield f"_method_results greedy caps={GREEDY_CAPS}", sha(json.dumps(list(rows)))
     rows = experiments._method_results(sub, FOREST_CAPS, "forest-pipeline")
