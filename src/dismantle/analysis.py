@@ -16,7 +16,9 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .graph import Graph, _arcs, _component_roots, _vertex_mask, components
+from .graph import (
+    Graph, _arcs, _check_cap, _component_sizes, _region_edges, _vertex_mask, components,
+)
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -270,14 +272,6 @@ def _connected_sets(
             stack.append((new_ext, e2))
 
 
-def _check_size_cap(t_max) -> None:
-    """Refuse a size cap the walk cannot stop at: below 1, NaN or non-integral."""
-    if not t_max >= 1:
-        raise ValueError(f"size cap must be >= 1, got {t_max}")
-    if t_max % 1:  # the walk stops where len(s_list) == t_max
-        raise ValueError(f"size cap must be an integer, got {t_max}")
-
-
 def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Lazily yield every connected vertex set of size <= ``t_max`` with its edge count.
 
@@ -285,7 +279,7 @@ def connected_vertex_sets(g: Graph, t_max: int) -> Iterator[Tuple[Tuple[int, ...
     order of the walk, which visits every set. A bad ``t_max`` raises
     :class:`ValueError` at call time, before iteration.
     """
-    _check_size_cap(t_max)
+    _check_cap(t_max, "size cap", infinite=False)  # the walk stops where len(s_list) == t_max
     walk = _connected_sets(g.adj, range(g.n), t_max, [0] * g.n, b"\x01" * g.n)
     return ((tuple(sorted(s_list)), e_count) for _, s_list, e_count, _ in walk)
 
@@ -367,14 +361,14 @@ def density_scan(
     so ``t_max`` may be as large as the graph. Exceeding ``budget``
     examined sets raises :class:`EnumerationBudgetError`.
     """
-    _check_size_cap(t_max)
+    _check_cap(t_max, "size cap", infinite=False)
     if not eps >= 0:
         raise ValueError(f"tolerance must be >= 0, got {eps}")
     if not budget >= 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    root = _component_roots(g, np.ones(g.n, dtype=bool))
+    root, sizes = _component_sizes(g, np.ones(g.n, dtype=bool))
     # excess <= 1: every connected subset has e(T) <= |T|; counts by root
-    dense = np.bincount(root[g._ends[0]], minlength=g.n) > np.bincount(root, minlength=g.n)
+    dense = np.bincount(root[g._ends[0]], minlength=g.n) > sizes
     mask = _short_cycle_mask(g, np.flatnonzero(dense[root]), t_max)
     adj, inside, marked = g.adj, [0] * g.n, bytearray(mask)
     roots = np.flatnonzero(mask).tolist()
@@ -416,12 +410,10 @@ def components_pass_density(g: Graph, s: Iterable[int], eps: float) -> bool:
 
 
 def _components_pass_density(g: Graph, inside: np.ndarray, eps: float) -> bool:
-    """:func:`components_pass_density` of the boolean mask ``inside``: two
-    ``bincount``s over the roots of :func:`_component_roots`."""
-    root = _component_roots(g, inside)
-    u, v = g._ends
-    sizes = np.bincount(root[inside], minlength=g.n)
-    edges = np.bincount(root[u[inside[u] & inside[v]]], minlength=g.n)
+    """:func:`components_pass_density` of the boolean mask ``inside``: the
+    region's edges counted at the roots of :func:`_component_sizes`."""
+    root, sizes = _component_sizes(g, inside)
+    edges = np.bincount(root[_region_edges(g, inside)[0]], minlength=g.n)
     dense = edges > sizes  # no other component can exceed (1+eps/3) times its size
     return not _too_dense(edges[dense], sizes[dense], eps).any()
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .fragmenters import FragmentationResult, _make_result
-from .graph import Graph, _vertex_mask
+from .graph import Graph, _check_cap, _vertex_mask
 
 DEFAULT_ORACLE_LIMIT = 20
 
@@ -85,8 +85,7 @@ def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> np.ndarray:
 
 def exact_max_induced(g: Graph, k: int, limit: int = DEFAULT_ORACLE_LIMIT) -> FragmentationResult:
     """Largest vertex set inducing components of at most ``k`` vertices."""
-    if not k >= 1:
-        raise ValueError(f"component cap must be >= 1, got {k}")
+    _check_cap(k)
     return _make_result(g, _largest_kept(g, k, False, limit), "exact-components")
 
 

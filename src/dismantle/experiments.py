@@ -26,7 +26,6 @@ import numpy as np
 from .analysis import admissible_delta, components_pass_density
 from .exact import DEFAULT_ORACLE_LIMIT, exact_max_induced
 from .fragmenters import (
-    _component_sizes,
     _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
@@ -37,7 +36,7 @@ from .fragmenters import (
     pipeline_fragment,
 )
 from .generators import gnp, random_regular
-from .graph import Graph, _component_roots, _vertex_mask, components
+from .graph import Graph, _component_sizes, _vertex_mask, components
 
 METHODS = ("exact", "greedy", "forest-pipeline")
 
@@ -83,6 +82,8 @@ class ExperimentConfig:
         index(self.n)  # a float raises TypeError, as the generators do
         if not self.replicates >= 1:
             raise ValueError(f"need at least 1 replicate, got {self.replicates}")
+        index(self.replicates)
+        index(self.base_seed)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.model == "gnp":
@@ -157,11 +158,9 @@ def _generate(cfg: ExperimentConfig, r: int) -> Graph:
     return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)  # type: ignore[arg-type]
 
 
-def _row(g: Graph, inside: np.ndarray, roots: Optional[np.ndarray] = None) -> Tuple[float, int]:
-    """The curve row ``(nu, max_component)`` of the kept set, the boolean
-    mask ``inside``, certified from the graph: its component sizes are
-    counted over ``roots``, its :func:`_component_roots` labels, or a fresh pass."""
-    sizes = _component_sizes(g, inside) if roots is None else np.bincount(roots[inside])
+def _row(g: Graph, sizes: np.ndarray) -> Tuple[float, int]:
+    """The curve row ``(nu, max_component)`` of a kept set from its
+    certificate, the component ``sizes`` of :func:`_component_sizes`."""
     return 1.0 if g.n == 0 else int(sizes.sum()) / g.n, int(sizes.max(initial=0))
 
 
@@ -191,8 +190,8 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
         rows, lab, last = {}, None, np.zeros(g.n, dtype=bool)
         for cap in sorted(set(caps)):
             inside = cut <= cap
-            lab = _component_roots(g, inside, None if (last > inside).any() else lab)
-            rows[cap], last = _row(g, inside, lab), inside
+            lab, sizes = _component_sizes(g, inside, None if (last > inside).any() else lab)
+            rows[cap], last = _row(g, sizes), inside
         yield from map(rows.__getitem__, caps)
         return
     if method != "forest-pipeline":
@@ -213,7 +212,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
             order, parent = _forest_order(g, forest)
         kept = forest.copy()
         kept[_fragment_forest_removals(order, parent, cap)] = False
-        yield _row(g, kept)
+        yield _row(g, _component_sizes(g, kept)[1])
 
 
 def _replicate_rows(cfg: ExperimentConfig, caps: Sequence[int], r: int) -> list[Tuple[float, int]]:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .analysis import _components_pass_density
-from .graph import Graph, _component_roots, _vertex_mask, excess
+from .graph import Graph, _check_cap, _component_sizes, _region_edges, _vertex_mask, excess
 
 
 class PipelineBudgetError(RuntimeError):
@@ -44,19 +44,12 @@ class FragmentationResult:
     component_count: int = 0
 
 
-def _component_sizes(g: Graph, inside: np.ndarray) -> np.ndarray:
-    """The certificate of the kept set, the boolean mask ``inside``: its
-    component sizes, recomputed from the graph (see :func:`_component_roots`),
-    at each component's smallest vertex and 0 elsewhere."""
-    return np.bincount(_component_roots(g, inside)[inside])
-
-
 def _make_result(g: Graph, inside: np.ndarray, method: str) -> FragmentationResult:
     """Certify the kept set, the boolean mask ``inside`` of length ``g.n``
     (see :func:`_component_sizes`), and list its ids and the rest."""
     if not (isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == (g.n,)):
         raise ValueError(f"kept set is not a boolean mask of length {g.n}")
-    sizes = _component_sizes(g, inside)
+    sizes = _component_sizes(g, inside)[1]
     kept = tuple(np.flatnonzero(inside).tolist())
     removed = tuple(np.flatnonzero(~inside).tolist())
     nu = 1.0 if g.n == 0 else len(kept) / g.n
@@ -132,8 +125,7 @@ def fragment_forest(f: Graph, k: int) -> FragmentationResult:
     paths whose length is a multiple of ``k+1``. Trees with at most ``k``
     vertices are left untouched; a tree with ``k+1`` costs one removal.
     """
-    if not k >= 1:
-        raise ValueError(f"component cap must be >= 1, got {k}")
+    _check_cap(k)
     if excess(f) != 0:
         raise ValueError("input graph is not a forest")
     kept = np.ones(f.n, dtype=bool)
@@ -151,16 +143,17 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> None:
     it closes no cycle of, through a union-find.
 
     The union-find starts from the trees of ``present``: each vertex's
-    parent is its label from :func:`_component_roots`, and each label's
-    size is its tree's. A vertex joins unless two of its present
-    neighbours lie in one tree; a joining vertex merges the trees of its
-    present neighbours and is marked in ``present``. Decycling is its
-    only caller.
+    parent is its label from :func:`_component_sizes`, each root's size
+    is its tree's, and a vertex outside the forest is a root of size 1.
+    A vertex joins unless two of its present neighbours lie in one tree;
+    a joining vertex merges the trees of its present neighbours and is
+    marked in ``present``. Decycling is its only caller.
     """
     adj = g.adj
-    labels = _component_roots(g, np.frombuffer(present, dtype=bool))
+    inside = np.frombuffer(present, dtype=bool)
+    labels, sizes = _component_sizes(g, inside)
     parent = labels.tolist()
-    size = np.bincount(labels, minlength=g.n).tolist()
+    size = (sizes + ~inside).tolist()
     for v in order:
         roots = []
         for u in adj[v]:
@@ -178,13 +171,6 @@ def _add_back(g: Graph, present: bytearray, order: Iterable[int]) -> None:
                 u, root = root, u
             parent[u] = root
             size[root] += size[u]
-
-
-def _region_degrees(g: Graph, inside: np.ndarray) -> np.ndarray:
-    """Degrees in the subgraph induced by the boolean mask ``inside``, 0
-    outside it: one bincount of the edges with both ends inside."""
-    ends = np.compress(inside[g._ends[0]] & inside[g._ends[1]], g._ends, axis=1)
-    return np.bincount(ends.ravel(), minlength=g.n)
 
 
 def _empty_core(adj, alive: bytearray, deg: list[int]) -> list[int]:
@@ -300,8 +286,7 @@ def _lfmis_elimination(g: Graph, inside: np.ndarray) -> np.ndarray:
     """
     n = g.n
     left = inside.copy()
-    # ``np.compress`` picks columns several times faster than a boolean index.
-    rest = np.compress(left[g._ends[0]] & left[g._ends[1]], g._ends, axis=1)
+    rest = _region_edges(g, left)
     deg = np.bincount(rest.ravel(), minlength=n)
     pos = np.empty(n, dtype=np.intp)  # a level's vertex -> its position in the level
     mark = np.zeros(n, dtype=bool)  # the level's vertices, while its own edges are picked
@@ -397,8 +382,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     independent set per degree level, and a union-find over the edges.
     None of it builds ``adj``.
     """
-    if not cap >= 1:
-        raise ValueError(f"component cap must be >= 1, got {cap}")
+    _check_cap(cap)
     return _make_result(g, _greedy_cuts(g) <= cap, "greedy")
 
 
@@ -419,7 +403,7 @@ def _decycled_forest(g: Graph, inside: np.ndarray) -> np.ndarray:
        CoreHD (Zdeborova, Zhang & Zhou, Sci. Rep. 6, 37954, 2016). A
        removal needs no cycle test: the next pass restores every one
        that closes no cycle.
-    2. Add-back: one numpy components pass (:func:`_component_roots`)
+    2. Add-back: one numpy components pass (:func:`_component_sizes`)
        seeds a union-find with the trees of the surviving forest, then
        the removals alone go back in reverse order, each only when its
        present neighbours lie in distinct trees.
@@ -430,7 +414,7 @@ def _decycled_forest(g: Graph, inside: np.ndarray) -> np.ndarray:
     one each: a component loses at most ``excess`` vertices.
     """
     alive = bytearray(inside)
-    deg = _region_degrees(g, inside).tolist()
+    deg = np.bincount(_region_edges(g, inside).ravel(), minlength=g.n).tolist()
     removed = _empty_core(g.adj, alive, deg)
     _add_back(g, alive, reversed(removed))
     return np.frombuffer(alive, dtype=bool)
@@ -490,13 +474,10 @@ def trim_components(g: Graph, s: Iterable[int], target: int) -> FragmentationRes
     :func:`_lfmis_elimination`, then the vertices it leaves, ascending.
     Each loses its first ``t - target`` removals; smaller ones, none.
     """
-    if not target >= 1:
-        raise ValueError(f"target size must be >= 1, got {target}")
-    if target < math.inf and target % 1:  # ``inf % 1`` is NaN: inf is no cap
-        raise ValueError(f"target size must be an integer, got {target}")
+    _check_cap(target, "target size")
     inside = _vertex_mask(g, s)
-    root = _component_roots(g, inside)
-    quota = np.bincount(root[inside], minlength=g.n) - target  # indexed by root
+    root, sizes = _component_sizes(g, inside)
+    quota = sizes - target  # indexed by root
     over = inside & (quota[root] > 0)
     order = _lfmis_elimination(g, over)
     over[order] = False  # left independent: each at degree 0, so in id order
@@ -518,7 +499,7 @@ def strip_short_cycles(g: Graph, s: Iterable[int], k: int) -> FragmentationResul
     cycles, so removals stay at most the number of these short cycles.
     """
     inside = _vertex_mask(g, s)
-    largest = _component_sizes(g, inside).max(initial=0)
+    largest = _component_sizes(g, inside)[1].max(initial=0)
     if not largest <= k:
         raise ValueError(f"component of size {largest} exceeds the cap {k}")
     return _make_result(g, _decycled_forest(g, inside), "strip")

@@ -7,6 +7,7 @@ auditable and graphs can be shared freely across concurrent workers.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from operator import index
@@ -216,10 +217,15 @@ class ComponentDecomposition:
     def edge_counts(self, g: Graph) -> list[int]:
         """Edges of ``g`` inside each component."""
         labels = np.array(self.labels, dtype=np.intp)
-        u, v = g._ends
-        ends = labels[u]
-        ends = ends[(ends >= 0) & (ends == labels[v])]
-        return np.bincount(ends, minlength=len(self.sizes)).tolist()
+        lu, lv = labels[_region_edges(g, labels >= 0)]
+        return np.bincount(lu[lu == lv], minlength=len(self.sizes)).tolist()
+
+
+def _region_edges(g: Graph, inside: np.ndarray) -> np.ndarray:
+    """The edges of ``g`` with both ends in the boolean mask ``inside``: the
+    columns of ``g._ends``, in order, as one ``(2, k)`` array. ``np.compress``
+    picks columns several times faster than a boolean index."""
+    return np.compress(inside[g._ends[0]] & inside[g._ends[1]], g._ends, axis=1)
 
 
 def _component_roots(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] = None) -> np.ndarray:
@@ -238,7 +244,7 @@ def _component_roots(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] =
     mask's edges drop out in the first round.
     """
     lab = np.arange(g.n) if start is None else start.copy()
-    ends = np.compress(inside[g._ends[0]] & inside[g._ends[1]], g._ends, axis=1)
+    ends = _region_edges(g, inside)
     while True:
         le = lab[ends]
         split = le[0] != le[1]
@@ -254,21 +260,39 @@ def _component_roots(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] =
             lab = up
 
 
+def _component_sizes(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] = None) -> tuple:
+    """``(labels, sizes)`` of the subgraph of ``g`` induced by the boolean
+    mask ``inside``, recomputed from the graph: the certificate of a kept
+    set. ``labels`` are those of :func:`_component_roots`, which ``start``
+    is passed on to; ``sizes``, of length ``g.n``, holds each component's
+    size at its root, its smallest vertex, and 0 at every other vertex."""
+    lab = _component_roots(g, inside, start)
+    return lab, np.bincount(lab[inside], minlength=g.n)
+
+
+def _check_cap(cap, name: str = "component cap", infinite: bool = True) -> None:
+    """Refuse a cap below 1, NaN, or finite and not an integer, which no
+    size can equal. ``inf`` is no cap, unless ``infinite`` is false:
+    ``inf % 1`` is NaN, so it then fails as no integer."""
+    if not cap >= 1:
+        raise ValueError(f"{name} must be >= 1, got {cap}")
+    if (cap < math.inf or not infinite) and cap % 1:
+        raise ValueError(f"{name} must be an integer, got {cap}")
+
+
 def components(g: Graph, verts: Optional[Iterable[int]] = None) -> ComponentDecomposition:
     """Decompose ``g``, or ``G[verts]`` when ``verts`` is given.
 
     Component ids follow each component's smallest vertex; vertices
-    outside ``verts`` get label -1. :func:`_component_roots` reads all
+    outside ``verts`` get label -1. :func:`_component_sizes` reads all
     ones, or ``verts`` as read by :func:`_vertex_mask`. Induced edge
     counts come from :meth:`ComponentDecomposition.edge_counts`.
     """
-    n = g.n
-    inside = np.ones(n, dtype=bool) if verts is None else _vertex_mask(g, verts)
-    lab = _component_roots(g, inside)
-    roots = inside & (lab == np.arange(n))
+    inside = np.ones(g.n, dtype=bool) if verts is None else _vertex_mask(g, verts)
+    lab, sizes = _component_sizes(g, inside)
+    roots = sizes > 0
     labels = np.where(inside, np.cumsum(roots)[lab] - 1, -1)
-    sizes = np.bincount(lab[inside], minlength=n)[roots]
-    return ComponentDecomposition(tuple(labels.tolist()), tuple(sizes.tolist()))
+    return ComponentDecomposition(tuple(labels.tolist()), tuple(sizes[roots].tolist()))
 
 
 def _vertex_mask(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -295,22 +319,21 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Tuple[Graph, dict]:
     New ids follow the ascending order of ``s``'s distinct ids, read by
     :func:`_vertex_mask`, so the map is the unique order-preserving
     bijection onto ``0..k-1``. The edges with both ends in ``s`` are
-    picked from ``g._ends`` and relabelled in numpy.
+    picked by :func:`_region_edges` and relabelled in numpy.
     """
-    ids = np.flatnonzero(_vertex_mask(g, s))
+    inside = _vertex_mask(g, s)
+    ids = np.flatnonzero(inside)
     k = ids.size
-    new = np.full(g.n, -1, dtype=np.intp)
+    new = np.empty(g.n, dtype=np.intp)
     new[ids] = np.arange(k)
-    u, v = new[g._ends]
-    both = (u >= 0) & (v >= 0)
-    return Graph(k, np.column_stack((u[both], v[both]))), dict(zip(ids.tolist(), range(k)))
+    return Graph(k, new[_region_edges(g, inside)].T), dict(zip(ids.tolist(), range(k)))
 
 
 def excess(g: Graph) -> int:
     """Edges minus vertices plus components; 0 exactly for forests. A
-    component is counted at its root: the vertex whose label is its own."""
-    roots = _component_roots(g, np.ones(g.n, dtype=bool)) == np.arange(g.n)
-    return g.m - g.n + int(np.count_nonzero(roots))
+    component is counted at its root, the one vertex with a size."""
+    sizes = _component_sizes(g, np.ones(g.n, dtype=bool))[1]
+    return g.m - g.n + int(np.count_nonzero(sizes))
 
 
 def count_short_cycles(g: Graph, k: int) -> int:

@@ -33,6 +33,7 @@ from dismantle import (
     save_results,
     verify_estimate,
 )
+from dismantle.graph import _component_sizes
 
 
 def cfg_small(**overrides):
@@ -100,6 +101,8 @@ def test_config_nan_names_its_field(overrides, message):
     dict(model="regular", c=None, d=3, n=10.0),
     dict(model="regular", c=None, d=3.0, n=10),
     dict(model="regular", c=None, d=2.5, n=4),
+    dict(replicates=2.5),
+    dict(base_seed=1.5),
 ])
 def test_config_refuses_a_float_count(overrides):
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
@@ -292,20 +295,25 @@ def test_greedy_rows_certify_each_distinct_cap_once_from_the_last_labels(monkeyp
     # labels, and the rows come back in the caller's order, each equal to
     # a fresh certification of its kept set
     starts = []
-    real = experiments._component_roots
+    real = experiments._component_sizes
 
     def spy(g, inside, start=None):
         starts.append(start is not None)
         return real(g, inside, start)
 
-    monkeypatch.setattr(experiments, "_component_roots", spy)
+    monkeypatch.setattr(experiments, "_component_sizes", spy)
     caps = [64, 1, 8, 8, 2, 10_000]
     for g in (gnp(2000, 2.0, 1), random_regular(2000, 3, 1), path(50)):
         cut = experiments._greedy_cuts(g)
         starts.clear()
         rows = list(experiments._method_results(g, caps, "greedy"))
         assert starts == [False, True, True, True, True]
-        assert rows == [experiments._row(g, cut <= cap) for cap in caps]
+        assert rows == [fresh_row(g, cut <= cap) for cap in caps]
+
+
+def fresh_row(g, inside):
+    """The curve row of the mask ``inside``, certified by a fresh components pass."""
+    return experiments._row(g, _component_sizes(g, inside)[1])
 
 
 class MaskTable:
@@ -342,7 +350,7 @@ def test_greedy_rows_of_any_mask_family_match_fresh_passes(data):
     caps = data.draw(st.lists(st.integers(0, len(masks) - 1), min_size=1, max_size=6))
     with mock.patch.object(experiments, "_greedy_cuts", lambda g: MaskTable(masks)):
         rows = list(experiments._method_results(g, caps, "greedy"))
-    assert rows == [experiments._row(g, masks[cap]) for cap in caps]
+    assert rows == [fresh_row(g, masks[cap]) for cap in caps]
 
 
 def count_greedy_calls(monkeypatch):

@@ -42,9 +42,8 @@ from dismantle.fragmenters import (
     _lfmis,
     _lfmis_elimination,
     _make_result,
-    _region_degrees,
 )
-from dismantle.graph import _vertex_mask
+from dismantle.graph import _region_edges, _vertex_mask
 from oracles import add_back_from_edgeless, c5, components_by_dfs, k4, random_graph
 
 
@@ -977,7 +976,7 @@ def test_region_runs_match_the_induced_subgraph(g, keep, rng, target):
     inside = _vertex_mask(g, s)
     alive = bytearray(inside)
     deg = [sum(alive[u] for u in a) if alive[v] else 0 for v, a in enumerate(g.adj)]
-    assert _region_degrees(g, inside).tolist() == deg
+    assert np.bincount(_region_edges(g, inside).ravel(), minlength=g.n).tolist() == deg
     sub, _ = induced_subgraph(g, s)
     whole = np.flatnonzero(_decycled_forest(sub, np.ones(sub.n, dtype=bool))).tolist()
     assert np.flatnonzero(_decycled_forest(g, inside)).tolist() == [s[i] for i in whole]
@@ -1024,7 +1023,8 @@ def test_decycling_adds_back_only_the_core_removals(monkeypatch):
         calls.clear()
         inside = _vertex_mask(g, region)
         alive = bytearray(inside)
-        removed = _empty_core(g.adj, alive, _region_degrees(g, inside).tolist())
+        deg = np.bincount(_region_edges(g, inside).ravel(), minlength=g.n).tolist()
+        removed = _empty_core(g.adj, alive, deg)
         forest = _decycled_forest(g, inside)
         [(present, order)] = calls
         assert removed and order == removed[::-1]
@@ -1184,11 +1184,19 @@ def test_nan_cap_is_refused(run):
 
 @pytest.mark.parametrize("target", [2.5, 1.5, 8.25])
 def test_trim_refuses_a_fractional_target(target):
-    # no component can have exactly 2.5 vertices; an integral float still works
+    # no component can have exactly 2.5 vertices; an integral float still
+    # works. Every function that takes a cap refuses it alike, where
+    # greedy, the forest cut and the exact oracle once read it as 2.
     g = path(4)
-    with pytest.raises(ValueError, match=f"target size must be an integer, got {target}"):
-        trim_components(g, range(4), target)
-    assert trim_components(g, range(4), 2.0).kept == trim_components(g, range(4), 2).kept
+    for run, name in [
+        (lambda g, k: trim_components(g, range(g.n), k), "target size"),
+        (greedy_fragment, "component cap"),
+        (fragment_forest, "component cap"),
+        (exact_max_induced, "component cap"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {target}"):
+            run(g, target)
+        assert run(g, 2.0).kept == run(g, 2).kept
 
 
 def test_trim_validation():

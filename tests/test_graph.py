@@ -10,7 +10,7 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dismantle.graph
@@ -585,6 +585,32 @@ def test_component_roots_from_a_contained_masks_labels_match_a_fresh_pass(case):
         assert np.array_equal(new, dismantle.graph._component_roots(g, inside))
         assert lab is None or np.array_equal(lab, held)
         lab = new
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphs_and_regions())
+@example((Graph(0), None))
+@example((Graph(3, [(0, 1), (1, 2)]), []))
+def test_region_edges_and_component_sizes_match_the_references(case):
+    # the two helpers every certificate rests on, against the loop and the
+    # depth-first references, n = 0 and the empty region included
+    g, verts = case
+    inside = dismantle.graph._vertex_mask(g, range(g.n) if verts is None else verts)
+    sub, new = induced_subgraph_by_loop(g, np.flatnonzero(inside))
+    old = sorted(new)
+    edges = dismantle.graph._region_edges(g, inside)
+    assert edges.shape == (2, sub.m)
+    assert edges.T.tolist() == [[old[a], old[b]] for a, b in sub.edges]
+    labels, sizes, _ = components_by_dfs(g, verts)
+    root = {}  # each component's smallest vertex
+    for v, c in enumerate(labels):
+        root.setdefault(c, v)
+    lab, size = dismantle.graph._component_sizes(g, inside)
+    assert lab.tolist() == [root[c] if c >= 0 else v for v, c in enumerate(labels)]
+    expected = [0] * g.n
+    for c, count in enumerate(sizes):
+        expected[root[c]] = count
+    assert size.tolist() == expected
 
 
 def test_induced_k4_pair():
