@@ -137,7 +137,8 @@ def _cmd_fragment(args) -> int:
             res = greedy_fragment(g, args.cap)
         else:
             res = fragment_forest(g, args.cap)
-    sys.stdout.write(("%d\n" * len(res.removed)) % res.removed)  # one write, not a print per vertex
+    removed = res.removed
+    sys.stdout.write(("%d\n" * len(removed)) % removed)  # one write, not a print per vertex
     print(f"nu={_fmt9(res.nu)} max_component={res.max_component}")
     return 0
 
@@ -147,7 +148,7 @@ def _cmd_exact(args) -> int:
         raise UsageError("choose exactly one of --k or --forest")
     g = read_edgelist(args.infile)
     res = exact_max_forest(g) if args.forest else exact_max_induced(g, args.k)
-    print(f"N={len(res.kept)}")
+    print(f"N={res.mask.count(1)}")
     return 0
 
 

@@ -30,13 +30,14 @@ from .fragmenters import (
     _fragment_forest_removals,
     _greedy_cuts,
     _make_result,
+    _row,
     component_cap,
     decycle_heuristic,
     greedy_fragment,
     pipeline_fragment,
 )
 from .generators import gnp, random_regular
-from .graph import Graph, _component_sizes, _vertex_mask, components
+from .graph import Graph, _component_sizes, components
 
 METHODS = ("exact", "greedy", "forest-pipeline")
 
@@ -158,12 +159,6 @@ def _generate(cfg: ExperimentConfig, r: int) -> Graph:
     return random_regular(cfg.n, cfg.d, cfg.base_seed, stream=r)  # type: ignore[arg-type]
 
 
-def _row(g: Graph, sizes: np.ndarray) -> Tuple[float, int]:
-    """The curve row ``(nu, max_component)`` of a kept set from its
-    certificate, the component ``sizes`` of :func:`_component_sizes`."""
-    return 1.0 if g.n == 0 else int(sizes.sum()) / g.n, int(sizes.max(initial=0))
-
-
 def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tuple[float, int]]:
     """One certified row ``(nu, max_component)`` per cap for replicate
     graph ``g``, in the order of ``caps``.
@@ -198,8 +193,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
         raise ValueError(f"unknown method {method!r}")
     # ``components``, ``decycle_heuristic`` and the whole graph's
     # ``_make_result`` stay while the benchmark tracer wraps them here by
-    # name (ROADMAP item 8); only caps at or above the largest component
-    # build that result's tuples.
+    # name (ROADMAP item 8).
     largest = components(g).largest
     forest = None
     for cap in caps:
@@ -208,7 +202,7 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
             yield res.nu, res.max_component
             continue
         if forest is None:
-            forest = _vertex_mask(g, decycle_heuristic(g).kept)
+            forest = np.frombuffer(decycle_heuristic(g).mask, dtype=bool)
             order, parent = _forest_order(g, forest)
         kept = forest.copy()
         kept[_fragment_forest_removals(order, parent, cap)] = False
@@ -353,14 +347,15 @@ class GapDemoReport:
 def _gap_demo_row(c: float, eps: float, n: int, seed: int, cap_initial: int, r: int) -> GapDemoRow:
     g = gnp(n, c, seed, stream=r)
     start = greedy_fragment(g, cap_initial)
-    fine = pipeline_fragment(g, start.kept, eps)
-    gap = (len(start.kept) - len(fine.kept)) / n
+    kept = start.kept
+    fine = pipeline_fragment(g, kept, eps)
+    gap = (len(kept) - fine.mask.count(1)) / n
     return GapDemoRow(
         replicate=r,
-        nu_initial=len(start.kept) / n,
-        nu_pipeline=len(fine.kept) / n,
+        nu_initial=start.nu,
+        nu_pipeline=fine.nu,
         gap=gap,
-        density_ok=components_pass_density(g, start.kept, eps),
+        density_ok=components_pass_density(g, kept, eps),
         pipeline_components=fine.component_count,
     )
 

@@ -30,31 +30,41 @@ class PipelineBudgetError(RuntimeError):
 class FragmentationResult:
     """Outcome of a fragmentation run.
 
-    ``kept`` and ``removed`` partition ``0..n-1``; ``max_component`` is
-    the largest component of the subgraph induced by ``kept``; ``nu`` is
-    the kept fraction ``len(kept) / n``. ``component_count`` is carried
-    as a descriptive statistic of the surviving subgraph.
+    ``mask`` is the certified kept set, one byte per vertex (1 kept, 0
+    removed); the ascending ``kept`` and ``removed`` ids it lists partition
+    ``0..n-1``. ``max_component`` is the largest component of the subgraph
+    induced by ``kept``; ``nu`` is the kept fraction ``len(kept) / n``;
+    ``component_count`` describes the surviving subgraph.
     """
 
-    kept: Tuple[int, ...]
-    removed: Tuple[int, ...]
+    mask: bytes
     max_component: int
     method: str
     nu: float
     component_count: int = 0
 
+    @property
+    def kept(self) -> Tuple[int, ...]:
+        return tuple(np.flatnonzero(np.frombuffer(self.mask, dtype=bool)).tolist())
+
+    @property
+    def removed(self) -> Tuple[int, ...]:
+        return tuple(np.flatnonzero(~np.frombuffer(self.mask, dtype=bool)).tolist())
+
+
+def _row(g: Graph, sizes: np.ndarray) -> Tuple[float, int]:
+    """``(nu, max_component)`` of a kept set, read off its component ``sizes``."""
+    return 1.0 if g.n == 0 else int(sizes.sum()) / g.n, int(sizes.max(initial=0))
+
 
 def _make_result(g: Graph, inside: np.ndarray, method: str) -> FragmentationResult:
-    """Certify the kept set, the boolean mask ``inside`` of length ``g.n``
-    (see :func:`_component_sizes`), and list its ids and the rest."""
+    """Certify the kept set, the boolean mask ``inside`` of length ``g.n``:
+    read :func:`_row` off its :func:`_component_sizes`, and store its bytes."""
     if not (isinstance(inside, np.ndarray) and inside.dtype == bool and inside.shape == (g.n,)):
         raise ValueError(f"kept set is not a boolean mask of length {g.n}")
     sizes = _component_sizes(g, inside)[1]
-    kept = tuple(np.flatnonzero(inside).tolist())
-    removed = tuple(np.flatnonzero(~inside).tolist())
-    nu = 1.0 if g.n == 0 else len(kept) / g.n
-    return FragmentationResult(kept, removed, int(sizes.max(initial=0)), method, nu,
-                               int(np.count_nonzero(sizes)))
+    nu, largest = _row(g, sizes)
+    return FragmentationResult(inside.tobytes(), largest, method, nu, int(np.count_nonzero(sizes)))
 
 
 def component_cap(eps: float) -> int:
@@ -456,7 +466,7 @@ def pipeline_fragment(g: Graph, s: Iterable[int], eps: float) -> FragmentationRe
             f"internal error: component of size {result.max_component} exceeds cap {cap}"
         )
     size = np.count_nonzero(inside)
-    removed_from_s = size - len(result.kept)
+    removed_from_s = size - np.count_nonzero(kept)
     if removed_from_s > eps * g.n + 1e-9 and _components_pass_density(g, inside, eps):
         raise PipelineBudgetError(
             f"removed {removed_from_s} of {size} vertices, over budget "

@@ -344,10 +344,23 @@ def test_greedy_rows_of_any_mask_family_match_fresh_passes(data):
     n = data.draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
-    g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
     mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
     masks = data.draw(st.lists(mask, min_size=1, max_size=4))
     caps = data.draw(st.lists(st.integers(0, len(masks) - 1), min_size=1, max_size=6))
+    if n >= 3 and data.draw(st.booleans()):
+        # a mask whose vertex v joins a and b, then the next mask without
+        # v: the first mask's labels would join a and b there
+        a, v, b = data.draw(st.permutations(range(n)))[:3]
+        edges.discard((min(a, b), max(a, b)))
+        edges |= {(min(a, v), max(a, v)), (min(v, b), max(v, b))}
+        joined = np.zeros(n, dtype=bool)
+        joined[[a, v, b]] = True
+        split = joined.copy()
+        split[v] = False
+        masks += [joined, split]
+        caps += [len(masks) - 2, len(masks) - 1]
+    g = Graph(n, sorted(edges))
     with mock.patch.object(experiments, "_greedy_cuts", lambda g: MaskTable(masks)):
         rows = list(experiments._method_results(g, caps, "greedy"))
     assert rows == [fresh_row(g, masks[cap]) for cap in caps]

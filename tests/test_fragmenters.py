@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -468,6 +469,44 @@ def test_make_result_refuses_anything_but_a_mask_of_length_n(kept):
     # unchecked, an int array of the right length would be read as positions
     with pytest.raises(ValueError, match="boolean mask of length 5"):
         _make_result(path(5), kept, "m")
+
+
+def desk_results():
+    """``(graph, result)`` for every public fragmenter and both exact oracles at desk scale."""
+    for g in (Graph(0, []), c6(), path(12), random_tree(16, 1), gnp(16, 2.0, 1),
+              random_regular(16, 3, 1)):
+        everyone = range(g.n)
+        results = [greedy_fragment(g, 2), decycle_heuristic(g), pipeline_fragment(g, everyone, 0.9),
+                   trim_components(g, everyone, 3),
+                   strip_short_cycles(g, greedy_fragment(g, 4).kept, 4),
+                   exact_max_induced(g, 3), exact_max_forest(g)]
+        if excess(g) == 0:
+            results.append(fragment_forest(g, 3))
+        for res in results:
+            yield g, res
+
+
+def test_results_list_a_partition_of_their_mask():
+    for g, res in desk_results():
+        assert len(res.mask) == g.n and set(res.mask) <= {0, 1}
+        assert sorted(res.kept + res.removed) == list(range(g.n))
+        assert res.kept == tuple(v for v in range(g.n) if res.mask[v])
+        assert res.nu == (1.0 if g.n == 0 else len(res.kept) / g.n)
+
+
+def test_results_pickle_and_hash_by_value():
+    for _, res in desk_results():
+        again = pickle.loads(pickle.dumps(res))
+        assert again == res and hash(again) == hash(res)
+    a, b = greedy_fragment(gnp(200, 2.0, 1), 4), greedy_fragment(gnp(200, 2.0, 1), 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_make_result_keeps_its_own_copy_of_the_mask():
+    inside = np.array([True, True, False, True, True])
+    res = _make_result(path(5), inside, "m")
+    inside[:] = ~inside
+    assert (res.kept, res.removed, res.mask) == ((0, 1, 3, 4), (2,), bytes([1, 1, 0, 1, 1]))
 
 
 # ---------------------------------------------------------------------------
