@@ -36,7 +36,7 @@ from .fragmenters import (
     greedy_fragment,
     pipeline_fragment,
 )
-from .generators import gnp, random_regular
+from .generators import gnp, random_regular, rng_for
 from .graph import Graph, _component_sizes, components
 
 METHODS = ("exact", "greedy", "forest-pipeline")
@@ -84,7 +84,7 @@ class ExperimentConfig:
         if not self.replicates >= 1:
             raise ValueError(f"need at least 1 replicate, got {self.replicates}")
         index(self.replicates)
-        index(self.base_seed)
+        rng_for(self.base_seed)  # the generators' own seed check, before any replicate
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.model == "gnp":
@@ -102,7 +102,7 @@ class ExperimentConfig:
                 raise ValueError(f"n*d must be even, got n={self.n}, d={self.d}")
         if self.method == "exact" and self.n > DEFAULT_ORACLE_LIMIT:
             raise ValueError(
-                f"exact method needs n <= {DEFAULT_ORACLE_LIMIT}, got n={self.n}"
+                f"exact method needs n <= {DEFAULT_ORACLE_LIMIT} (oracle limit), got n={self.n}"
             )
         grids = [g for g in (self.k_grid, self.x_grid) if g]
         if len(grids) != 1:
@@ -147,10 +147,13 @@ class CurveEstimate:
     base_seed: Optional[int] = None
 
 
-def _x_cap(x: float, n: int) -> int:
-    # ceil(x*n), robust to float noise at exactly representable products; a
-    # positive product below that noise still caps at 1
-    return max(1, math.ceil(round(x * n, 9)))
+def _caps(kind: str, grid: Sequence[float], n: int) -> list[int]:
+    """The component cap of each grid value: ``k`` itself, or ``ceil(x*n)``
+    for an ``x`` grid, robust to float noise at exactly representable
+    products; a positive product below that noise still caps at 1."""
+    if kind == "k":
+        return [int(k) for k in grid]
+    return [max(1, math.ceil(round(x * n, 9))) for x in grid]
 
 
 def _generate(cfg: ExperimentConfig, r: int) -> Graph:
@@ -189,8 +192,6 @@ def _method_results(g: Graph, caps: Sequence[int], method: str) -> Iterator[Tupl
             rows[cap], last = _row(g, sizes), inside
         yield from map(rows.__getitem__, caps)
         return
-    if method != "forest-pipeline":
-        raise ValueError(f"unknown method {method!r}")
     # ``components``, ``decycle_heuristic`` and the whole graph's
     # ``_make_result`` stay while the benchmark tracer wraps them here by
     # name (ROADMAP item 8).
@@ -229,15 +230,16 @@ def _replicate_map(fn: Callable[[int], object], replicates: int, jobs: int) -> l
         return list(pool.map(fn, range(replicates)))
 
 
-def _estimate(
-    cfg: ExperimentConfig,
-    grid_values: Sequence[float],
-    caps: Sequence[int],
-    kind: str,
-    jobs: int,
-) -> CurveEstimate:
+def _estimate(cfg: ExperimentConfig, kind: str, jobs: int) -> CurveEstimate:
+    """Validate ``cfg``, then run its replicates over its ``kind`` grid."""
+    cfg.validate()
+    grid = cfg.k_grid if kind == "k" else cfg.x_grid
+    if not grid:
+        raise ValueError(f"config carries no {kind} grid")
+    caps = _caps(kind, grid, cfg.n)
+    grid_values = caps if kind == "k" else list(grid)
     reps = cfg.replicates
-    rows = _replicate_map(partial(_replicate_rows, cfg, list(caps)), reps, jobs)
+    rows = _replicate_map(partial(_replicate_rows, cfg, caps), reps, jobs)
     points = tuple(
         CurvePoint(
             grid_value=grid_values[j],
@@ -260,11 +262,7 @@ def _estimate(
 
 def estimate_curve_k(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
     """Estimate the kept fraction at each absolute component cap of the grid."""
-    cfg.validate()
-    if not cfg.k_grid:
-        raise ValueError("config carries no k grid")
-    caps = [int(k) for k in cfg.k_grid]
-    return _estimate(cfg, caps, caps, "k", jobs)
+    return _estimate(cfg, "k", jobs)
 
 
 def estimate_curve_x(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
@@ -273,11 +271,7 @@ def estimate_curve_x(cfg: ExperimentConfig, jobs: int = 1) -> CurveEstimate:
     At ``x = 1`` the cap equals ``n``, every graph is feasible as-is and
     all methods report a kept fraction of exactly 1.
     """
-    cfg.validate()
-    if not cfg.x_grid:
-        raise ValueError("config carries no x grid")
-    caps = [_x_cap(x, cfg.n) for x in cfg.x_grid]
-    return _estimate(cfg, list(cfg.x_grid), caps, "x", jobs)
+    return _estimate(cfg, "x", jobs)
 
 
 def verify_estimate(est: CurveEstimate) -> bool:
@@ -285,25 +279,29 @@ def verify_estimate(est: CurveEstimate) -> bool:
 
     Confirms that the stored kept fraction is reproduced bit-for-bit and
     that the witness respects its cap. Requires the in-memory metadata
-    (method and base seed), which the CSV format does not carry. Like
-    the run that made it, an ``exact`` estimate above the oracle limit
-    raises ``ValueError``.
+    (method and base seed), which the CSV format does not carry. The
+    estimate's config, its grid read off the points, must pass
+    :meth:`ExperimentConfig.validate` as the run that made it did, or
+    ``ValueError`` (``TypeError`` for a float count) is raised: an
+    ``exact`` estimate above the oracle limit, say, or one with no
+    replicate rows.
     """
     if est.method is None or est.base_seed is None:
         raise ValueError("estimate lacks method/base_seed metadata; cannot verify")
+    grid = tuple(p.grid_value for p in est.points)
     cfg = ExperimentConfig(
         model=est.model,
         n=est.n,
-        replicates=max(len(p.values) for p in est.points),
+        replicates=max((len(p.values) for p in est.points), default=0),
         base_seed=est.base_seed,
         c=est.param if est.model == "gnp" else None,
         d=int(est.param) if est.model == "regular" else None,
         method=est.method,
+        k_grid=grid if est.grid_kind == "k" else None,
+        x_grid=grid if est.grid_kind == "x" else None,
     )
-    caps = [
-        int(p.grid_value) if est.grid_kind == "k" else _x_cap(p.grid_value, est.n)
-        for p in est.points
-    ]
+    cfg.validate()
+    caps = _caps(est.grid_kind, grid, est.n)
     for stream in sorted({s for p in est.points for s in p.streams}):
         rows = _method_results(_generate(cfg, stream), caps, est.method)
         for p, cap, (row_nu, row_mc) in zip(est.points, caps, rows):
@@ -344,12 +342,12 @@ class GapDemoReport:
     pass_fraction: float
 
 
-def _gap_demo_row(c: float, eps: float, n: int, seed: int, cap_initial: int, r: int) -> GapDemoRow:
-    g = gnp(n, c, seed, stream=r)
+def _gap_demo_row(cfg: ExperimentConfig, eps: float, cap_initial: int, r: int) -> GapDemoRow:
+    g = _generate(cfg, r)
     start = greedy_fragment(g, cap_initial)
     kept = start.kept
     fine = pipeline_fragment(g, kept, eps)
-    gap = (len(kept) - fine.mask.count(1)) / n
+    gap = (len(kept) - fine.mask.count(1)) / cfg.n
     return GapDemoRow(
         replicate=r,
         nu_initial=start.nu,
@@ -374,16 +372,14 @@ def gap_demo(
     certified ``delta`` is so small that this floors at the clamp value 1
     for any desk-scale ``n``), then run the pipeline on that set and
     record the gap plus the density status of the starting components.
+    The run's :class:`ExperimentConfig` is validated before any replicate.
     """
-    if not n >= 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not replicates >= 1:
-        raise ValueError(f"need at least 1 replicate, got {replicates}")
+    cap_pipeline = component_cap(eps)
+    cfg = ExperimentConfig("gnp", n, replicates, seed, c=c, k_grid=(cap_pipeline,))
+    cfg.validate()
     delta = admissible_delta(c, eps)
     cap_initial = max(1, math.floor(delta * n))
-    cap_pipeline = component_cap(eps)
-    rows = tuple(_replicate_map(partial(_gap_demo_row, c, eps, n, seed, cap_initial),
-                                replicates, jobs))
+    rows = tuple(_replicate_map(partial(_gap_demo_row, cfg, eps, cap_initial), replicates, jobs))
     passed = sum(1 for row in rows if row.gap <= eps + 1e-12)
     return GapDemoReport(
         c=c,

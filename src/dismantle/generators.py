@@ -25,8 +25,10 @@ def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for ``(seed, stream)``.
 
     Streams are derived through ``SeedSequence`` spawn keys, so distinct
-    streams are statistically independent and reproducible.
+    streams are statistically independent and reproducible. A float for
+    either raises ``TypeError``.
     """
+    seed, stream = index(seed), index(stream)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if stream < 0:
@@ -48,6 +50,7 @@ def gnp(n: int, c: float, seed: int, stream: int = 0) -> Graph:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 <= c <= n:
         raise ValueError(f"mean-degree parameter out of range: c={c}, n={n}")
+    n = index(n)  # a float raises TypeError, as in ``Graph``
     p = c / n
     total = n * (n - 1) // 2
     rng = rng_for(seed, stream)  # checks the seed even where nothing is drawn

@@ -228,9 +228,13 @@ def _region_edges(g: Graph, inside: np.ndarray) -> np.ndarray:
     return np.compress(inside[g._ends[0]] & inside[g._ends[1]], g._ends, axis=1)
 
 
-def _component_roots(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each vertex's smallest component-mate in the subgraph of ``g`` induced
-    by the boolean mask ``inside``; a vertex outside keeps its id.
+def _component_sizes(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] = None) -> tuple:
+    """``(labels, sizes)`` of the subgraph of ``g`` induced by the boolean
+    mask ``inside``, recomputed from the graph: the certificate of a kept
+    set. ``labels`` give each vertex its smallest component-mate, and a
+    vertex outside keeps its id; ``sizes``, of length ``g.n``, holds each
+    component's size at its root, its smallest vertex, and 0 at every
+    other vertex.
 
     Min-label hooking plus pointer jumping (Shiloach & Vishkin, J.
     Algorithms 3, 1982) over the edges with both ends inside, one ``(2, k)``
@@ -249,25 +253,13 @@ def _component_roots(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] =
         le = lab[ends]
         split = le[0] != le[1]
         if not split.any():
-            return lab
+            del ends, le, split  # a round's arrays held through the count raise peak memory
+            return lab, np.bincount(lab[inside], minlength=g.n)
         ends = np.compress(split, ends, axis=1)
-        lu, lv = np.compress(split, le, axis=1)
-        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            up = lab[lab]
-            if np.array_equal(up, lab):
-                break
-            lab = up
-
-
-def _component_sizes(g: Graph, inside: np.ndarray, start: Optional[np.ndarray] = None) -> tuple:
-    """``(labels, sizes)`` of the subgraph of ``g`` induced by the boolean
-    mask ``inside``, recomputed from the graph: the certificate of a kept
-    set. ``labels`` are those of :func:`_component_roots`, which ``start``
-    is passed on to; ``sizes``, of length ``g.n``, holds each component's
-    size at its root, its smallest vertex, and 0 at every other vertex."""
-    lab = _component_roots(g, inside, start)
-    return lab, np.bincount(lab[inside], minlength=g.n)
+        le = np.compress(split, le, axis=1)
+        np.minimum.at(lab, np.maximum(*le), np.minimum(*le))
+        while not np.array_equal(lab, lab := lab[lab]):  # jump until every label is a root
+            pass
 
 
 def _check_cap(cap, name: str = "component cap", infinite: bool = True) -> None:

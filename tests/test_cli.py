@@ -242,6 +242,21 @@ def test_curve_repeated_grid_exits_2(tmp_path, capsys, monkeypatch, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "curve --model gnp --c 50 --n 20 --grid 4 --reps 1 --out {out}",
+    "demo --c 50 --eps 0.5 --n 20 --reps 1",
+])
+def test_c_above_n_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch, argv):
+    def replicates(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "_replicate_map", replicates)
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, *argv.format(out=out).split())
+    assert code == 2 and stdout == "" and err == "infeasible: c out of range: 50.0\n"
+    assert not out.exists()
+
+
 def test_curve_bad_grid_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "curve", "--model", "gnp", "--c", "2", "--n", "50",
                        "--grid", "a,b", "--reps", "2", "--out", str(tmp_path / "x.csv"))

@@ -524,6 +524,46 @@ def test_gap_demo_validation():
         gap_demo(2.0, 0.5, 100, math.nan)
 
 
+def tiny_estimate(*points, method="greedy"):
+    return CurveEstimate(model="gnp", param=2.0, n=12, grid_kind="k", points=points,
+                         method=method, base_seed=0)
+
+
+FLOAT = "'float' object cannot be interpreted as an integer"
+SEED = "seed must be a 64-bit unsigned integer"
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: cfg_small(base_seed=-1).validate(), ValueError, SEED),
+    (lambda: cfg_small(base_seed=2**64).validate(), ValueError, SEED),
+    (lambda: estimate_curve_k(cfg_small(base_seed=-1)), ValueError, SEED),
+    (lambda: estimate_curve_k(cfg_small(base_seed=2**64)), ValueError, SEED),
+    (lambda: gap_demo(2.0, 0.5, 20, 2.5), TypeError, FLOAT),
+    (lambda: gap_demo(2.0, 0.5, 20, 2, seed=1.5), TypeError, FLOAT),
+    (lambda: gap_demo(2.0, 0.5, 20, 2, seed=-1), ValueError, SEED),
+    (lambda: gap_demo(50.0, 0.5, 20, 2), ValueError, "c out of range: 50"),
+    (lambda: gap_demo(2.0, 0.5, 20.0, 2), TypeError, FLOAT),
+    (lambda: verify_estimate(tiny_estimate()), ValueError, "replicate"),
+    (lambda: verify_estimate(tiny_estimate(CurvePoint(2, (), (), ()))), ValueError, "replicate"),
+    (lambda: verify_estimate(tiny_estimate(CurvePoint(2.5, (0.5,), (2,), (0,)))),
+     ValueError, "k grid must hold integers"),
+], ids=[
+    "validate-seed-negative", "validate-seed-2**64", "curve-seed-negative", "curve-seed-2**64",
+    "demo-float-replicates", "demo-float-seed", "demo-negative-seed", "demo-c-above-n",
+    "demo-float-n", "verify-no-points", "verify-no-rows", "verify-float-k",
+])
+def test_bad_input_is_refused_before_any_replicate_runs(monkeypatch, run, error, message):
+    # every run draws its graphs through ``_generate``, estimates and the
+    # demo from inside ``_replicate_map``
+    def unexpected(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(experiments, "_replicate_map", unexpected)
+    monkeypatch.setattr(experiments, "_generate", unexpected)
+    with pytest.raises(error, match=message):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # concentration
 # ---------------------------------------------------------------------------

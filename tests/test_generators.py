@@ -140,6 +140,7 @@ def test_regular_rejects_small_n():
     lambda: random_tree(5.5, seed=1),
     lambda: random_tree(3.0, seed=1),
     lambda: random_tree(10.0, seed=1),
+    lambda: gnp(10.0, 2.0, seed=1),
 ])
 def test_float_counts_raise_type_error_before_any_draw(make, monkeypatch):
     def unexpected(*args):
@@ -148,6 +149,17 @@ def test_float_counts_raise_type_error_before_any_draw(make, monkeypatch):
     monkeypatch.setattr(generators, "rng_for", unexpected)
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed, stream: gnp(10, 2.0, seed, stream),
+    lambda seed, stream: random_regular(10, 3, seed, stream),
+    lambda seed, stream: random_tree(10, seed, stream),
+])
+@pytest.mark.parametrize("seed, stream", [(1.0, 0), (1.5, 0), (1, 2.0)])
+def test_float_seeds_and_streams_raise_type_error_in_every_generator(make, seed, stream):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        make(seed, stream)
 
 
 def test_regular_budget_exhaustion_signalled():
