@@ -68,4 +68,4 @@ from .graph import (
     write_edgelist,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.11.1"

@@ -284,10 +284,12 @@ def verify_estimate(est: CurveEstimate) -> bool:
     :meth:`ExperimentConfig.validate` as the run that made it did, or
     ``ValueError`` (``TypeError`` for a float count) is raised: an
     ``exact`` estimate above the oracle limit, say, or one with no
-    replicate rows.
+    replicate rows. A regular estimate's degree must be integral.
     """
     if est.method is None or est.base_seed is None:
         raise ValueError("estimate lacks method/base_seed metadata; cannot verify")
+    if est.model == "regular" and est.param % 1 != 0:  # refuses inf and NaN
+        raise ValueError(f"regular degree must be an integer, got {est.param}")
     grid = tuple(p.grid_value for p in est.points)
     cfg = ExperimentConfig(
         model=est.model,

@@ -337,35 +337,53 @@ def _greedy_cuts(g: Graph) -> np.ndarray:
     """Every vertex's greedy cut size: the size of the component it was
     removed from at cap 1, or 0 if it never was. Two passes over the edge
     array: a numpy elimination, one independent set per degree level,
-    then an O(m α) union-find over the edges:
+    then an O(m α) union-find over the removals:
 
     1. Cap-1 elimination: while some vertex has a neighbour left, remove
        the one of highest remaining degree, smallest id on ties; this
        empties the 1-core (see :func:`_lfmis_elimination`).
     2. Reverse union-find: the removed vertices go back in reverse order,
        each joining the sets of its present neighbours; the size of its
-       set then is the size of the component it was removed from. The
-       vertices left by the elimination are independent, so every edge
-       has a removed end and goes in when its later end goes back: the
-       edges, sorted by that end's add-back position, are joined in one
-       flat loop, each write of a joining vertex's size following its
-       union. Every set starts as one vertex, and the pass reads no ``adj``.
+       set then is the size of the component it was removed from. Each
+       edge goes in when its later end goes back.
+
+    The vertices the elimination keeps are independent, so a kept vertex
+    has no present neighbour until its first neighbour goes back, and
+    then adds exactly 1 to that neighbour's set. So each kept vertex is
+    folded into that neighbour in numpy: the edge between them is
+    dropped, the neighbour's set starts at 1 plus the kept vertices it
+    takes in, and the kept vertex's later edges point at the neighbour.
+    Every end left is a removal, so the union-find runs over add-back
+    positions ``0..R-1`` for ``R`` removals, in one flat loop over the
+    edges sorted by their later end; each cut is a component's size at
+    one add-back, so the order of the unions cannot change it. The pass
+    reads no ``adj``.
     """
     order = _lfmis_elimination(g, np.ones(g.n, dtype=bool))
-    back = np.full(g.n, -1, dtype=np.intp)  # add-back position; -1 for the kept
+    back = np.full(g.n, -1, dtype=np.int64)  # add-back position; -1 for the kept
     back[order[::-1]] = np.arange(order.size)
     u, v = g._ends
     bu, bv = back[u], back[v]
-    later = bu < bv  # v goes back after u
-    edges = np.argsort(np.maximum(bu, bv))  # any order within one vertex's edges will do
-    joins = np.where(later, v, u)[edges].tolist()
-    mates = np.where(later, u, v)[edges].tolist()
-    parent = list(range(g.n))
-    size = [1] * g.n
-    cut = array("q", bytes(8 * g.n))  # written in the loop, then read as numpy without a copy
+    join = np.maximum(bu, bv)  # the edge goes in when this position goes back
+    mate = np.minimum(bu, bv)
+    fold = np.flatnonzero(mate < 0)  # the edges to a kept vertex
+    held = np.where(bu < 0, u, v)[fold]
+    first = np.full(g.n, order.size, dtype=np.int64)  # a kept vertex's first neighbour back
+    np.minimum.at(first, held, join[fold])
+    taken = first[held] == join[fold]
+    start = 1 + np.bincount(join[fold[taken]], minlength=order.size)
+    mate[fold] = first[held]  # a taken edge now joins a position to itself
+    loop = np.flatnonzero(mate < join)
+    edges = loop[np.argsort(join[loop])]  # any order within one position's edges will do
+    joins, mates = join[edges], mate[edges]
+    del bu, bv, join, mate, fold, held, first, taken, loop, edges
+    joins, mates = array("q", joins.tobytes()), array("q", mates.tobytes())  # no int objects
+    parent = list(range(order.size))
+    size = start.tolist()
+    cut = start.tolist()
     last = -1
     for w, x in zip(joins, mates):
-        if w != last:  # w's first edge: w joins as a set of its own
+        if w != last:  # w's first edge: w joins as its own set and its kept vertices
             last = root = w
         while parent[x] != x:
             parent[x] = parent[parent[x]]
@@ -376,7 +394,9 @@ def _greedy_cuts(g: Graph) -> np.ndarray:
             parent[x] = root
             size[root] += size[x]
             cut[w] = size[root]
-    return np.frombuffer(cut, dtype=np.int64)
+    cuts = np.zeros(g.n, dtype=np.int64)
+    cuts[order[::-1]] = cut
+    return cuts
 
 
 def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
@@ -389,7 +409,7 @@ def greedy_fragment(g: Graph, cap: int) -> FragmentationResult:
     and removal sets shrink as the cap grows. So the result removes the
     vertices whose cut size (see :func:`_greedy_cuts`) exceeds ``cap``,
     at the same cost whatever the cap: one numpy elimination, one
-    independent set per degree level, and a union-find over the edges.
+    independent set per degree level, and a union-find over the removals.
     None of it builds ``adj``.
     """
     _check_cap(cap)

@@ -242,6 +242,20 @@ def test_verify_estimate_roundtrip():
         assert not verify_estimate(dataclasses.replace(est, points=points))
 
 
+def test_verify_refuses_a_fractional_regular_degree_before_any_replicate():
+    est = estimate_curve_k(cfg_small(model="regular", c=None, d=3, n=40, method="greedy"))
+    assert verify_estimate(est)
+    with mock.patch.object(experiments, "_method_results") as run:
+        for param in (3.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="regular degree must be an integer"):
+                verify_estimate(dataclasses.replace(est, param=param))
+    run.assert_not_called()
+    # a gnp mean degree stays a float: c = 1.5 is not read as 1
+    est = estimate_curve_k(cfg_small(c=1.5, n=40, method="greedy"))
+    assert verify_estimate(est)
+    assert not verify_estimate(dataclasses.replace(est, param=1.0))
+
+
 def replicate_graph(cfg, r):
     if cfg.model == "gnp":
         return gnp(cfg.n, cfg.c, cfg.base_seed, stream=r)

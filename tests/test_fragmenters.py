@@ -964,6 +964,37 @@ def test_greedy_cuts_fixed_cases(make):
     assert _greedy_cuts(g).tolist() == edgeless_reference_cuts(g)
 
 
+def complete_bipartite_2(r):
+    return Graph(r + 2, [(hub, leaf) for hub in (0, 1) for leaf in range(2, r + 2)])
+
+
+# Each kept vertex is folded into its first neighbour back. On K_{2,r}
+# (r >= 3) hub 1 goes back first and takes every leaf, and hub 0's edges
+# must point at it; the double star's centres each take their own
+# leaves; vertex 0 of the cycle closes the cycle through its two
+# removed neighbours. None: compared with the reference alone.
+FOLD_CASES = {
+    **{f"K2,{r}": (complete_bipartite_2(r), [r + 2, r + 1] + [0] * r if r >= 3 else None)
+       for r in range(1, 7)},
+    "double-star": (Graph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8)]),
+                    [4, 9] + [0] * 7),
+    "pendant-cycle": (Graph(12, [(i, (i + 1) % 6) for i in range(6)]
+                            + [(i, i + 6) for i in range(6)]),
+                      [12, 2, 10, 2, 6, 2] + [0] * 6),
+    "edge": (Graph(2, [(0, 1)]), [2, 0]),
+    "empty": (Graph(0), []),
+    "edgeless": (Graph(5), [0] * 5),
+}
+
+
+@pytest.mark.parametrize("name", list(FOLD_CASES))
+def test_greedy_cuts_fold_each_kept_vertex_into_its_first_neighbour_back(name):
+    g, want = FOLD_CASES[name]
+    cut = _greedy_cuts(g).tolist()
+    assert cut == edgeless_reference_cuts(g)
+    assert want is None or cut == want
+
+
 # The removal sets of decycling, the pipeline on the region above and
 # cycle stripping after greedy at cap 12, taken while the fragmenters
 # still passed vertex sets as id lists, before they passed boolean masks.
