@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -104,6 +105,7 @@ def dense_set_probability_bound(t: int, n: int, c: float, eps: float) -> TailBou
     astronomically large intermediate factors stay finite; the reported
     ``bound`` is clamped into ``[0, 1]``.
     """
+    t, n = index(t), index(n)  # a float raises TypeError, as in the generators
     if not 1 <= t <= n:
         raise ValueError(f"set size must satisfy 1 <= t <= n, got t={t}, n={n}")
     if not 1 < c < math.inf:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .fragmenters import FragmentationResult, _make_result
-from .graph import Graph, _check_cap, _vertex_mask
+from .graph import Graph, _check_cap
 
 DEFAULT_ORACLE_LIMIT = 20
 
@@ -35,6 +35,7 @@ def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> np.ndarray:
     first maximum set reached wins: the largest indicator vector read
     from vertex 0. Kept components live in a union-find over ``g.adj``
     whose joins point the old roots at ``i`` and are undone on backtrack.
+    A new maximum copies the bytes of the kept set ``inside``: the mask returned.
     """
     n = g.n
     if not n <= limit:
@@ -43,15 +44,15 @@ def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> np.ndarray:
     parent = list(range(n))
     size = [1] * n
     inside = bytearray(n)
-    kept: list[int] = []
-    best: list[int] = []
+    best = bytes(n)
+    most = 0
 
-    def dfs(i: int) -> None:
-        nonlocal best
-        if len(kept) + (n - i) <= len(best):
+    def dfs(i: int, kept: int) -> None:
+        nonlocal best, most
+        if kept + (n - i) <= most:
             return
         if i == n:
-            best = kept.copy()
+            best, most = bytes(inside), kept
             return
         roots = []
         total = 1
@@ -71,16 +72,14 @@ def _largest_kept(g: Graph, k: float, acyclic: bool, limit: int) -> np.ndarray:
                     parent[r] = i
                 size[i] = total
                 inside[i] = 1
-                kept.append(i)
-                dfs(i + 1)
-                kept.pop()
+                dfs(i + 1, kept + 1)
                 inside[i] = 0
                 for r in roots:
                     parent[r] = r
-        dfs(i + 1)
+        dfs(i + 1, kept)
 
-    dfs(0)
-    return _vertex_mask(g, best)
+    dfs(0, 0)
+    return np.frombuffer(best, dtype=bool)
 
 
 def exact_max_induced(g: Graph, k: int, limit: int = DEFAULT_ORACLE_LIMIT) -> FragmentationResult:

@@ -23,18 +23,18 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import admissible_delta, components_pass_density
+from .analysis import _components_pass_density, admissible_delta
 from .exact import DEFAULT_ORACLE_LIMIT, exact_max_induced
 from .fragmenters import (
     _forest_order,
     _fragment_forest_removals,
     _greedy_cuts,
     _make_result,
+    _pipeline_fragment,
     _row,
     component_cap,
     decycle_heuristic,
     greedy_fragment,
-    pipeline_fragment,
 )
 from .generators import gnp, random_regular, rng_for
 from .graph import Graph, _component_sizes, components
@@ -305,7 +305,7 @@ def verify_estimate(est: CurveEstimate) -> bool:
     cfg.validate()
     caps = _caps(est.grid_kind, grid, est.n)
     for stream in sorted({s for p in est.points for s in p.streams}):
-        rows = _method_results(_generate(cfg, stream), caps, est.method)
+        rows = _replicate_rows(cfg, caps, stream)
         for p, cap, (row_nu, row_mc) in zip(est.points, caps, rows):
             for nu, mc, s in zip(p.values, p.max_components, p.streams):
                 if s != stream:
@@ -347,15 +347,15 @@ class GapDemoReport:
 def _gap_demo_row(cfg: ExperimentConfig, eps: float, cap_initial: int, r: int) -> GapDemoRow:
     g = _generate(cfg, r)
     start = greedy_fragment(g, cap_initial)
-    kept = start.kept
-    fine = pipeline_fragment(g, kept, eps)
-    gap = (len(kept) - fine.mask.count(1)) / cfg.n
+    inside = np.frombuffer(start.mask, dtype=bool)
+    fine = _pipeline_fragment(g, inside, eps)
+    gap = (start.mask.count(1) - fine.mask.count(1)) / cfg.n
     return GapDemoRow(
         replicate=r,
         nu_initial=start.nu,
         nu_pipeline=fine.nu,
         gap=gap,
-        density_ok=components_pass_density(g, kept, eps),
+        density_ok=_components_pass_density(g, inside, eps),
         pipeline_components=fine.component_count,
     )
 

@@ -216,9 +216,8 @@ class ComponentDecomposition:
 
     def edge_counts(self, g: Graph) -> list[int]:
         """Edges of ``g`` inside each component."""
-        labels = np.array(self.labels, dtype=np.intp)
-        lu, lv = labels[_region_edges(g, labels >= 0)]
-        return np.bincount(lu[lu == lv], minlength=len(self.sizes)).tolist()
+        labels = np.array(self.labels, dtype=np.intp)  # an edge's two ends share a label
+        return np.bincount(labels[_region_edges(g, labels >= 0)[0]], minlength=self.count).tolist()
 
 
 def _region_edges(g: Graph, inside: np.ndarray) -> np.ndarray:

@@ -185,6 +185,11 @@ def test_parameter_validation():
     for c in (math.nan, math.inf):
         with pytest.raises(ValueError, match=str(c)):
             dense_set_probability_bound(2, 10, c, 0.3)
+    # a set size or vertex count is an integer: a float is refused, not rounded
+    with pytest.raises(TypeError):
+        dense_set_probability_bound(2.5, 100, 2.0, 0.5)
+    with pytest.raises(TypeError):
+        dense_set_probability_bound(3, 100.5, 2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,8 @@ from dismantle import (
     empirical_slopes,
     estimate_curve_k,
     estimate_curve_x,
+    exact_max_forest,
+    exact_max_induced,
     experiments,
     fragment_forest,
     gap_demo,
@@ -33,6 +36,8 @@ from dismantle import (
     save_results,
     verify_estimate,
 )
+from dismantle.analysis import components_pass_density
+from dismantle.fragmenters import component_cap, pipeline_fragment
 from dismantle.graph import _component_sizes
 
 
@@ -525,6 +530,47 @@ def test_gap_demo_deterministic_and_parallel():
     b = gap_demo(2.0, 0.5, 800, 3, seed=1)
     c = gap_demo(2.0, 0.5, 800, 3, seed=1, jobs=2)
     assert a == b == c
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_gap_demo_rows_match_the_public_id_path(seed):
+    # at start cap 8 the start keeps edges, so the pipeline has work; the
+    # row must equal the one read through the public functions on the ids
+    eps = 0.5
+    cfg = ExperimentConfig("gnp", 600, 2, seed, c=2.0, k_grid=(component_cap(eps),))
+    for r in range(cfg.replicates):
+        g = experiments._generate(cfg, r)
+        start = greedy_fragment(g, 8)
+        assert start.max_component > 1
+        fine = pipeline_fragment(g, start.kept, eps)
+        assert fine.nu < start.nu
+        expected = experiments.GapDemoRow(
+            replicate=r,
+            nu_initial=start.nu,
+            nu_pipeline=fine.nu,
+            gap=(len(start.kept) - len(fine.kept)) / cfg.n,
+            density_ok=components_pass_density(g, start.kept, eps),
+            pipeline_components=fine.component_count,
+        )
+        assert experiments._gap_demo_row(cfg, eps, 8, r) == expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda: experiments._gap_demo_row(ExperimentConfig("gnp", 300, 1, 5, c=2.0, k_grid=(6,)),
+                                      0.5, 8, 0).gap > 0,
+    lambda: exact_max_induced(gnp(12, 3.0, seed=2), 3).max_component <= 3,
+    lambda: exact_max_forest(gnp(12, 3.0, seed=2)).component_count >= 1,
+], ids=["gap_demo_row", "exact_max_induced", "exact_max_forest"])
+def test_internal_stages_read_no_id_list(monkeypatch, run):
+    # inside the package a vertex set travels as a mask: only the public
+    # functions read caller ids into one, and these callers hold no ids
+    def refuse(g, s):
+        raise AssertionError("an internal stage read an id list")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dismantle") and hasattr(module, "_vertex_mask"):
+            monkeypatch.setattr(module, "_vertex_mask", refuse)
+    assert run()
 
 
 def test_gap_demo_validation():

@@ -1263,6 +1263,7 @@ def test_trim_refuses_a_fractional_target(target):
         (greedy_fragment, "component cap"),
         (fragment_forest, "component cap"),
         (exact_max_induced, "component cap"),
+        (lambda g, k: strip_short_cycles(g, range(2), k), "component cap"),
     ]:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {target}"):
             run(g, target)
