@@ -291,33 +291,109 @@ def _too_dense(edges: int, size: int, eps: float) -> bool:
     return edges > (1.0 + eps / 3.0) * size + 1e-12
 
 
-_BLOCK = 1024  # starts whose walks are held at once; bounds the marking's memory
+_BLOCK = 512  # starts whose walks are held at once; bounds the marking's memory
+_PEEL_MIN = 32  # the peel stops at a round of fewer leaves: walking them is cheaper
 
 
 def _short_cycle_mask(g: Graph, starts: np.ndarray, t_max: int) -> np.ndarray:
     """Mark every start that lies on a cycle of at most ``t_max`` vertices.
 
-    Non-backtracking walks grow from each start, one step a round, for
-    ``ceil(t_max / 2)`` rounds. A start is marked when two of its walks
-    end at the same vertex (the walk of no steps counts), and its walks
-    then stop. A start on a cycle of ``L`` vertices is marked by round
-    ``ceil(L / 2)``, where its two walks round the cycle meet; a start
-    near a short cycle may be marked too. Until a start's first meeting,
-    its walks are shortest paths, one per vertex, so that meeting pairs
-    a walk of this round with one of this round or the last: only those
-    two rounds' ``(start, end)`` keys are compared. A walk never leaves
-    its start's component. The starts are walked ``_BLOCK`` at a time,
-    so the walks held stay few however many starts there are.
+    A start is marked when two of its non-backtracking walks of at most
+    ``R = ceil(t_max / 2)`` steps end at the same vertex (the walk of no
+    steps counts). Its first meeting comes at round
+    ``rho(s) = min over cycles C of dist(s, C) + ceil(|C| / 2)``, so a
+    start is marked exactly when ``rho(s) <= R``: every start on a cycle
+    of at most ``t_max`` vertices, and maybe some near one. ``starts``
+    holds distinct vertex ids.
+
+    Every cycle lies in the 2-core, and a shortest path between two of
+    its vertices never leaves it, so walks inside the 2-core give rho
+    exactly for its vertices. A vertex ``s`` of a tree hanging from core
+    vertex ``a`` has ``rho(s) = dist(s, a) + rho(a)``. So :func:`_peel`
+    removes the trees, each vertex naming its parent, the walks of
+    :func:`_first_meetings` run on what is left, from the starts in it
+    and the vertices their peeled starts hang from, and each peeled vertex
+    then takes its parent's rho plus one, in the reverse order of the
+    peel. The peel may stop short of the 2-core. A vertex goes only after
+    all its neighbours but its parent, so a tree vertex left keeps its
+    whole path to the core, and its walks give it the same rho.
     """
     n = g.n
-    nbr, first, deg = _arcs(n, g._ends)
-    mask = np.zeros(n, dtype=bool)
     rounds = (int(t_max) + 1) // 2
-    for lo in range(0, starts.size, _BLOCK):
-        src = cur = starts[lo:lo + _BLOCK]
+    mask = np.zeros(n, dtype=bool)
+    need = mask.copy()
+    need[starts] = True
+    alive, levels = _peel(g, need)
+    ends, walked = g._ends, starts  # nothing peeled: walk the graph from the starts
+    if levels:
+        u, v = ends
+        ends = np.compress(alive[u] & alive[v], ends, axis=1)
+        walked = np.flatnonzero(alive & need)
+    # rounds + 1: not met within the rounds walked; the type holds rounds + 2
+    rho = np.full(n, rounds + 1, dtype=np.min_scalar_type(-rounds - 2))
+    _first_meetings(n, ends, walked, rounds, rho)
+    for leaves, parents in reversed(levels):
+        rho[leaves] = np.minimum(rho[parents] + 1, rounds + 1)
+    mask[starts] = rho[starts] <= rounds
+    return mask
+
+
+def _peel(g: Graph, need: np.ndarray) -> Tuple[np.ndarray, list]:
+    """Remove the vertices of degree at most 1, round by round, towards the 2-core.
+
+    Returns the mask of the vertices left and, per round, the removed
+    vertices that had one neighbour left with those neighbours (their
+    parents), as ``(leaves, parents)``. Each vertex keeps the xor of its
+    neighbours left, which names a leaf's parent. ``need`` passes from
+    each leaf to its parent in place, so a needed tree vertex marks the
+    vertex left that its tree hangs from. The peel stops at a round of
+    fewer than ``_PEEL_MIN`` vertices, so a round of a dozen numpy calls
+    removes at least that many; a long path would take a round a vertex.
+    """
+    u, v = g._ends
+    deg = np.bincount(g._ends.ravel(), minlength=g.n)
+    alive = np.ones(g.n, dtype=bool)
+    leaves = np.flatnonzero(deg <= 1)
+    levels = []
+    if leaves.size < _PEEL_MIN:
+        return alive, levels
+    ids = np.min_scalar_type(g.n)  # the levels are held through the walks: keep them small
+    xor = np.zeros(g.n, dtype=u.dtype)
+    np.bitwise_xor.at(xor, u, v)
+    np.bitwise_xor.at(xor, v, u)
+    while leaves.size >= _PEEL_MIN:
+        alive[leaves] = False
+        leaves = leaves[deg[leaves] == 1]
+        parents = xor[leaves]
+        levels.append((leaves.astype(ids), parents.astype(ids)))
+        np.subtract.at(deg, parents, 1)
+        np.bitwise_xor.at(xor, parents, leaves)
+        need[parents[need[leaves]]] = True
+        leaves = np.sort(parents[alive[parents] & (deg[parents] <= 1)])
+        leaves = leaves[np.diff(leaves, prepend=-1) != 0]  # np.unique, without its cost
+    return alive, levels
+
+
+def _first_meetings(n: int, ends: np.ndarray, walked: np.ndarray, rounds: int,
+                    rho: np.ndarray) -> None:
+    """Write into ``rho`` the first-meeting round of each ``walked`` vertex
+    whose walks meet within ``rounds`` rounds in the graph on ``n``
+    vertices whose edges are the columns ``ends``.
+
+    Non-backtracking walks grow from each start, one step a round, and a
+    start's walks stop at its first meeting. Until then they are shortest
+    paths, one per vertex, so that meeting pairs a walk of this round with
+    one of this round or the last: only those two rounds' ``(start, end)``
+    keys are compared. Round 1 only expands, since a simple graph's steps
+    from one vertex all end apart and away from it. The starts are walked
+    ``_BLOCK`` at a time, so the walks held stay few however many starts
+    there are.
+    """
+    nbr, first, deg = _arcs(n, ends)
+    for lo in range(0, walked.size, _BLOCK):
+        src = cur = walked[lo:lo + _BLOCK]
         prev = np.full(src.size, -1)
-        last = src * n + cur  # the keys of the walks of no steps
-        for _ in range(rounds):
+        for r in range(1, rounds + 1):
             # every step from each walk's end but the one back
             k = deg[cur]
             walk = np.repeat(np.arange(cur.size), k)
@@ -326,16 +402,16 @@ def _short_cycle_mask(g: Graph, starts: np.ndarray, t_max: int) -> np.ndarray:
             walk = walk[ahead]
             src, prev, cur = src[walk], cur[walk], nxt[ahead]
             keys = src * n + cur
-            both = np.sort(np.concatenate((last, keys)))
-            met = both[1:][both[1:] == both[:-1]] // n
-            if met.size:
-                mask[met] = True
-                live = ~mask[src]
-                src, prev, cur, keys = src[live], prev[live], cur[live], keys[live]
+            if r > 1:
+                both = np.sort(np.concatenate((last, keys)))
+                met = both[1:][both[1:] == both[:-1]] // n
+                rho[met] = r
+                if met.size and r < rounds:  # the last round's walks are dropped
+                    live = rho[src] > r
+                    src, prev, cur, keys = src[live], prev[live], cur[live], keys[live]
             if not cur.size:
                 break
             last = keys
-    return mask
 
 
 def density_scan(
@@ -346,11 +422,15 @@ def density_scan(
     A violator T spans at least ``|T| + 1`` edges, so ``G[T]`` holds a
     cycle of at most ``|T|`` vertices, all of them in T, and T lies in a
     component of excess at least 2. The scan therefore marks the vertices
-    on or near a cycle of at most ``t_max`` vertices in those components
-    (``_short_cycle_mask``) and walks only the connected sets that hold a
-    marked vertex, each once, from its smallest marked vertex. That walk
-    meets every violator. ``sets_examined`` counts the sets it meets,
-    whether walked or counted, and the budget counts the same sets.
+    ``s`` of those components with
+    ``rho(s) = min over cycles C of dist(s, C) + ceil(|C| / 2)`` at most
+    ``ceil(t_max / 2)`` (``_short_cycle_mask``): every vertex on a cycle
+    of at most ``t_max`` vertices, and those near one. rho is read off
+    non-backtracking walks inside the 2-core and carried out along the
+    trees hanging from it. The scan then walks only the connected sets
+    that hold a marked vertex, each once, from its smallest marked vertex.
+    That walk meets every violator. ``sets_examined`` counts the sets it
+    meets, whether walked or counted, and the budget counts the same sets.
 
     At each set S of ``t_max - 2`` vertices with ``k`` candidates the
     scan counts the ``k`` sets one larger and the ``k(k-1)/2`` plus the

@@ -4,10 +4,11 @@ oracles of ``dismantle.exact``, a depth-first search for
 ``dismantle.Graph`` builds in numpy, line-at-a-time edge-list I/O for
 the bulk ``read_edgelist`` and ``write_edgelist``, a sort of the
 distinct ids for the numpy reading of a vertex set, a per-vertex loop
-for the numpy ``induced_subgraph``, and a union-find started from
-single vertices for the seeded add-back of the fragmenters. It also
-holds the small graphs several test modules share: ``c5``, ``k4`` and
-``random_graph``.
+for the numpy ``induced_subgraph``, a union-find started from single
+vertices for the seeded add-back of the fragmenters, and walks from
+every start over the whole graph for the short-cycle marking of the
+density scan. It also holds the graphs several test modules share:
+``c5``, ``k4``, ``random_graph`` and ``chung_lu``.
 
 The enumerations sweep every vertex subset with their own component
 logic, to cross-check the branch-and-bound oracles. Only ``Graph`` is
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from operator import index
 from typing import Callable, Iterable, Optional, Tuple
+
+import numpy as np
 
 from dismantle import Graph
 
@@ -43,6 +46,19 @@ def random_graph(n: int, m: int, rng) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph(n, sorted(edges))
+
+
+def chung_lu(n: int, exponent: float, c: float, seed: int) -> Graph:
+    """A seeded Chung–Lu graph: about ``c * n / 2`` edge draws whose ends
+    are picked with weight ``(i + 1) ** (-1 / (exponent - 1))`` for the
+    ``i``-th of a random order of the vertices; loops and repeats are
+    dropped. Its degrees have a power-law tail, so it has many levels."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1) ** (-1.0 / (exponent - 1.0))
+    ends = rng.permutation(n)[rng.choice(n, size=(2, round(c * n / 2)), p=w / w.sum())]
+    u, v = np.minimum(*ends), np.maximum(*ends)
+    key = np.unique((u * n + v)[u != v])
+    return Graph(n, np.stack(np.divmod(key, n), axis=1))
 
 
 def _check_limit(g: Graph, limit: int) -> None:
@@ -357,3 +373,45 @@ def add_back_from_edgeless(g: Graph, present: bytearray, order: Iterable[int],
                 size[root] += size[u]
         joined[v] = size[root]
     return joined
+
+
+def short_cycle_mask_from_every_start(g: Graph, starts: np.ndarray, t_max: int) -> np.ndarray:
+    """Reference for ``analysis._short_cycle_mask``: the same marks, walked
+    from every start over the whole graph, with no 2-core peel.
+
+    Non-backtracking walks grow from each start, one step a round, for
+    ``ceil(t_max / 2)`` rounds. A start is marked when two of its walks
+    end at the same vertex (the walk of no steps counts), and its walks
+    then stop. Until that first meeting its walks are shortest paths, one
+    per vertex, so only this round's and the last round's ``(start, end)``
+    keys are compared. The starts are walked 1,024 at a time. The
+    neighbour arrays are built here from ``g._ends`` by a lexsort.
+    """
+    n = g.n
+    src, dst = np.concatenate((g._ends, g._ends[::-1]), axis=1)
+    nbr = dst[np.lexsort((dst, src))]
+    deg = np.bincount(src, minlength=n)
+    first = np.cumsum(deg) - deg
+    mask = np.zeros(n, dtype=bool)
+    for lo in range(0, starts.size, 1024):
+        start = cur = starts[lo:lo + 1024]
+        prev = np.full(start.size, -1)
+        last = start * n + cur  # the keys of the walks of no steps
+        for _ in range((t_max + 1) // 2):
+            k = deg[cur]
+            walk = np.repeat(np.arange(cur.size), k)
+            nxt = nbr[np.arange(walk.size) + np.repeat(first[cur] - (np.cumsum(k) - k), k)]
+            ahead = nxt != prev[walk]
+            walk = walk[ahead]
+            start, prev, cur = start[walk], cur[walk], nxt[ahead]
+            keys = start * n + cur
+            both = np.sort(np.concatenate((last, keys)))
+            met = both[1:][both[1:] == both[:-1]] // n
+            if met.size:
+                mask[met] = True
+                live = ~mask[start]
+                start, prev, cur, keys = start[live], prev[live], cur[live], keys[live]
+            if not cur.size:
+                break
+            last = keys
+    return mask

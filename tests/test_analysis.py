@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from contextlib import nullcontext
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from dismantle import (
     random_regular,
     random_tree,
 )
+from dismantle import analysis
 from dismantle.analysis import _short_cycle_mask
-from oracles import k4, random_graph
+from oracles import chung_lu, k4, random_graph, short_cycle_mask_from_every_start
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +554,43 @@ def shortest_cycle_through(g, v):
 
 def check_short_cycle_mask(g, t_max):
     starts = np.array(sorted(dense_component_vertices(g)), dtype=np.intp)
-    mask = _short_cycle_mask(g, starts, t_max).tolist()
-    assert mask == reference_short_cycle_mask(g, t_max)
+    expected = reference_short_cycle_mask(g, t_max)
+    # the peel stops at a round of fewer than _PEEL_MIN leaves, so on small
+    # graphs it runs only with that floor lowered, down to the 2-core
+    for least in (analysis._PEEL_MIN, 1):
+        with patch.object(analysis, "_PEEL_MIN", least):
+            mask = _short_cycle_mask(g, starts, t_max).tolist()
+        assert mask == expected
     for v in starts.tolist():
         if shortest_cycle_through(g, v) <= t_max:
             assert mask[v]
+
+
+def pendant_path_cases():
+    """``(length, g, t_max, path)``: two L-cycles through vertex 0, for L = 3, 4
+    and 5 (excess 2), with a path hung from vertex 0 (degree 4) or from
+    vertex 1 (degree 2), at t_max 4 to 9. ``path`` lists the path's
+    vertices by distance from the cycle, from 1. A path vertex at distance
+    d has rho = d + ceil(L/2), so it is marked exactly up to
+    ``D = ceil(t_max/2) - ceil(L/2)``; the path has ``D + 1`` vertices,
+    kept within 1 to 4."""
+    for length in (3, 4, 5):
+        cycles = [(i, (i + 1) % length) for i in range(length)]
+        cycles += [(0, length), (0, 2 * length - 2)]
+        cycles += [(length + i, length + i + 1) for i in range(length - 2)]
+        for at in (0, 1):
+            for t_max in range(4, 10):
+                reach = (t_max + 1) // 2 - (length + 1) // 2
+                path = list(range(2 * length - 1, 2 * length + min(max(reach, 0), 3)))
+                edges = cycles + list(zip([at] + path, path))
+                g = Graph(path[-1] + 1, sorted(tuple(sorted(e)) for e in edges))
+                yield length, g, t_max, path
+
+
+def with_pendant_path_examples(test):
+    for _, g, t_max, _ in pendant_path_cases():
+        test = example((g, t_max, 0.0))(test)
+    return test
 
 
 @settings(max_examples=200, deadline=None)
@@ -564,9 +598,36 @@ def check_short_cycle_mask(g, t_max):
 # two 5-cycles through vertex 0: only walks of ceil(5/2) steps meet
 @example((Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
                     (0, 5), (5, 6), (6, 7), (7, 8), (0, 8)]), 5, 0.0))
+@with_pendant_path_examples
 def test_short_cycle_mask_matches_its_definition(case):
     g, t_max, _ = case
     check_short_cycle_mask(g, t_max)
+
+
+@pytest.mark.parametrize("length, g, t_max, path", pendant_path_cases())
+def test_pendant_path_is_marked_as_far_as_the_cycle_reaches(length, g, t_max, path):
+    reach = (t_max + 1) // 2 - (length + 1) // 2
+    for least in (analysis._PEEL_MIN, 1):
+        with patch.object(analysis, "_PEEL_MIN", least):
+            mask = _short_cycle_mask(g, np.arange(g.n), t_max)
+        assert mask[:2 * length - 1].all() == (reach >= 0)
+        assert [mask[v] for v in path] == [d <= reach for d in range(1, len(path) + 1)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gnp(20_000, 1.5, 1), lambda: gnp(20_000, 2.0, 1), lambda: gnp(20_000, 3.0, 1),
+    lambda: random_regular(20_000, 3, 1), lambda: chung_lu(2000, 2.5, 4.0, 3),
+], ids=["gnp c=1.5", "gnp c=2", "gnp c=3", "regular d=3", "chung-lu"])
+def test_short_cycle_mask_matches_the_walk_from_every_start(make):
+    # every vertex a start, so tree and unicyclic components are walked too;
+    # t_max 2r - 1 and 2r walk the same r rounds
+    g = make()
+    starts = np.arange(g.n)
+    for t_max in (3, 5, 7):
+        expected = short_cycle_mask_from_every_start(g, starts, t_max)
+        assert expected.any()
+        for t in (t_max, t_max + 1):
+            assert np.array_equal(_short_cycle_mask(g, starts, t), expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -589,6 +650,26 @@ def test_huge_size_cap_costs_nothing_extra():
     small = density_scan(k4(), 4, 0.3)
     assert (rep.violations, rep.sets_examined) == (small.violations, small.sets_examined)
     assert sets == list(connected_vertex_sets(k4(), 4))
+
+
+def test_huge_size_cap_marks_a_pendant_tree_in_few_rounds():
+    # K4 with a binary tree of depth 6 hung from vertex 0: at t_max 1e7
+    # every vertex is marked. The peel takes the tree's outer rounds, and a
+    # value per round of the cap would cost millions of rounds
+    tree = [(0, 4), (0, 5)] + [(v, 2 * v - 2 + i) for v in range(4, 66) for i in (0, 1)]
+    g = Graph(130, k4().edges + tuple(tree))
+    starts = np.arange(g.n)
+    tracemalloc.start()
+    try:
+        mask = _short_cycle_mask(g, starts, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert mask.all()
+    assert np.array_equal(mask, short_cycle_mask_from_every_start(g, starts, 10**7))
+    with patch.object(analysis, "_PEEL_MIN", 1):
+        assert _short_cycle_mask(g, starts, 10**7).all()
 
 
 def test_enumeration_validates_eagerly():

@@ -45,7 +45,7 @@ from dismantle.fragmenters import (
     _make_result,
 )
 from dismantle.graph import _region_edges, _vertex_mask
-from oracles import add_back_from_edgeless, c5, components_by_dfs, k4, random_graph
+from oracles import add_back_from_edgeless, c5, chung_lu, components_by_dfs, k4, random_graph
 
 
 def c6():
@@ -830,19 +830,6 @@ def test_lfmis_decides_long_chains_in_order():
 def relabel(g, label):
     """``g`` with each vertex ``v`` renamed ``label[v]``."""
     return Graph(g.n, [tuple(sorted((label[u], label[v]))) for u, v in g.edges])
-
-
-def chung_lu(n, exponent, c, seed):
-    """A seeded Chung–Lu graph: about ``c * n / 2`` edge draws whose ends
-    are picked with weight ``(i + 1) ** (-1 / (exponent - 1))`` for the
-    ``i``-th of a random order of the vertices; loops and repeats are
-    dropped. Its degrees have a power-law tail, so it has many levels."""
-    rng = np.random.default_rng(seed)
-    w = np.arange(1, n + 1) ** (-1.0 / (exponent - 1.0))
-    ends = rng.permutation(n)[rng.choice(n, size=(2, round(c * n / 2)), p=w / w.sum())]
-    u, v = np.minimum(*ends), np.maximum(*ends)
-    key = np.unique((u * n + v)[u != v])
-    return Graph(n, np.stack(np.divmod(key, n), axis=1))
 
 
 def hubs_and_paths(sizes=(40, 17, 7, 3), length=4):

@@ -13,8 +13,9 @@ this file. Functions that take a region (trimming, decycling, the
 pipeline, ``components``) get it as a vertex set; the others run on the
 subgraph it induces, whose edges are digested too. A certified result
 is digested whole: its kept and removed ids, ``nu``, ``max_component``
-and ``component_count``. ``--quick`` runs at n = 20,000; the default is
-n = 100,000.
+and ``component_count``. The density scan's short-cycle marking is
+digested on its own too, from every vertex at each t_max from 3 to 8.
+``--quick`` runs at n = 20,000; the default is n = 100,000.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dismantle import experiments  # noqa: E402
-from dismantle.analysis import density_scan  # noqa: E402
+from dismantle.analysis import _short_cycle_mask, density_scan  # noqa: E402
 from dismantle.fragmenters import (  # noqa: E402
     _decycled_forest,
     _greedy_cuts,
@@ -122,6 +123,9 @@ def cases(g, t_max: int, forest: bool, region):
     report = density_scan(sub, t_max, 0.5)
     yield (f"density_scan t_max={t_max} eps=0.5",
            sha(json.dumps([report.violations, report.sets_examined])))
+    for t in range(3, 9):
+        marked = _short_cycle_mask(sub, np.arange(sub.n), t)
+        yield f"_short_cycle_mask t_max={t}", sha(np.flatnonzero(marked).tolist())
 
 
 def main(argv=None) -> int:
