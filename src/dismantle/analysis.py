@@ -292,7 +292,6 @@ def _too_dense(edges: int, size: int, eps: float) -> bool:
 
 
 _BLOCK = 512  # starts whose walks are held at once; bounds the marking's memory
-_PEEL_MIN = 32  # the peel stops at a round of fewer leaves: walking them is cheaper
 
 
 def _short_cycle_mask(g: Graph, starts: np.ndarray, t_max: int) -> np.ndarray:
@@ -304,71 +303,63 @@ def _short_cycle_mask(g: Graph, starts: np.ndarray, t_max: int) -> np.ndarray:
     ``rho(s) = min over cycles C of dist(s, C) + ceil(|C| / 2)``, so a
     start is marked exactly when ``rho(s) <= R``: every start on a cycle
     of at most ``t_max`` vertices, and maybe some near one. ``starts``
-    holds distinct vertex ids.
+    holds the vertices of whole components, each once. rho is below n,
+    so R is taken at most n: a larger cap marks no more.
 
     Every cycle lies in the 2-core, and a shortest path between two of
     its vertices never leaves it, so walks inside the 2-core give rho
     exactly for its vertices. A vertex ``s`` of a tree hanging from core
     vertex ``a`` has ``rho(s) = dist(s, a) + rho(a)``. So :func:`_peel`
     removes the trees, each vertex naming its parent, the walks of
-    :func:`_first_meetings` run on what is left, from the starts in it
-    and the vertices their peeled starts hang from, and each peeled vertex
-    then takes its parent's rho plus one, in the reverse order of the
-    peel. The peel may stop short of the 2-core. A vertex goes only after
-    all its neighbours but its parent, so a tree vertex left keeps its
-    whole path to the core, and its walks give it the same rho.
+    :func:`_first_meetings` run on the 2-core, from the starts in it, and
+    each peeled vertex then takes its parent's rho plus one, in the
+    reverse order of the peel. A peeled start's parent lies in its
+    component, so it is a start too. A vertex not met within R rounds
+    keeps rho above R, and so does every tree vertex hanging from it.
     """
     n = g.n
-    rounds = (int(t_max) + 1) // 2
-    mask = np.zeros(n, dtype=bool)
-    need = mask.copy()
-    need[starts] = True
-    alive, levels = _peel(g, need)
-    ends, walked = g._ends, starts  # nothing peeled: walk the graph from the starts
-    if levels:
+    rounds = min((int(t_max) + 1) // 2, n)
+    inside = np.zeros(n, dtype=bool)
+    inside[starts] = True
+    alive, levels = _peel(g)
+    ends = g._ends
+    if levels:  # walk only the edges of the 2-core
         u, v = ends
         ends = np.compress(alive[u] & alive[v], ends, axis=1)
-        walked = np.flatnonzero(alive & need)
-    # rounds + 1: not met within the rounds walked; the type holds rounds + 2
-    rho = np.full(n, rounds + 1, dtype=np.min_scalar_type(-rounds - 2))
-    _first_meetings(n, ends, walked, rounds, rho)
+    rho = np.full(n, rounds + 1, dtype=np.intp)  # rounds + 1: not met within the rounds walked
+    _first_meetings(n, ends, np.flatnonzero(alive & inside), rounds, rho)
     for leaves, parents in reversed(levels):
-        rho[leaves] = np.minimum(rho[parents] + 1, rounds + 1)
-    mask[starts] = rho[starts] <= rounds
-    return mask
+        rho[leaves] = rho[parents] + 1
+    return inside & (rho <= rounds)
 
 
-def _peel(g: Graph, need: np.ndarray) -> Tuple[np.ndarray, list]:
-    """Remove the vertices of degree at most 1, round by round, towards the 2-core.
+def _peel(g: Graph) -> Tuple[np.ndarray, list]:
+    """Remove the vertices of degree at most 1, round by round, down to the 2-core.
 
-    Returns the mask of the vertices left and, per round, the removed
-    vertices that had one neighbour left with those neighbours (their
-    parents), as ``(leaves, parents)``. Each vertex keeps the xor of its
-    neighbours left, which names a leaf's parent. ``need`` passes from
-    each leaf to its parent in place, so a needed tree vertex marks the
-    vertex left that its tree hangs from. The peel stops at a round of
-    fewer than ``_PEEL_MIN`` vertices, so a round of a dozen numpy calls
-    removes at least that many; a long path would take a round a vertex.
+    Returns the mask of the 2-core and, per round, the removed vertices
+    that had one neighbour left with those neighbours (their parents), as
+    ``(leaves, parents)``. Each vertex keeps the xor of its neighbours
+    left, which names a leaf's parent. A round costs a dozen numpy calls
+    however few vertices it removes, so a pendant path of L vertices
+    costs L rounds.
     """
     u, v = g._ends
     deg = np.bincount(g._ends.ravel(), minlength=g.n)
     alive = np.ones(g.n, dtype=bool)
     leaves = np.flatnonzero(deg <= 1)
     levels = []
-    if leaves.size < _PEEL_MIN:
+    if not leaves.size:  # no tree: skip the xor's two passes over the edges
         return alive, levels
-    ids = np.min_scalar_type(g.n)  # the levels are held through the walks: keep them small
     xor = np.zeros(g.n, dtype=u.dtype)
     np.bitwise_xor.at(xor, u, v)
     np.bitwise_xor.at(xor, v, u)
-    while leaves.size >= _PEEL_MIN:
+    while leaves.size:
         alive[leaves] = False
         leaves = leaves[deg[leaves] == 1]
         parents = xor[leaves]
-        levels.append((leaves.astype(ids), parents.astype(ids)))
+        levels.append((leaves, parents))
         np.subtract.at(deg, parents, 1)
         np.bitwise_xor.at(xor, parents, leaves)
-        need[parents[need[leaves]]] = True
         leaves = np.sort(parents[alive[parents] & (deg[parents] <= 1)])
         leaves = leaves[np.diff(leaves, prepend=-1) != 0]  # np.unique, without its cost
     return alive, levels

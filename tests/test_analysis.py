@@ -3,7 +3,6 @@ import random
 import tracemalloc
 from contextlib import nullcontext
 from itertools import combinations
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from dismantle import (
     random_regular,
     random_tree,
 )
-from dismantle import analysis
 from dismantle.analysis import _short_cycle_mask
 from oracles import chung_lu, k4, random_graph, short_cycle_mask_from_every_start
 
@@ -554,13 +552,8 @@ def shortest_cycle_through(g, v):
 
 def check_short_cycle_mask(g, t_max):
     starts = np.array(sorted(dense_component_vertices(g)), dtype=np.intp)
-    expected = reference_short_cycle_mask(g, t_max)
-    # the peel stops at a round of fewer than _PEEL_MIN leaves, so on small
-    # graphs it runs only with that floor lowered, down to the 2-core
-    for least in (analysis._PEEL_MIN, 1):
-        with patch.object(analysis, "_PEEL_MIN", least):
-            mask = _short_cycle_mask(g, starts, t_max).tolist()
-        assert mask == expected
+    mask = _short_cycle_mask(g, starts, t_max).tolist()
+    assert mask == reference_short_cycle_mask(g, t_max)
     for v in starts.tolist():
         if shortest_cycle_through(g, v) <= t_max:
             assert mask[v]
@@ -607,11 +600,26 @@ def test_short_cycle_mask_matches_its_definition(case):
 @pytest.mark.parametrize("length, g, t_max, path", pendant_path_cases())
 def test_pendant_path_is_marked_as_far_as_the_cycle_reaches(length, g, t_max, path):
     reach = (t_max + 1) // 2 - (length + 1) // 2
-    for least in (analysis._PEEL_MIN, 1):
-        with patch.object(analysis, "_PEEL_MIN", least):
-            mask = _short_cycle_mask(g, np.arange(g.n), t_max)
-        assert mask[:2 * length - 1].all() == (reach >= 0)
-        assert [mask[v] for v in path] == [d <= reach for d in range(1, len(path) + 1)]
+    mask = _short_cycle_mask(g, np.arange(g.n), t_max)
+    assert mask[:2 * length - 1].all() == (reach >= 0)
+    assert [mask[v] for v in path] == [d <= reach for d in range(1, len(path) + 1)]
+
+
+@pytest.mark.parametrize("t_max", [251, 252])
+def test_unmet_core_marks_no_pendant_leaf(t_max):
+    # two 300-cycles through vertex 0, with a leaf hung from each of their
+    # first 40 vertices: no cycle of at most 252 vertices, so nothing is
+    # marked. R = 126 here, and the leaves' rho, one above their unmet
+    # parents', reaches R + 2 = 128, one past the largest signed byte
+    cycles = [(i, (i + 1) % 300) for i in range(300)]
+    cycles += [(0, 300), (0, 598)] + [(300 + i, 301 + i) for i in range(298)]
+    leaves = [(v, 599 + v) for v in range(40)]
+    g = Graph(639, sorted(tuple(sorted(e)) for e in cycles + leaves))
+    starts = np.arange(g.n)
+    mask = _short_cycle_mask(g, starts, t_max)
+    assert not mask.any()
+    assert np.array_equal(mask, short_cycle_mask_from_every_start(g, starts, t_max))
+    assert density_scan(g, t_max, 0.0).sets_examined == 0
 
 
 @pytest.mark.parametrize("make", [
@@ -654,8 +662,8 @@ def test_huge_size_cap_costs_nothing_extra():
 
 def test_huge_size_cap_marks_a_pendant_tree_in_few_rounds():
     # K4 with a binary tree of depth 6 hung from vertex 0: at t_max 1e7
-    # every vertex is marked. The peel takes the tree's outer rounds, and a
-    # value per round of the cap would cost millions of rounds
+    # every vertex is marked. The peel takes the tree, and a value per
+    # round of the cap would cost millions of rounds
     tree = [(0, 4), (0, 5)] + [(v, 2 * v - 2 + i) for v in range(4, 66) for i in (0, 1)]
     g = Graph(130, k4().edges + tuple(tree))
     starts = np.arange(g.n)
@@ -668,8 +676,6 @@ def test_huge_size_cap_marks_a_pendant_tree_in_few_rounds():
     assert peak < 2**20
     assert mask.all()
     assert np.array_equal(mask, short_cycle_mask_from_every_start(g, starts, 10**7))
-    with patch.object(analysis, "_PEEL_MIN", 1):
-        assert _short_cycle_mask(g, starts, 10**7).all()
 
 
 def test_enumeration_validates_eagerly():
